@@ -20,16 +20,18 @@ import sys
 
 from . import inequality
 from .hvmodels import (
+    TIMING_RULES,
     UnsupportedConfigurationError,
     coordination_map,
     effective_behavior,
+    pair_timing,
     sample_runs,
     write_run_csv,
 )
 from .presets import PRESETS, get_preset
-from .quantum import behavior_to_json, born_behavior, correlator, marginal
+from .quantum import born_behavior, correlator
 from .scenario import ScenarioError, load_scenario, parse_speed, scenario_from_doc
-from .signaling import RECHECK_TOL, localparts_feasible, signaling_distance
+from .signaling import signal_report
 from .spacetime import (
     SPEED_OF_LIGHT,
     Event,
@@ -57,6 +59,10 @@ class CliError(Exception):
 
 def _usage_error(message: str) -> CliError:
     return CliError(EXIT_SCHEMA, {"error": {"code": "usage", "message": message}})
+
+
+def _invalid_error(message: str) -> CliError:
+    return CliError(EXIT_ERROR, {"error": {"code": "invalid", "message": message}})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,37 +113,6 @@ def _resolve_scenario(args) -> tuple:
     return sc, pipeline
 
 
-def _timing_block(sc) -> dict:
-    """Per-pair timing quantities for finite-speed and multisim models."""
-    g = sc.geometry
-    out = {}
-    for i, j in g.pairs():
-        entry = {
-            "L": g.distance(i, j),
-            "dt": g.arrival_dt(i, j),
-            "recession_speed": g.recession_speed(i, j),
-        }
-        if g.distance(i, j) > 0:
-            if sc.model.kind == "finite_speed":
-                s = TimingScenario(
-                    L=entry["L"], dt=entry["dt"], v_bb=0.0, v=sc.model.v, c=g.c
-                )
-                entry["v"] = sc.model.v
-                entry["v_bb_equivalent"] = equivalent_vbb(sc.model.v, g.c)
-                entry["finite_speed_cut"] = finite_speed_cut(s)
-            elif sc.model.kind == "multisim":
-                s = TimingScenario(
-                    L=entry["L"],
-                    dt=entry["dt"],
-                    v_bb=entry["recession_speed"],
-                    v=g.c,
-                    c=g.c,
-                )
-                entry["before_before"] = before_before(s)
-        out[_pair_key((i, j))] = entry
-    return out
-
-
 def cmd_timing(args) -> int:
     c = 1.0 if args.c_units else SPEED_OF_LIGHT
     v = parse_speed(args.v, c)
@@ -151,7 +126,7 @@ def cmd_timing(args) -> int:
             "schema": "bellsim-timing-1",
             "inputs": {"L": args.L, "dt": args.dt, "v": v, "v_bb": v_bb, "c": c},
             "v_bb_equivalent": v_bb_equiv,
-            "v_equivalent": c * c / v_bb,
+            "v_equivalent": c * c / v_bb if v_bb > 0 else None,
             "finite_speed_cut": fsc,
             "before_before": bb,
             "criteria_agree": fsc == bb,
@@ -252,8 +227,10 @@ def cmd_simulate(args) -> int:
         "correlators": correlators,
         "derived": _derived_block(sc, eff, sample),
     }
-    if sc.model.kind in ("finite_speed", "multisim"):
-        summary["timing"] = _timing_block(sc)
+    if sc.model.kind in TIMING_RULES:
+        summary["timing"] = {
+            _pair_key(p): entry for p, entry in pair_timing(sc.model, sc.geometry).items()
+        }
     out_dir = args.out if args.out is not None else "."
     runs_name = sc.outputs.get(
         "runs_csv" if args.format == "csv" else "runs_json",
@@ -279,90 +256,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _signal_report(sc, off_override: tuple[int, int] | None) -> dict:
-    if sc.parties != 3:
-        raise CliError(
-            EXIT_ERROR,
-            {"error": {"code": "invalid", "message": "signal needs a tripartite scenario"}},
-        )
-    if sc.model.kind == "mixture":
-        raise CliError(
-            EXIT_ERROR,
-            {
-                "error": {
-                    "code": "invalid",
-                    "message": "signal needs a model with a static coordination map",
-                }
-            },
-        )
-    target = born_behavior(sc.state, sc.settings)
-    cmap = coordination_map(sc.model, sc.geometry)
-    off_pairs = [pair for pair, state in cmap.items() if state == "OFF"]
-    if off_override is not None:
-        off = off_override
-    elif len(off_pairs) == 1:
-        off = off_pairs[0]
-    elif not off_pairs:
-        off = (1, 2)
-    else:
-        raise CliError(
-            EXIT_ERROR,
-            {
-                "error": {
-                    "code": "invalid",
-                    "message": f"coordination map cuts {len(off_pairs)} pairs; "
-                    "pass --off-pair to choose the receiver pair",
-                }
-            },
-        )
-    (spect,) = tuple(set(range(3)) - set(off))
-    eff = effective_behavior(sc.model, sc.geometry, target)
-    sd = signaling_distance(eff, off)
-    feas = localparts_feasible(target, off)
-    family = marginal(eff, off)
-    tables = {
-        f"spectator_setting={key[0]}": family[key].table.tolist()
-        for key in sorted(family)
-    }
-    g = sc.geometry
-    point = find_point_d(g.events[spect], g.events[off[0]], g.events[off[1]], c=g.c)
-    report = {
-        "schema": "bellsim-signal-1",
-        "scenario": sc.doc,
-        "coordination": {_pair_key(p): s for p, s in cmap.items()},
-        "off_pair": list(off),
-        "spectator": spect,
-        "settings": [list(row) for row in sc.settings],
-        "feasible": feas.feasible,
-        "signaling_distance": sd,
-        "bias": sd / 2.0,
-        "channel": "binary" if sd > RECHECK_TOL else "none",
-        "marginal_tables": tables,
-        "receiver_alone_distances": {
-            str(off[0]): signaling_distance(eff, (off[0],)),
-            str(off[1]): signaling_distance(eff, (off[1],)),
-        },
-        "advantage_seconds": None if point is None else point[1],
-        "point_d": None
-        if point is None
-        else {"t": point[0].t, "x": point[0].x, "y": point[0].y},
-        "note": (
-            "a marginal shift is visible only in the cut pair's joint "
-            "outcomes; neither receiver alone sees it"
-        ),
-    }
-    if feas.feasible:
-        report["witness"] = behavior_to_json(feas.witness)
-        report["witness_max_residual"] = feas.max_residual
-    else:
-        report["certificate"] = {
-            "y": feas.certificate.y.tolist(),
-            "margin": feas.certificate.margin,
-            "inequality": feas.certificate.inequality_string(),
-        }
-    return report
-
-
 def cmd_signal(args) -> int:
     sc, _ = _resolve_scenario(args)
     off = None
@@ -374,7 +267,28 @@ def cmd_signal(args) -> int:
         if i == j or not {i, j} <= {0, 1, 2}:
             raise _usage_error("--off-pair must name two distinct parties in 0..2")
         off = (min(i, j), max(i, j))
-    report = _signal_report(sc, off)
+    if sc.parties != 3:
+        raise _invalid_error("signal needs a tripartite scenario")
+    if sc.model.kind == "mixture":
+        raise _invalid_error("signal needs a model with a static coordination map")
+    target = born_behavior(sc.state, sc.settings)
+    cmap = coordination_map(sc.model, sc.geometry)
+    off_pairs = [pair for pair, state in cmap.items() if state == "OFF"]
+    if off is None and len(off_pairs) > 1:
+        raise _invalid_error(
+            f"coordination map cuts {len(off_pairs)} pairs; "
+            "pass --off-pair to choose the receiver pair"
+        )
+    if off is None:
+        off = off_pairs[0] if off_pairs else (1, 2)
+    observed = effective_behavior(sc.model, sc.geometry, target)
+    report = signal_report(observed, target, off, sc.geometry)
+    report.update(
+        schema="bellsim-signal-1",
+        scenario=sc.doc,
+        coordination={_pair_key(p): state for p, state in cmap.items()},
+        settings=[list(row) for row in sc.settings],
+    )
     _emit(report, args.out, sc.outputs.get("report_json", "report.json"))
     return EXIT_OK
 
@@ -470,15 +384,7 @@ def cmd_point_d(args) -> int:
     if args.scenario or args.preset:
         sc, _ = _resolve_scenario(args)
         if sc.parties != 3:
-            raise CliError(
-                EXIT_ERROR,
-                {
-                    "error": {
-                        "code": "invalid",
-                        "message": "point-d needs three devices",
-                    }
-                },
-            )
+            raise _invalid_error("point-d needs three devices")
         a, b, c_ev = sc.geometry.events
         c = sc.geometry.c
     elif args.a and args.b and args.c:
@@ -599,8 +505,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("signal", help="marginal-shift report for a tripartite scenario")
     add_common(p, scenario=True)
     p.add_argument("--off-pair", default=None, help="receiver pair, e.g. '1,2'")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_signal)
 
     p = sub.add_parser("point-d", help="point-D construction for three events")
@@ -609,8 +513,6 @@ def build_parser() -> _Parser:
     p.add_argument("--b", default=None, help="event 't,x[,y]' for receiver B")
     p.add_argument("--c", default=None, help="event 't,x[,y]' for receiver C")
     p.add_argument("--c-units", action="store_true", help="set c = 1")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_point_d)
 
     p = sub.add_parser("preset", help="list shipped presets or run one")

@@ -31,6 +31,7 @@ from .spacetime import (
     Event,
     TimingScenario,
     before_before,
+    equivalent_vbb,
     finite_speed_cut,
 )
 
@@ -49,16 +50,10 @@ class UnsupportedConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class Geometry:
-    """Device arrival events and rest-frame boosts, one per party.
-
-    critical_distance optionally records the layout's threshold
-    separation; it is carried for reporting and not used by the
-    coordination rules, which work from the events and boosts.
-    """
+    """Device arrival events and rest-frame boosts, one per party."""
 
     events: tuple[Event, ...]
     boosts: tuple[Boost, ...]
-    critical_distance: float | None = None
     c: float = SPEED_OF_LIGHT
 
     def __post_init__(self) -> None:
@@ -70,8 +65,6 @@ class Geometry:
             raise ValueError(
                 f"{len(events)} events but {len(boosts)} boosts; counts must match"
             )
-        if self.critical_distance is not None and not self.critical_distance > 0:
-            raise ValueError(f"critical_distance must be > 0, got {self.critical_distance!r}")
         object.__setattr__(self, "events", events)
         object.__setattr__(self, "boosts", boosts)
 
@@ -157,40 +150,65 @@ class RunRecord:
             raise ValueError(f"outcomes must be +1/-1, got {self.outcomes!r}")
 
 
+#: Timed model kinds and the name of the verdict their timing rule gives.
+TIMING_RULES = {"finite_speed": "finite_speed_cut", "multisim": "before_before"}
+
+
+def pair_timing(model: ModelConfig, g: Geometry) -> dict[tuple[int, int], dict]:
+    """Timing quantities and the model's timing verdict, per device pair.
+
+    Every pair carries its separation L, arrival gap dt and recession
+    speed.  Under a timed model (see TIMING_RULES), a pair at nonzero
+    separation also carries the verdict of the model's rule, True when
+    the rule cuts coordination; finite-speed pairs add v and the
+    equivalent before-before speed c**2/v.  Coincident devices get no
+    verdict: timing can never separate them.
+    """
+    result: dict[tuple[int, int], dict] = {}
+    for i, j in g.pairs():
+        entry = {
+            "L": g.distance(i, j),
+            "dt": g.arrival_dt(i, j),
+            "recession_speed": g.recession_speed(i, j),
+        }
+        if entry["L"] > 0 and model.kind == "finite_speed":
+            s = TimingScenario(L=entry["L"], dt=entry["dt"], v_bb=0.0, v=model.v, c=g.c)
+            entry["v"] = model.v
+            entry["v_bb_equivalent"] = equivalent_vbb(model.v, g.c)
+            entry["finite_speed_cut"] = finite_speed_cut(s)
+        elif entry["L"] > 0 and model.kind == "multisim":
+            # v is unused by the criterion; any positive value works.
+            s = TimingScenario(
+                L=entry["L"], dt=entry["dt"], v_bb=entry["recession_speed"], v=g.c, c=g.c
+            )
+            entry["before_before"] = before_before(s)
+        result[(i, j)] = entry
+    return result
+
+
 def coordination_map(
     model: ModelConfig, g: Geometry, mixture_branch: str = "nonlocal"
 ) -> dict[tuple[int, int], str]:
     """ON/OFF state per device pair under the model's rule.
 
-    Mixtures have no single static map; ``mixture_branch`` selects which
-    branch ("nonlocal" = quantum, "local") to report, and sample_runs
-    applies the per-trial switching schedule itself.
+    Timed models cut exactly the pairs whose pair_timing verdict is
+    True.  Mixtures have no single static map; ``mixture_branch``
+    selects which branch ("nonlocal" = quantum, "local") to report, and
+    sample_runs applies the per-trial switching schedule itself.
     """
-    result: dict[tuple[int, int], str] = {}
-    for i, j in g.pairs():
-        if model.kind == "quantum":
-            state = ON
-        elif model.kind == "local":
-            state = OFF
-        elif model.kind == "mixture":
-            if mixture_branch not in ("nonlocal", "local"):
-                raise ValueError(f"mixture_branch must be 'nonlocal' or 'local', got {mixture_branch!r}")
-            state = ON if mixture_branch == "nonlocal" else OFF
-        else:
-            L = g.distance(i, j)
-            if L == 0.0:
-                # Coincident devices can never be separated by timing.
-                state = ON
-            elif model.kind == "finite_speed":
-                s = TimingScenario(L=L, dt=g.arrival_dt(i, j), v_bb=0.0, v=model.v, c=g.c)
-                state = OFF if finite_speed_cut(s) else ON
-            else:  # multisim; v is unused by the criterion, any positive works
-                s = TimingScenario(
-                    L=L, dt=g.arrival_dt(i, j), v_bb=g.recession_speed(i, j), v=g.c, c=g.c
-                )
-                state = OFF if before_before(s) else ON
-        result[(i, j)] = state
-    return result
+    if model.kind in TIMING_RULES:
+        verdict = TIMING_RULES[model.kind]
+        return {
+            pair: OFF if entry.get(verdict) else ON
+            for pair, entry in pair_timing(model, g).items()
+        }
+    if model.kind == "mixture":
+        if mixture_branch not in ("nonlocal", "local"):
+            raise ValueError(f"mixture_branch must be 'nonlocal' or 'local', got {mixture_branch!r}")
+        state = ON if mixture_branch == "nonlocal" else OFF
+    else:
+        state = ON if model.kind == "quantum" else OFF
+    return {pair: state for pair in g.pairs()}
 
 
 _SETTING_LETTERS = "STUV"

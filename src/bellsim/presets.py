@@ -225,10 +225,6 @@ def _build_presets() -> dict[str, Preset]:
 PRESETS: dict[str, Preset] = _build_presets()
 
 
-def preset_names() -> tuple[str, ...]:
-    return tuple(PRESETS)
-
-
 def get_preset(name: str) -> Preset:
     if name not in PRESETS:
         known = ", ".join(PRESETS)

@@ -86,24 +86,25 @@ def _finite_number(value) -> bool:
 def parse_speed(value, c: float = SPEED_OF_LIGHT) -> float:
     """Speed in m/s from a number or a "<multiple>c" string.
 
-    Raises ValueError for anything else; range checks belong to the
-    consuming type (model or timing scenario).
+    Raises ValueError for anything else, including a text that parses
+    to a non-finite speed; range checks belong to the consuming type
+    (model or timing scenario).
     """
     if _finite_number(value):
         return float(value)
-    if isinstance(value, str):
-        text = value.strip()
-        if text.endswith("c"):
-            try:
-                multiple = float(text[:-1])
-            except ValueError:
-                raise ValueError(f"cannot parse speed {value!r}") from None
-            return multiple * c
-        try:
-            return float(text)
-        except ValueError:
-            raise ValueError(f"cannot parse speed {value!r}") from None
-    raise ValueError(f"speed must be a number or a 'c'-suffixed string, got {value!r}")
+    if not isinstance(value, str):
+        raise ValueError(f"speed must be a number or a 'c'-suffixed string, got {value!r}")
+    text = value.strip()
+    scale = 1.0
+    if text.endswith("c"):
+        text, scale = text[:-1], c
+    try:
+        speed = float(text) * scale
+    except ValueError:
+        raise ValueError(f"cannot parse speed {value!r}") from None
+    if not math.isfinite(speed):
+        raise ValueError(f"speed {value!r} is not finite")
+    return speed
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,7 +373,6 @@ def scenario_from_doc(doc: dict) -> Scenario:
             for ev in gdoc["events"]
         ),
         boosts=tuple(Boost(float(bo["beta"])) for bo in gdoc["boosts"]),
-        critical_distance=gdoc.get("critical_distance"),
         c=c,
     )
     mdoc = doc["model"]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .hvmodels import Geometry, constructive_off_behavior
+from .hvmodels import Geometry
 from .quantum import Behavior, behavior_to_json, marginal
 from .spacetime import find_point_d
 
@@ -474,53 +474,54 @@ def double_pr_target() -> Behavior:
     return Behavior(3, (2, 2, 2), table)
 
 
-def ftl_protocol_report(
+def signal_report(
+    observed: Behavior,
     target: Behavior,
     off_pair: tuple[int, int],
     geometry: Geometry,
-    settings: object = None,
 ) -> dict:
-    """Compose the signaling channel with the point-D geometry.
+    """The cut pair's marginal shift, its LP verdict, and point D.
 
-    The channel strength is the constructive OFF-pair model's marginal
-    shift at the given target; the timing advantage comes from the
-    point-D construction on the geometry (spectator device as A).  The
-    bias field is the per-use total-variation bias, with no
+    ``observed`` is the behavior whose marginal shift is reported (a
+    model's effective behavior, or constructive_off_behavior for the
+    explicit spectator-mediated model); the local-parts verdict, with
+    its re-checked witness or certificate, is decided on ``target``.
+    The timing advantage comes from the point-D construction on the
+    geometry with the spectator device as A; ``point_d`` and
+    ``advantage_seconds`` are None when the geometry admits no point D.
+    The bias field is the per-use total-variation bias, with no
     coding-theorem claim attached.
     """
-    off = tuple(sorted(int(i) for i in off_pair))
-    (spect,) = tuple(set(range(3)) - set(off))
     if geometry.parties != 3:
         raise ValueError("geometry must have three devices")
-    point = find_point_d(
-        geometry.events[spect], geometry.events[off[0]], geometry.events[off[1]], c=geometry.c
-    )
-    if point is None:
-        raise ValueError("geometry admits no point D; no timing advantage exists")
-    d, advantage = point
-
-    model = constructive_off_behavior(target, off)
-    sd = signaling_distance(model, off)
-    alone = {
-        str(off[0]): signaling_distance(model, (off[0],)),
-        str(off[1]): signaling_distance(model, (off[1],)),
-    }
+    off = tuple(sorted(int(i) for i in off_pair))
+    (spect,) = tuple(set(range(3)) - set(off))
+    sd = signaling_distance(observed, off)
     feas = localparts_feasible(target, off)
-
+    family = marginal(observed, off)
+    events = geometry.events
+    point = find_point_d(events[spect], events[off[0]], events[off[1]], c=geometry.c)
     report: dict = {
+        "off_pair": list(off),
+        "spectator": spect,
         "feasible": feas.feasible,
         "signaling_distance": sd,
         "bias": sd / 2.0,
         "channel": "binary" if sd > RECHECK_TOL else "none",
-        "settings": settings,
-        "advantage_seconds": advantage,
-        "point_d": {"t": d.t, "x": d.x, "y": d.y},
-        "off_pair": list(off),
-        "spectator": spect,
-        "receiver_alone_distances": alone,
+        "marginal_tables": {
+            f"spectator_setting={key[0]}": family[key].table.tolist()
+            for key in sorted(family)
+        },
+        "receiver_alone_distances": {
+            str(q): signaling_distance(observed, (q,)) for q in off
+        },
+        "advantage_seconds": None if point is None else point[1],
+        "point_d": None
+        if point is None
+        else {"t": point[0].t, "x": point[0].x, "y": point[0].y},
         "note": (
-            "the marginal shift is visible only in the joint outcomes of the "
-            "uncoordinated pair; neither receiver alone sees it"
+            "a marginal shift is visible only in the cut pair's joint "
+            "outcomes; neither receiver alone sees it"
         ),
     }
     if feas.feasible:

@@ -9,6 +9,8 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 from bellsim.cli import main
 from bellsim.presets import get_preset
 
@@ -48,6 +50,37 @@ def test_timing_late_arrival_turns_both_on(capsys):
     assert doc["finite_speed_cut"] is False
     assert doc["before_before"] is False
     assert doc["criteria_agree"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["timing", "--v", "infc", "--L", "30000"], 1),
+        (["timing", "--v", "1e400", "--L", "30000"], 1),
+        (["timing", "--v", "1e300c", "--L", "30000"], 1),
+        (["timing", "--v", "100c", "--L", "30000", "--v-bb", "nan"], 1),
+        (["signal", "--preset", "fig2b", "--trials", "5"], 2),
+        (["point-d", "--preset", "fig2b", "--seed", "1"], 2),
+    ],
+)
+def test_bad_argv_is_json_error_without_traceback(argv, code, capsys):
+    got, out, err = run_cli(argv, capsys)
+    assert got == code
+    assert out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["error"]["code"] == ("usage" if code == 2 else "invalid")
+
+
+def test_timing_zero_recession_speed_has_no_equivalent(capsys):
+    code, out, err = run_cli(
+        ["timing", "--v", "100c", "--L", "30000", "--v-bb", "0"], capsys
+    )
+    assert code == 0
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["inputs"]["v_bb"] == 0.0
+    assert doc["v_equivalent"] is None
+    assert doc["before_before"] is False
 
 
 def test_chain_local_bound(capsys):
@@ -125,6 +158,25 @@ def test_validate_collects_all_pointer_paths(tmp_path, capsys):
     paths = {e["path"] for e in doc["errors"]}
     assert "/trials" in paths
     assert "/geometry/boosts/1/beta" in paths
+
+
+def test_non_finite_speed_is_a_schema_error(tmp_path, capsys):
+    def infinite_speed(doc):
+        doc["model"] = {"kind": "finite_speed", "v": "infc"}
+
+    path = write_scenario(tmp_path, infinite_speed)
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert [e["path"] for e in json.loads(err)["errors"]] == ["/model/v"]
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        ["simulate", "--scenario", str(path), "--out", str(out_dir)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "schema"
+    assert not out_dir.exists()
 
 
 def test_validate_rejects_broken_json(tmp_path, capsys):

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from bellsim.hvmodels import (
+    TIMING_RULES,
     Geometry,
     ModelConfig,
     RunRecord,
     UnsupportedConfigurationError,
     coordination_map,
     effective_behavior,
+    pair_timing,
     run_csv_lines,
     sample_runs,
 )
@@ -45,6 +47,17 @@ def tripartite_bc_off_geometry():
     )
 
 
+def assert_off_exactly_when_verdict(model, g):
+    """The map cuts a pair exactly when pair_timing's verdict is True."""
+    verdict = TIMING_RULES[model.kind]
+    timing = pair_timing(model, g)
+    cmap = coordination_map(model, g)
+    assert set(cmap) == set(timing)
+    for pair, entry in timing.items():
+        assert (cmap[pair] == "OFF") == (entry.get(verdict) is True)
+    return timing
+
+
 def singlet_behavior():
     opt = quantum_chain_optimum(2)
     return born_behavior(make_singlet(), [list(opt.angles_a), list(opt.angles_b)])
@@ -55,12 +68,6 @@ def test_geometry_validation():
         Geometry(events=(Event(0, 0),), boosts=(Boost(0),))
     with pytest.raises(ValueError):
         Geometry(events=(Event(0, 0), Event(0, 1)), boosts=(Boost(0),))
-    with pytest.raises(ValueError):
-        Geometry(
-            events=(Event(0, 0), Event(0, 1)),
-            boosts=(Boost(0), Boost(0)),
-            critical_distance=0.0,
-        )
 
 
 def test_recession_speed():
@@ -107,8 +114,14 @@ def test_coordination_map_multisim_static_devices():
         events=(Event(0, 0), Event(1e-6, 4e4), Event(2e-6, 8e4)),
         boosts=(Boost(0.0),) * 3,
     )
-    cmap = coordination_map(ModelConfig(kind="multisim"), g)
+    model = ModelConfig(kind="multisim")
+    cmap = coordination_map(model, g)
     assert all(state == "ON" for state in cmap.values())
+    timing = assert_off_exactly_when_verdict(model, g)
+    assert timing[(0, 2)]["L"] == 8e4
+    assert timing[(0, 2)]["dt"] == 2e-6
+    assert all(entry["recession_speed"] == 0.0 for entry in timing.values())
+    assert all(entry["before_before"] is False for entry in timing.values())
 
 
 def test_coordination_map_finite_speed():
@@ -116,11 +129,31 @@ def test_coordination_map_finite_speed():
         events=(Event(t=0.0, x=0.0), Event(t=1e-9, x=1000.0)),
         boosts=(Boost(0.0), Boost(0.0)),
     )
-    cmap = coordination_map(ModelConfig(kind="finite_speed", v=100 * C), g)
+    model = ModelConfig(kind="finite_speed", v=100 * C)
+    cmap = coordination_map(model, g)
     assert cmap == {(0, 1): "OFF"}
+    timing = assert_off_exactly_when_verdict(model, g)
+    assert timing[(0, 1)] == {
+        "L": 1000.0,
+        "dt": 1e-9,
+        "recession_speed": 0.0,
+        "v": 100 * C,
+        "v_bb_equivalent": C / 100,
+        "finite_speed_cut": True,
+    }
     # A fast enough influence catches up: 1e5 c covers 30 km in 1 ns.
-    cmap2 = coordination_map(ModelConfig(kind="finite_speed", v=1e5 * C), g)
+    model2 = ModelConfig(kind="finite_speed", v=1e5 * C)
+    cmap2 = coordination_map(model2, g)
     assert cmap2 == {(0, 1): "ON"}
+    assert assert_off_exactly_when_verdict(model2, g)[(0, 1)]["finite_speed_cut"] is False
+    # Coincident devices get no verdict and stay coordinated.
+    g3 = Geometry(
+        events=(Event(t=0.0, x=0.0), Event(t=1e-9, x=0.0), Event(t=0.0, x=1000.0)),
+        boosts=(Boost(0.0),) * 3,
+    )
+    timing3 = assert_off_exactly_when_verdict(model, g3)
+    assert "finite_speed_cut" not in timing3[(0, 1)]
+    assert coordination_map(model, g3) == {(0, 1): "ON", (0, 2): "OFF", (1, 2): "OFF"}
 
 
 def test_multisim_matches_finite_speed_under_equivalence():
@@ -128,7 +161,7 @@ def test_multisim_matches_finite_speed_under_equivalence():
     # is restricted to two-device layouts because three mutually receding
     # devices cannot share one pairwise recession speed.
     rng = np.random.default_rng(41)
-    for _ in range(10_000):
+    for k in range(10_000):
         L = float(rng.uniform(1.0, 1e7))
         x0 = float(rng.uniform(-1e6, 1e6))
         y_off = float(rng.uniform(-L, L)) if rng.random() < 0.3 else 0.0
@@ -141,9 +174,13 @@ def test_multisim_matches_finite_speed_under_equivalence():
         )
         v_bb = g.recession_speed(0, 1)
         assert v_bb > 0.0
-        fs = coordination_map(ModelConfig(kind="finite_speed", v=C**2 / v_bb), g)
+        fs_model = ModelConfig(kind="finite_speed", v=C**2 / v_bb)
+        fs = coordination_map(fs_model, g)
         ms = coordination_map(ModelConfig(kind="multisim"), g)
         assert fs == ms
+        if k % 100 == 0:
+            assert_off_exactly_when_verdict(fs_model, g)
+            assert_off_exactly_when_verdict(ModelConfig(kind="multisim"), g)
 
 
 def test_effective_behavior_identity():

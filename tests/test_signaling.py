@@ -9,14 +9,15 @@ from bellsim.hvmodels import Geometry, constructive_off_behavior
 from bellsim.inequality import chsh_value
 from bellsim.quantum import (
     Behavior,
+    behavior_from_json,
     born_behavior,
     make_ghz3,
     make_singlet,
+    marginal,
     no_signaling_defect,
     state_from_amplitudes,
 )
 from bellsim.signaling import (
-    ftl_protocol_report,
     double_pr_target,
     infeasibility_slack,
     local_polytope_member,
@@ -26,6 +27,7 @@ from bellsim.signaling import (
     recheck_feasibility_witness,
     recheck_membership_witness,
     search_infeasible_instance,
+    signal_report,
     signaling_distance,
 )
 from bellsim.spacetime import Boost, Event
@@ -245,17 +247,28 @@ def test_constructive_model_rejects_signaling_targets():
         constructive_off_behavior(double_pr_target(), (1, 2))
 
 
-def test_ftl_report_for_ghz_collinear_layout():
+def constructive_report(target, off, g):
+    return signal_report(constructive_off_behavior(target, off), target, off, g)
+
+
+def test_signal_report_for_ghz_collinear_layout():
     target = born_behavior(make_ghz3(), [[0.0, math.pi / 2], [0.0], [0.0]])
     g = Geometry(
         events=(Event(0.0, 0.0), Event(0.0, 10.0), Event(0.0, 20.0)),
         boosts=(Boost(0.0),) * 3,
         c=1.0,
     )
-    report = ftl_protocol_report(
-        target, (1, 2), g, settings=[[0.0, math.pi / 2], [0.0], [0.0]]
-    )
+    report = constructive_report(target, (1, 2), g)
+    assert report["off_pair"] == [1, 2]
+    assert report["spectator"] == 0
     assert report["feasible"] is True
+    assert report["witness_max_residual"] <= 1e-9
+    # The reported witness keeps both spectator marginals of the target.
+    witness = behavior_from_json(report["witness"])
+    for pair in ((0, 1), (0, 2)):
+        fam_w, fam_t = marginal(witness, pair), marginal(target, pair)
+        for key in fam_t:
+            assert np.max(np.abs(fam_w[key].table - fam_t[key].table)) <= 1e-9
     assert report["signaling_distance"] == pytest.approx(0.5)
     assert report["bias"] == pytest.approx(0.25)
     assert report["channel"] == "binary"
@@ -265,7 +278,7 @@ def test_ftl_report_for_ghz_collinear_layout():
     json.dumps(report)
 
 
-def test_ftl_report_no_channel_for_product_target():
+def test_signal_report_no_channel_for_product_target():
     rng = np.random.default_rng(31)
     pa = rng.dirichlet(np.ones(2), size=2)
     pb = rng.dirichlet(np.ones(2), size=2)
@@ -276,20 +289,41 @@ def test_ftl_report_no_channel_for_product_target():
         boosts=(Boost(0.0),) * 3,
         c=1.0,
     )
-    report = ftl_protocol_report(target, (1, 2), g)
+    report = constructive_report(target, (1, 2), g)
     assert report["channel"] == "none"
     assert report["signaling_distance"] <= 1e-12
 
 
-def test_ftl_report_requires_point_d():
+def test_signal_report_without_point_d():
     target = born_behavior(make_ghz3(), [[0.0, math.pi / 2], [0.0], [0.0]])
     g = Geometry(
         events=(Event(0.0, 15.0), Event(0.0, 10.0), Event(0.0, 20.0)),
         boosts=(Boost(0.0),) * 3,
         c=1.0,
     )
-    with pytest.raises(ValueError):
-        ftl_protocol_report(target, (1, 2), g)
+    report = constructive_report(target, (1, 2), g)
+    assert report["point_d"] is None
+    assert report["advantage_seconds"] is None
+    assert report["channel"] == "binary"
+    json.dumps(report)
+
+
+def test_signal_report_carries_rechecked_certificate():
+    target = double_pr_target()
+    g = Geometry(
+        events=(Event(0.0, 0.0), Event(0.0, 10.0), Event(0.0, 20.0)),
+        boosts=(Boost(0.0),) * 3,
+        c=1.0,
+    )
+    report = signal_report(target, target, (1, 2), g)
+    assert report["feasible"] is False
+    assert "witness" not in report
+    problem = localparts_feasible(target, (1, 2)).problem
+    cert = report["certificate"]
+    margin = recheck_farkas_certificate(problem, np.asarray(cert["y"]))
+    assert margin == pytest.approx(cert["margin"], abs=1e-12)
+    assert margin > 1e-9
+    json.dumps(report)
 
 
 def test_small_search_reports_honestly():
