@@ -24,9 +24,11 @@ from .hvmodels import (
     UnsupportedConfigurationError,
     coordination_map,
     effective_behavior,
+    pair_key,
     pair_timing,
     sample_runs,
     write_run_csv,
+    write_run_json,
 )
 from .presets import PRESETS, get_preset
 from .quantum import born_behavior, correlator
@@ -87,10 +89,6 @@ def _finite_or_none(value: float) -> float | None:
     return float(value) if math.isfinite(value) else None
 
 
-def _pair_key(pair: tuple[int, int]) -> str:
-    return f"{pair[0]}-{pair[1]}"
-
-
 def _resolve_scenario(args) -> tuple:
     if getattr(args, "scenario", None):
         sc = load_scenario(args.scenario)
@@ -114,6 +112,9 @@ def _resolve_scenario(args) -> tuple:
 
 
 def cmd_timing(args) -> int:
+    for flag, value in (("--L", args.L), ("--dt", args.dt)):
+        if not math.isfinite(value):
+            raise _invalid_error(f"{flag} must be finite, got {value!r}")
     c = 1.0 if args.c_units else SPEED_OF_LIGHT
     v = parse_speed(args.v, c)
     v_bb_equiv = equivalent_vbb(v, c)
@@ -158,18 +159,21 @@ def _empirical_summary(sc, schedule, workers: int) -> tuple:
     return sample, eff, correlators
 
 
-def _derived_block(sc, eff, sample) -> dict:
+def _derived_block(sc, eff, correlators) -> dict:
+    """Chain/CHSH values from the summary's correlators, plus mixture analysis."""
     derived = {}
     if sc.parties != 2:
         return derived
     n_a, n_b = len(sc.settings[0]), len(sc.settings[1])
     if n_a == n_b and n_a >= 2:
         spec = inequality.chain_spec(n_a)
+        by_settings = {tuple(entry["settings"]): entry for entry in correlators}
         value = se2 = 0.0
         for (ia, ib), sign in spec.terms:
-            mean, se, _ = sample.empirical_correlator((ia, ib))
-            value += sign * mean
-            se2 += se * se if math.isfinite(se) else math.inf
+            entry = by_settings[(ia, ib)]
+            value += sign * entry["mean"]
+            se = entry["se"]
+            se2 += se * se if se is not None else math.inf
         block = {
             "n": n_a,
             "empirical_value": float(value),
@@ -208,28 +212,28 @@ def cmd_simulate(args) -> int:
     if sc.model.kind == "mixture":
         coordination = {
             "nonlocal": {
-                _pair_key(p): s
+                pair_key(p): s
                 for p, s in coordination_map(sc.model, sc.geometry, "nonlocal").items()
             },
             "local": {
-                _pair_key(p): s
+                pair_key(p): s
                 for p, s in coordination_map(sc.model, sc.geometry, "local").items()
             },
         }
     else:
         coordination = {
-            _pair_key(p): s for p, s in coordination_map(sc.model, sc.geometry).items()
+            pair_key(p): s for p, s in coordination_map(sc.model, sc.geometry).items()
         }
     summary = {
         "schema": "bellsim-summary-1",
         "scenario": sc.doc,
         "coordination": coordination,
         "correlators": correlators,
-        "derived": _derived_block(sc, eff, sample),
+        "derived": _derived_block(sc, eff, correlators),
     }
     if sc.model.kind in TIMING_RULES:
         summary["timing"] = {
-            _pair_key(p): entry for p, entry in pair_timing(sc.model, sc.geometry).items()
+            pair_key(p): entry for p, entry in pair_timing(sc.model, sc.geometry).items()
         }
     out_dir = args.out if args.out is not None else "."
     runs_name = sc.outputs.get(
@@ -241,17 +245,7 @@ def cmd_simulate(args) -> int:
     if args.format == "csv":
         write_run_csv(sample, runs_path)
     else:
-        records = [
-            {
-                "trial": rec.trial,
-                "settings": list(rec.settings),
-                "outcomes": list(rec.outcomes),
-                "coordination": {_pair_key(p): s for p, s in rec.coordination.items()},
-            }
-            for rec in sample
-        ]
-        with open(runs_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_json_text({"schema": "bellsim-runs-1", "records": records}))
+        write_run_json(sample, runs_path)
     _emit(summary, out_dir, sc.outputs.get("summary_json", "summary.json"))
     return EXIT_OK
 
@@ -286,7 +280,7 @@ def cmd_signal(args) -> int:
     report.update(
         schema="bellsim-signal-1",
         scenario=sc.doc,
-        coordination={_pair_key(p): state for p, state in cmap.items()},
+        coordination={pair_key(p): state for p, state in cmap.items()},
         settings=[list(row) for row in sc.settings],
     )
     _emit(report, args.out, sc.outputs.get("report_json", "report.json"))
@@ -307,9 +301,9 @@ def cmd_chsh(args) -> int:
             "chsh", [list(opt.angles_a), list(opt.angles_b)], args
         )
         schedule = [[x, y] for x in range(2) for y in range(2)]
-        sample, eff, correlators = _empirical_summary(sc, schedule, args.workers)
+        _, eff, correlators = _empirical_summary(sc, schedule, args.workers)
         out["correlators"] = correlators
-        out["empirical"] = _derived_block(sc, eff, sample)["chsh"]
+        out["empirical"] = _derived_block(sc, eff, correlators)["chsh"]
         out["model"] = {"kind": sc.model.kind, "p": sc.model.p}
     _emit(out, args.out, "chsh.json")
     return EXIT_OK
@@ -336,8 +330,8 @@ def cmd_chain(args) -> int:
             "chain", [list(opt.angles_a), list(opt.angles_b)], args
         )
         schedule = [[x, y] for x in range(args.n) for y in range(args.n)]
-        sample, eff, correlators = _empirical_summary(sc, schedule, args.workers)
-        derived = _derived_block(sc, eff, sample)
+        _, eff, correlators = _empirical_summary(sc, schedule, args.workers)
+        derived = _derived_block(sc, eff, correlators)
         out["empirical"] = derived["chain"]
         if "mixture" in derived:
             out["mixture"] = derived["mixture"]
@@ -550,7 +544,7 @@ def main(argv=None) -> int:
         }
         sys.stderr.write(_json_text(payload))
         return EXIT_SCHEMA
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write(
             _json_text({"error": {"code": "io", "message": str(exc)}})
         )
@@ -558,6 +552,13 @@ def main(argv=None) -> int:
     except (ValueError, UnsupportedConfigurationError) as exc:
         sys.stderr.write(
             _json_text({"error": {"code": "invalid", "message": str(exc)}})
+        )
+        return EXIT_ERROR
+    except Exception as exc:  # any other failure is still a JSON error, never a traceback
+        sys.stderr.write(
+            _json_text(
+                {"error": {"code": "internal", "message": f"{type(exc).__name__}: {exc}"}}
+            )
         )
         return EXIT_ERROR
 

@@ -7,7 +7,8 @@ the pair is in before-before timing, and mixtures switch between the
 quantum (all ON) and local (all OFF) maps per trial.  effective_behavior
 turns the map into a probability table: ON parts reproduce the target,
 OFF parts are replaced by a declared local surrogate.  sample_runs draws
-reproducible outcome records from that table.
+a reproducible columnar sample from that table, and write_run_csv and
+write_run_json write it out.
 
 The localized surrogate choices (documented per function) are declared
 conventions, not claims of uniqueness; surrogate-independent conclusions
@@ -18,9 +19,10 @@ from __future__ import annotations
 
 import concurrent.futures
 import itertools
+import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -134,20 +136,6 @@ class ModelConfig:
                 raise ValueError(f"block_length must be >= 1, got {self.block_length}")
         elif self.p is not None:
             raise ValueError(f"model kind {self.kind!r} takes no p")
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One sampled trial: settings, outcomes, and the coordination in effect."""
-
-    trial: int
-    settings: tuple[int, ...]
-    outcomes: tuple[int, ...]
-    coordination: dict[tuple[int, int], str] = field(compare=True)
-
-    def __post_init__(self) -> None:
-        if any(o not in (-1, 1) for o in self.outcomes):
-            raise ValueError(f"outcomes must be +1/-1, got {self.outcomes!r}")
 
 
 #: Timed model kinds and the name of the verdict their timing rule gives.
@@ -361,51 +349,63 @@ def _validated(target: Behavior) -> Behavior:
 
 @dataclass(frozen=True, eq=False)
 class RunSample:
-    """Columnar sample of RunRecords; behaves as a sequence of records."""
+    """Columnar sample: trial t used setting row schedule[t % len(schedule)]."""
 
     parties: int
     pairs: tuple[tuple[int, int], ...]
-    settings: np.ndarray  # (trials, parties) int16
+    schedule: np.ndarray  # (rows, parties) int16
     outcomes: np.ndarray  # (trials, parties) int8, values +1/-1
     map_nonlocal: tuple[str, ...]
     map_local: tuple[str, ...]
     branch_local: np.ndarray | None  # bool per trial for mixtures, else None
 
     def __len__(self) -> int:
-        return self.settings.shape[0]
-
-    def coordination_for(self, trial: int) -> dict[tuple[int, int], str]:
-        states = self.map_nonlocal
-        if self.branch_local is not None and bool(self.branch_local[trial]):
-            states = self.map_local
-        return dict(zip(self.pairs, states))
-
-    def __getitem__(self, trial: int) -> RunRecord:
-        if not 0 <= trial < len(self):
-            raise IndexError(trial)
-        return RunRecord(
-            trial=trial,
-            settings=tuple(int(s) for s in self.settings[trial]),
-            outcomes=tuple(int(o) for o in self.outcomes[trial]),
-            coordination=self.coordination_for(trial),
-        )
-
-    def __iter__(self) -> Iterator[RunRecord]:
-        return (self[t] for t in range(len(self)))
+        return self.outcomes.shape[0]
 
     def empirical_correlator(self, settings: Sequence[int]) -> tuple[float, float, int]:
-        """Mean outcome product, its standard error, and the trial count."""
-        want = np.asarray(settings, dtype=self.settings.dtype)
-        mask = np.all(self.settings == want, axis=1)
-        count = int(mask.sum())
+        """Mean outcome product, its standard error, and the trial count.
+
+        The trials of a setting are those of the schedule rows equal to
+        it, in trial order (a strided slice when one row matches).
+        """
+        want = np.asarray(settings, dtype=self.schedule.dtype)
+        rows = np.flatnonzero(np.all(self.schedule == want, axis=1))
+        n_rows = self.schedule.shape[0]
+        if rows.size == 1:
+            selected = self.outcomes[rows[0] :: n_rows]
+        else:
+            selected = self.outcomes[np.isin(np.arange(len(self)) % n_rows, rows)]
+        count = selected.shape[0]
         if count == 0:
             return 0.0, math.inf, 0
-        prods = np.prod(self.outcomes[mask], axis=1).astype(np.float64)
+        prods = np.prod(selected, axis=1).astype(np.float64)
         mean = float(prods.mean())
         if count < 2:
             return mean, math.inf, count
         se = float(prods.std(ddof=1) / math.sqrt(count))
         return mean, se, count
+
+    def _row_keys(self, lo: int, hi: int) -> np.ndarray:
+        """Key of trials lo..hi-1: (schedule row, outcome code, local branch).
+
+        The outcome code has bit parties-1-q set when party q saw -1; the
+        key is ((row << parties) | code) << 1 | local.
+        """
+        trials = np.arange(lo, hi, dtype=np.int64)
+        bits = (1 - self.outcomes[lo:hi].astype(np.int64)) >> 1
+        code = bits @ (1 << np.arange(self.parties - 1, -1, -1, dtype=np.int64))
+        keys = (((trials % self.schedule.shape[0]) << self.parties) | code) << 1
+        if self.branch_local is not None:
+            keys |= self.branch_local[lo:hi]
+        return keys
+
+    def _key_row(self, key: int) -> tuple[list[int], list[int], dict[tuple[int, int], str]]:
+        """Settings, outcomes and coordination of the rows with this key."""
+        code = (key >> 1) & ((1 << self.parties) - 1)
+        settings = [int(s) for s in self.schedule[key >> (self.parties + 1)]]
+        outcomes = [-1 if code >> (self.parties - 1 - q) & 1 else 1 for q in range(self.parties)]
+        states = self.map_local if key & 1 else self.map_nonlocal
+        return settings, outcomes, dict(zip(self.pairs, states))
 
 
 def _block_local_mask(trial_indices: np.ndarray, p: float, block_length: int) -> np.ndarray:
@@ -502,8 +502,6 @@ def sample_runs(
         np.concatenate([r[1] for r in results]) if model.kind == "mixture" else None
     )
     outcomes = (1 - 2 * ((codes[:, None] >> bit_shift) & 1)).astype(np.int8)
-    all_trials = np.arange(trials, dtype=np.int64)
-    settings = sched[all_trials % sched.shape[0]]
 
     pairs = g.pairs()
     if model.kind == "mixture":
@@ -515,7 +513,7 @@ def sample_runs(
     return RunSample(
         parties=target.parties,
         pairs=pairs,
-        settings=settings,
+        schedule=sched,
         outcomes=outcomes,
         map_nonlocal=map_nl,
         map_local=map_loc,
@@ -523,33 +521,76 @@ def sample_runs(
     )
 
 
-RUN_CSV_HEADER = "trial,x,y,z,a,b,c,coord_ab,coord_ac,coord_bc"
+RUN_CSV_HEADER = "trial,x,y,z,a,b,c,coord_ab,coord_ac,coord_bc\n"
 
 _PAIR_COLUMNS = ((0, 1), (0, 2), (1, 2))
 
+#: Rows formatted and written per block; bounds the writers' memory.
+WRITE_BLOCK = 8192
 
-def run_csv_lines(sample: RunSample) -> Iterator[str]:
-    """Rows of the run CSV, header first; parties beyond the sample blank."""
-    if sample.parties > 3:
-        raise ValueError("run CSV covers at most three parties")
-    yield RUN_CSV_HEADER
-    pair_index = {pair: k for k, pair in enumerate(sample.pairs)}
-    for t in range(len(sample)):
-        states = sample.map_nonlocal
-        if sample.branch_local is not None and bool(sample.branch_local[t]):
-            states = sample.map_local
-        cells = [str(t)]
-        for q in range(3):
-            cells.append(str(int(sample.settings[t, q])) if q < sample.parties else "")
-        for q in range(3):
-            cells.append(str(int(sample.outcomes[t, q])) if q < sample.parties else "")
-        for pair in _PAIR_COLUMNS:
-            k = pair_index.get(pair)
-            cells.append(states[k] if k is not None else "")
-        yield ",".join(cells)
+
+def pair_key(pair: tuple[int, int]) -> str:
+    """The name of a device pair in JSON outputs, e.g. "0-1"."""
+    return f"{pair[0]}-{pair[1]}"
+
+
+def _row_blocks(sample: RunSample, template: Callable[[int], str]) -> Iterator[str]:
+    """The text of every row, WRITE_BLOCK rows at a time.
+
+    A row is template(key) % trial, the template holding one %d for the
+    trial index; each template is built once, for the keys that occur.
+    """
+    templates: dict[int, str] = {}
+    for lo in range(0, len(sample), WRITE_BLOCK):
+        hi = min(len(sample), lo + WRITE_BLOCK)
+        keys, inverse = np.unique(sample._row_keys(lo, hi), return_inverse=True)
+        block = []
+        for key in keys.tolist():
+            if key not in templates:
+                templates[key] = template(key)
+            block.append(templates[key])
+        yield "".join(map(str.__mod__, map(block.__getitem__, inverse.tolist()), range(lo, hi)))
 
 
 def write_run_csv(sample: RunSample, path: str) -> None:
+    """Run CSV: header, then one row per trial; parties beyond the sample blank."""
+    if sample.parties > 3:
+        raise ValueError("run CSV covers at most three parties")
+    blank = [""] * (3 - sample.parties)
+
+    def template(key: int) -> str:
+        settings, outcomes, coordination = sample._key_row(key)
+        cells = ["%d", *map(str, settings), *blank, *map(str, outcomes), *blank]
+        cells += [coordination.get(pair, "") for pair in _PAIR_COLUMNS]
+        return ",".join(cells) + "\n"
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in run_csv_lines(sample):
-            fh.write(line + "\n")
+        fh.write(RUN_CSV_HEADER)
+        for text in _row_blocks(sample, template):
+            fh.write(text)
+
+
+def write_run_json(sample: RunSample, path: str) -> None:
+    """runs.json: the records of every trial as json.dumps(sort_keys=True,
+    indent=2) lays them out, followed by a newline."""
+
+    def template(key: int) -> str:
+        settings, outcomes, coordination = sample._key_row(key)
+        record = {
+            "trial": 0,
+            "settings": settings,
+            "outcomes": outcomes,
+            "coordination": {pair_key(p): s for p, s in coordination.items()},
+        }
+        head, tail = json.dumps(record, sort_keys=True, indent=2).split('"trial": 0')
+        text = head + '"trial": %d' + tail
+        # Records sit two levels deep; each starts with the separator that
+        # the first record of the file drops.
+        return ",\n    " + text.replace("\n", "\n    ")
+
+    blocks = _row_blocks(sample, template)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write('{\n  "records": [\n' + next(blocks)[2:])
+        for text in blocks:
+            fh.write(text)
+        fh.write('\n  ],\n  "schema": "bellsim-runs-1"\n}\n')

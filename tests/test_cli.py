@@ -52,6 +52,10 @@ def test_timing_late_arrival_turns_both_on(capsys):
     assert doc["criteria_agree"] is True
 
 
+#: Stands for the path of an existing regular file.
+A_FILE = "<file>"
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -61,14 +65,42 @@ def test_timing_late_arrival_turns_both_on(capsys):
         (["timing", "--v", "100c", "--L", "30000", "--v-bb", "nan"], 1),
         (["signal", "--preset", "fig2b", "--trials", "5"], 2),
         (["point-d", "--preset", "fig2b", "--seed", "1"], 2),
+        (["timing", "--v", "100c", "--L", "inf"], 1),
+        (["timing", "--v", "100c", "--L", "30000", "--dt", "inf"], 1),
+        (["preset", "run", "mixture-chain", "--trials", "100", "--out", A_FILE], 1),
+        (["preset", "run", "mixture-chain", "--trials", "100", "--out", A_FILE + "/sub"], 1),
     ],
 )
-def test_bad_argv_is_json_error_without_traceback(argv, code, capsys):
+def test_bad_argv_is_json_error_without_traceback(argv, code, tmp_path, capsys):
+    """Usage errors exit 2; bad values (invalid) and unusable --out paths (io) exit 1."""
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    error = "usage" if code == 2 else "io" if "--out" in argv else "invalid"
+    argv = [arg.replace(A_FILE, str(a_file)) for arg in argv]
     got, out, err = run_cli(argv, capsys)
     assert got == code
     assert out == ""
     assert "Traceback" not in err
-    assert json.loads(err)["error"]["code"] == ("usage" if code == 2 else "invalid")
+    assert json.loads(err)["error"]["code"] == error
+    assert a_file.read_text() == ""
+
+
+def test_failed_lp_is_json_error_without_traceback(monkeypatch, capsys):
+    import bellsim.signaling
+
+    class Failed:
+        status = 4
+        message = "numerical difficulties"
+        x = None
+
+    monkeypatch.setattr(bellsim.signaling, "linprog", lambda *a, **k: Failed())
+    code, out, err = run_cli(["signal", "--preset", "fig2b"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    doc = json.loads(err)
+    assert doc["error"]["code"] == "internal"
+    assert "LP failed with status 4" in doc["error"]["message"]
 
 
 def test_timing_zero_recession_speed_has_no_equivalent(capsys):

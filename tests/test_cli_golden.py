@@ -3,10 +3,13 @@
 Each command runs in process through bellsim.cli.main.  The exit code
 and the SHA-256 of stdout, stderr and every file written under --out are
 compared against hashes recorded before the signal report and the
-timing rules were merged into single library functions.  Signal reports
-drop ``witness``, ``witness_max_residual`` and ``certificate`` before
-hashing: which valid witness the LP solver returns is not part of the
-contract, and tests/test_signaling.py re-checks those fields directly.
+timing rules were merged into single library functions.  The tripartite,
+two-worker and block-schedule runs, at trial counts off the write-block
+and sampling-chunk boundaries, were recorded before the run writers
+became columnar.  Signal reports drop ``witness``,
+``witness_max_residual`` and ``certificate`` before hashing: which valid
+witness the LP solver returns is not part of the contract, and
+tests/test_signaling.py re-checks those fields directly.
 
 Run ``PYTHONPATH=src python tests/test_cli_golden.py`` to print the
 hashes of the current code in the layout of GOLDEN.
@@ -25,6 +28,24 @@ from bellsim.cli import main
 
 SIMULATE_PRESETS = ("before-before", "finite-speed-1e5c", "mixture-chain")
 
+#: Stands for the path of BLOCK_SCENARIO, written next to the output dir.
+SCENARIO = "<scenario>"
+
+#: A 3-setting singlet mixture switching in blocks of 7 trials.
+BLOCK_SCENARIO = {
+    "schema": "bellsim-scenario-1",
+    "name": "block-mixture",
+    "geometry": {
+        "events": [{"t": 0.0, "x": 0.0}, {"t": 0.0, "x": 10.0}],
+        "boosts": [{"beta": 0.0}, {"beta": 0.0}],
+    },
+    "model": {"kind": "mixture", "p": 0.4, "schedule": "block", "block_length": 7},
+    "state": {"kind": "singlet"},
+    "settings": [[0.0, 1.0, 2.0], [0.5, 1.5, 2.5]],
+    "trials": 16385,
+    "seed": 11,
+}
+
 COMMANDS = {
     "signal-fig2a": ["signal", "--preset", "fig2a"],
     "signal-fig2b": ["signal", "--preset", "fig2b"],
@@ -39,6 +60,17 @@ COMMANDS = {
         for fmt in ("csv", "json")
     },
     "run-fig2b": ["preset", "run", "fig2b", "--out"],
+    **{
+        f"simulate-fig2b-{fmt}": ["simulate", "--preset", "fig2b", "--trials", "8193",
+                                  "--seed", "3", "--format", fmt, "--out"]
+        for fmt in ("csv", "json")
+    },
+    "run-mixture-chain-65537-workers-2": ["preset", "run", "mixture-chain",
+                                          "--trials", "65537", "--seed", "5",
+                                          "--workers", "2", "--out"],
+    "simulate-block-csv": ["simulate", "--scenario", SCENARIO, "--out"],
+    "simulate-block-json": ["simulate", "--scenario", SCENARIO, "--trials", "8191",
+                            "--format", "json", "--out"],
     "timing": ["timing", "--v", "100000c", "--L", "30000"],
     "timing-late": ["timing", "--v", "100000c", "--L", "30000", "--dt", "1e-6"],
     "point-d": ["point-d", "--a", "0,0", "--b", "0,10", "--c", "0,20", "--c-units"],
@@ -153,6 +185,51 @@ GOLDEN = {
             "report.json": "d5f46f223dcc44fa136228afab7f88dd8b7d9aae62fd42643d0c63b5de6a7965",
         },
     },
+    "simulate-fig2b-csv": {
+        "code": 0,
+        "stdout": "d4b8b0662928066be16b32039ea395e7c3abe6fd4a4d03200cab8c0a5f2f4cb9",
+        "stderr": EMPTY,
+        "files": {
+            "runs.csv": "128dace79a12d28b4df1e37bb3d51ad44d3b25798aff311c32ae6e6ba30997f5",
+            "summary.json": "d4b8b0662928066be16b32039ea395e7c3abe6fd4a4d03200cab8c0a5f2f4cb9",
+        },
+    },
+    "simulate-fig2b-json": {
+        "code": 0,
+        "stdout": "d4b8b0662928066be16b32039ea395e7c3abe6fd4a4d03200cab8c0a5f2f4cb9",
+        "stderr": EMPTY,
+        "files": {
+            "runs.json": "9f91e0a5d0484f6fc28bc94c270663ff73ce6b809e5c39ebb3a622be5619ae43",
+            "summary.json": "d4b8b0662928066be16b32039ea395e7c3abe6fd4a4d03200cab8c0a5f2f4cb9",
+        },
+    },
+    "run-mixture-chain-65537-workers-2": {
+        "code": 0,
+        "stdout": "03e8a61c8b5978f6b278cdf44b3d74c0410695293a6dbc218ba92e854facd7b8",
+        "stderr": EMPTY,
+        "files": {
+            "runs.csv": "25283d07e3c7bbe37f38e1d8fe08fff9edea94a8294bd6295d3b0d328ca46f1f",
+            "summary.json": "03e8a61c8b5978f6b278cdf44b3d74c0410695293a6dbc218ba92e854facd7b8",
+        },
+    },
+    "simulate-block-csv": {
+        "code": 0,
+        "stdout": "4d4a6e8792daa711bf7ea6ba33ff55de64e812d5b897ee329e2787db79efca54",
+        "stderr": EMPTY,
+        "files": {
+            "runs.csv": "3394db66d3049f42981a109f7d1b8a8f1fc8f8d1b98f8c0b1fee14efc4fbb759",
+            "summary.json": "4d4a6e8792daa711bf7ea6ba33ff55de64e812d5b897ee329e2787db79efca54",
+        },
+    },
+    "simulate-block-json": {
+        "code": 0,
+        "stdout": "15122ab2347098d5b417ab4b3062109738b4745185f06bb223335bee73087f42",
+        "stderr": EMPTY,
+        "files": {
+            "runs.json": "3979e9fac341d9f4c3ee5aeca849e0b35b7b4c9f50ce096a75d56e8af57a364a",
+            "summary.json": "15122ab2347098d5b417ab4b3062109738b4745185f06bb223335bee73087f42",
+        },
+    },
     "timing": {
         "code": 0,
         "stdout": "e12ec4ea11091d8240b4874ef109e7070e7645c41f000444d5f6522708a56726",
@@ -214,6 +291,11 @@ def run_command(argv, out_dir) -> dict:
     """Exit code plus digests of stdout, stderr and every --out file."""
     if argv[-1] == "--out":
         argv = [*argv, str(out_dir)]
+    if SCENARIO in argv:
+        path = f"{out_dir}.scenario.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(BLOCK_SCENARIO, fh)
+        argv = [path if arg == SCENARIO else arg for arg in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)

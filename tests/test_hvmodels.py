@@ -1,19 +1,26 @@
+import itertools
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellsim.hvmodels import (
     TIMING_RULES,
+    WRITE_BLOCK,
     Geometry,
     ModelConfig,
-    RunRecord,
     UnsupportedConfigurationError,
     coordination_map,
     effective_behavior,
     pair_timing,
-    run_csv_lines,
     sample_runs,
+    write_run_csv,
+    write_run_json,
 )
 from bellsim.inequality import quantum_chain_optimum
 from bellsim.quantum import (
@@ -56,6 +63,68 @@ def assert_off_exactly_when_verdict(model, g):
     for pair, entry in timing.items():
         assert (cmap[pair] == "OFF") == (entry.get(verdict) is True)
     return timing
+
+
+def trial_rows(sample):
+    """(trial, settings, outcomes, coordination) per trial, one at a time."""
+    rows = len(sample.schedule)
+    for t in range(len(sample)):
+        states = sample.map_nonlocal
+        if sample.branch_local is not None and bool(sample.branch_local[t]):
+            states = sample.map_local
+        yield (
+            t,
+            [int(s) for s in sample.schedule[t % rows]],
+            [int(o) for o in sample.outcomes[t]],
+            dict(zip(sample.pairs, states)),
+        )
+
+
+def reference_csv(sample):
+    """The run CSV built cell by cell, one row per trial."""
+    lines = ["trial,x,y,z,a,b,c,coord_ab,coord_ac,coord_bc"]
+    for t, settings, outcomes, coordination in trial_rows(sample):
+        cells = [str(t)]
+        cells += [str(settings[q]) if q < sample.parties else "" for q in range(3)]
+        cells += [str(outcomes[q]) if q < sample.parties else "" for q in range(3)]
+        cells += [coordination.get(pair, "") for pair in ((0, 1), (0, 2), (1, 2))]
+        lines.append(",".join(cells))
+    return "".join(line + "\n" for line in lines)
+
+
+def reference_json(sample):
+    """runs.json as json.dumps of the whole list of trial records."""
+    records = [
+        {
+            "trial": t,
+            "settings": settings,
+            "outcomes": outcomes,
+            "coordination": {f"{i}-{j}": s for (i, j), s in coordination.items()},
+        }
+        for t, settings, outcomes, coordination in trial_rows(sample)
+    ]
+    return json.dumps({"schema": "bellsim-runs-1", "records": records}, sort_keys=True, indent=2) + "\n"
+
+
+def reference_correlator(sample, settings):
+    """Mean, se and count from a mask over every trial's settings."""
+    per_trial = sample.schedule[np.arange(len(sample)) % len(sample.schedule)]
+    mask = np.all(per_trial == np.asarray(settings, dtype=per_trial.dtype), axis=1)
+    count = int(mask.sum())
+    if count == 0:
+        return 0.0, math.inf, 0
+    prods = np.prod(sample.outcomes[mask], axis=1).astype(np.float64)
+    if count < 2:
+        return float(prods.mean()), math.inf, count
+    return float(prods.mean()), float(prods.std(ddof=1) / math.sqrt(count)), count
+
+
+def written(writer, sample):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "runs")
+        writer(sample, path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
 
 
 def singlet_behavior():
@@ -273,11 +342,13 @@ def test_sample_runs_deterministic():
     model = ModelConfig(kind="mixture", p=0.3)
     s1 = sample_runs(model, g, b, CHSH_SCHEDULE, trials=200_000, seed=99)
     s2 = sample_runs(model, g, b, CHSH_SCHEDULE, trials=200_000, seed=99)
-    s4 = sample_runs(model, g, b, CHSH_SCHEDULE, trials=200_000, seed=99, workers=4)
     assert np.array_equal(s1.outcomes, s2.outcomes)
-    assert np.array_equal(s1.outcomes, s4.outcomes)
-    assert np.array_equal(s1.branch_local, s4.branch_local)
-    assert list(run_csv_lines(s1))[:1000] == list(run_csv_lines(s4))[:1000]
+    files = (written(write_run_csv, s1), written(write_run_json, s1))
+    for workers in (2, 4):
+        sw = sample_runs(model, g, b, CHSH_SCHEDULE, trials=200_000, seed=99, workers=workers)
+        assert np.array_equal(s1.outcomes, sw.outcomes)
+        assert np.array_equal(s1.branch_local, sw.branch_local)
+        assert (written(write_run_csv, sw), written(write_run_json, sw)) == files
     s3 = sample_runs(model, g, b, CHSH_SCHEDULE, trials=200_000, seed=100)
     assert not np.array_equal(s1.outcomes, s3.outcomes)
 
@@ -331,17 +402,24 @@ def test_run_records_and_csv():
     b = singlet_behavior()
     g = pair_geometry(c=1.0)
     sample = sample_runs(ModelConfig(kind="local"), g, b, CHSH_SCHEDULE, trials=8, seed=5)
-    rec = sample[5]
-    assert isinstance(rec, RunRecord)
-    assert rec.trial == 5
-    assert rec.settings == (0, 1)
-    assert rec.coordination == {(0, 1): "OFF"}
-    assert len(list(iter(sample))) == 8
-    lines = list(run_csv_lines(sample))
+    lines = written(write_run_csv, sample).splitlines()
+    assert len(lines) == 9
     assert lines[0] == "trial,x,y,z,a,b,c,coord_ab,coord_ac,coord_bc"
     first = lines[1].split(",")
     assert first[0] == "0" and first[3] == "" and first[6] == ""
     assert first[7] == "OFF" and first[8] == "" and first[9] == ""
+    row = lines[6].split(",")
+    assert row[0] == "5" and row[1:3] == ["0", "1"]
+    assert row[4:6] == [str(o) for o in sample.outcomes[5]]
+    doc = json.loads(written(write_run_json, sample))
+    assert doc["schema"] == "bellsim-runs-1"
+    assert [rec["trial"] for rec in doc["records"]] == list(range(8))
+    assert doc["records"][5] == {
+        "trial": 5,
+        "settings": [0, 1],
+        "outcomes": [int(o) for o in sample.outcomes[5]],
+        "coordination": {"0-1": "OFF"},
+    }
 
 
 def test_run_csv_tripartite_columns():
@@ -349,10 +427,50 @@ def test_run_csv_tripartite_columns():
     g = tripartite_bc_off_geometry()
     model = ModelConfig(kind="finite_speed", v=2.0)
     sample = sample_runs(model, g, target, [(0, 0, 0), (1, 0, 0)], trials=4, seed=2)
-    lines = list(run_csv_lines(sample))
-    row = lines[1].split(",")
-    assert len(row) == 10
-    assert row[7] == "ON" and row[8] == "ON" and row[9] == "OFF"
+    lines = written(write_run_csv, sample).splitlines()
+    assert len(lines) == 5
+    for t, line in enumerate(lines[1:]):
+        row = line.split(",")
+        assert len(row) == 10
+        assert row[:4] == [str(t), str(t % 2), "0", "0"]
+        assert row[7] == "ON" and row[8] == "ON" and row[9] == "OFF"
+
+
+def _writer_case(parties, kind):
+    """Model, geometry, target and every setting tuple of one writer case."""
+    if parties == 2:
+        g, target = pair_geometry(c=1.0), singlet_behavior()
+    else:
+        g = tripartite_bc_off_geometry()
+        target = born_behavior(make_ghz3(), [[0.0, math.pi / 2], [0.0, 1.0], [0.0]])
+    model = {
+        "quantum": ModelConfig(kind="quantum"),
+        "local": ModelConfig(kind="local"),
+        "finite_speed": ModelConfig(kind="finite_speed", v=2.0),
+        "coin": ModelConfig(kind="mixture", p=0.3),
+        "block": ModelConfig(kind="mixture", p=0.4, schedule="block", block_length=7),
+    }[kind]
+    combos = list(itertools.product(*(range(n) for n in target.settings_per_party)))
+    return model, g, target, combos
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    parties=st.sampled_from((2, 3)),
+    kind=st.sampled_from(("quantum", "local", "finite_speed", "coin", "block")),
+    trials=st.one_of(st.integers(1, 20), st.integers(1, 3 * WRITE_BLOCK)),
+    workers=st.sampled_from((1, 2)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_writers_match_row_by_row_references(parties, kind, trials, workers, seed, data):
+    model, g, target, combos = _writer_case(parties, kind)
+    schedule = data.draw(st.lists(st.sampled_from(combos), min_size=1, max_size=6))
+    sample = sample_runs(model, g, target, schedule, trials, seed, workers=workers)
+    assert written(write_run_csv, sample) == reference_csv(sample)
+    assert written(write_run_json, sample) == reference_json(sample)
+    for combo in combos:
+        assert sample.empirical_correlator(combo) == reference_correlator(sample, combo)
 
 
 def test_empirical_correlator_missing_settings():
