@@ -72,6 +72,14 @@ class _Parser(argparse.ArgumentParser):
         raise _usage_error(message)
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -459,7 +467,7 @@ def build_parser() -> _Parser:
         if sampling:
             p.add_argument("--trials", type=int, default=None)
             p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--workers", type=int, default=1)
+            p.add_argument("--workers", type=positive_int, default=1)
             p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("timing", help="evaluate the timing criteria")
@@ -474,7 +482,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("chsh", help="CHSH numbers and optional sampling")
     p.add_argument("--trials", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--model", choices=("quantum", "local", "mixture"), default="quantum")
     p.add_argument("--p", type=float, default=None, help="local weight for mixtures")
     p.add_argument("--out", default=None)
@@ -486,7 +494,7 @@ def build_parser() -> _Parser:
     p.add_argument("--quantum", action="store_true", help="report the quantum optimum")
     p.add_argument("--trials", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--model", choices=("quantum", "local", "mixture"), default="quantum")
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--out", default=None)
@@ -515,7 +523,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_preset)
 

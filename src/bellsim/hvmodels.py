@@ -223,17 +223,25 @@ def _product_of_components(target: Behavior, components: list[tuple[int, ...]]) 
     return np.einsum(expr, *tables)
 
 
-def _one_off_pair_tripartite(target: Behavior, off: tuple[int, int]) -> np.ndarray:
+def spectator_first(off_pair: Sequence[int]) -> tuple[int, int, int]:
+    """Tripartite party order (spectator, i, j) for the cut pair i < j."""
+    off = sorted(int(q) for q in off_pair)
+    if len(off) != 2 or off[0] == off[1] or not set(off) <= {0, 1, 2}:
+        raise ValueError(f"off_pair must be two distinct parties, got {off_pair!r}")
+    return (3 - off[0] - off[1], off[0], off[1])
+
+
+def _one_off_pair_tripartite(target: Behavior, order: tuple[int, int, int]) -> np.ndarray:
     """Joint table for a tripartite target with exactly one pair OFF.
 
     The spectator k joins its lower-indexed OFF partner through their
     exact pairwise marginal; the remaining party is drawn from its
     conditional given the spectator's outcome.  Both marginals that
     contain k are then exact; the OFF pair's correlation is mediated by
-    k's outcome only, hence local.
+    k's outcome only, hence local.  ``order`` is (k, partner, other),
+    from spectator_first.
     """
-    (k,) = tuple(set(range(3)) - set(off))
-    partner, other = off
+    k, partner, other = order
     kp = tuple(sorted((k, partner)))
     ko = tuple(sorted((k, other)))
     joint_kp = _marginal_table(target, kp)
@@ -264,10 +272,8 @@ def constructive_off_behavior(target: Behavior, off_pair: tuple[int, int]) -> Be
     """
     if target.parties != 3:
         raise ValueError(f"need a tripartite behavior, got {target.parties} parties")
-    off = tuple(sorted(int(i) for i in off_pair))
-    if len(set(off)) != 2 or not set(off) <= {0, 1, 2}:
-        raise ValueError(f"off_pair must be two distinct parties, got {off_pair!r}")
-    table = _one_off_pair_tripartite(_validated(target), off)
+    order = spectator_first(off_pair)
+    table = _one_off_pair_tripartite(_validated(target), order)
     return Behavior(3, target.settings_per_party, table)
 
 
@@ -329,7 +335,7 @@ def effective_behavior(model: ModelConfig, g: Geometry, target: Behavior) -> Beh
         table = _product_of_components(_validated(target), components)
     elif target.parties == 3 and sum(1 for s in cmap.values() if s == OFF) == 1:
         off = next(pair for pair, s in cmap.items() if s == OFF)
-        table = _one_off_pair_tripartite(_validated(target), off)
+        table = _one_off_pair_tripartite(_validated(target), spectator_first(off))
     else:
         raise UnsupportedConfigurationError(
             f"no expressible surrogate for coordination pattern {cmap!r}"

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .hvmodels import Geometry
+from .hvmodels import Geometry, spectator_first
 from .quantum import Behavior, behavior_to_json, marginal
 from .spacetime import find_point_d
 
@@ -60,16 +60,9 @@ def _local_vertices(ma: int, mb: int) -> np.ndarray:
     Assignments map each setting to an outcome index (0 is +1); rows are
     flattened tables over (x, y, a, b) in C order.
     """
-    dim = ma * mb * 4
-    rows = []
-    for bits_a in itertools.product((0, 1), repeat=ma):
-        for bits_b in itertools.product((0, 1), repeat=mb):
-            v = np.zeros((ma, mb, 2, 2))
-            for x in range(ma):
-                for y in range(mb):
-                    v[x, y, bits_a[x], bits_b[y]] = 1.0
-            rows.append(v.reshape(dim))
-    return np.array(rows)
+    # One-hot [assignment, setting, outcome] per party.
+    onehot = [np.eye(2)[list(itertools.product((0, 1), repeat=m))] for m in (ma, mb)]
+    return np.einsum("ixa,jyb->ijxyab", *onehot).reshape(-1, ma * mb * 4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,6 +159,20 @@ class FeasibilityProblem:
     order (spectator first); strategies enumerate deterministic outcome
     assignments for the uncoordinated pair.  Any feasible z also obeys
     z <= 1, which certificate re-checking relies on.
+
+    Farkas certificates index the rows, which come in blocks, each in C
+    order of the indices named:
+
+    1. normalization of Q, per (x, y, z);
+    2. no-signaling of A, per (x, y, z, b, c) with x < ma - 1: the sum
+       over a at x minus the same sum at x + 1;
+    3. no-signaling of B, per (y, x, z, a, c) with y < mb - 1;
+    4. no-signaling of C, per (z, x, y, a, b) with z < mc - 1;
+    5. the AB marginal, per (x, y, z, a, b): the sum over c equals the
+       target's P(a, b | x, y);
+    6. the AC marginal, per (x, y, z, a, c);
+    7. the decomposition, per (x, y, z, b, c): the sum over a minus the
+       weights of the strategies that answer (b, c) at (y, z) is zero.
     """
 
     a_eq: np.ndarray
@@ -228,26 +235,19 @@ def _pair_marginal_checked(target: Behavior, pair: tuple[int, int], what: str) -
 def build_feasibility_problem(target: Behavior, off_pair: tuple[int, int]) -> FeasibilityProblem:
     """Constraint system for the local-parts question with ``off_pair`` cut.
 
-    Parties are permuted so the spectator comes first.  Constraints, in
-    row order: normalization of Q; no-signaling of Q (adjacent-setting
-    differences per party); spectator-partner marginal matching for both
-    partners; and the decomposition of the pair marginal into shared
-    strategy weights, which enforces both its spectator-independence and
+    Parties are permuted so the spectator comes first; FeasibilityProblem
+    lists the row blocks.  The decomposition of the pair marginal into
+    shared strategy weights enforces both its spectator-independence and
     its local-polytope membership.
     """
     if target.parties != 3:
         raise ValueError(f"need a tripartite behavior, got {target.parties} parties")
-    off = tuple(sorted(int(i) for i in off_pair))
-    if len(off) != 2 or not set(off) <= {0, 1, 2}:
-        raise ValueError(f"off_pair must be two distinct parties, got {off_pair!r}")
+    perm = spectator_first(off_pair)
     if max(target.settings_per_party) > MAX_FEASIBILITY_SETTINGS:
         raise ValueError(
             f"feasibility limited to {MAX_FEASIBILITY_SETTINGS} settings per party"
         )
-    (spect,) = tuple(set(range(3)) - set(off))
-    perm = (spect, off[0], off[1])
-    axes = tuple(perm) + tuple(3 + q for q in perm)
-    table = np.transpose(target.table, axes)
+    table = np.transpose(target.table, perm + tuple(3 + q for q in perm))
     spp = tuple(target.settings_per_party[q] for q in perm)
     permuted = Behavior(3, spp, np.ascontiguousarray(table))
     ma, mb, mc = spp
@@ -255,85 +255,52 @@ def build_feasibility_problem(target: Behavior, off_pair: tuple[int, int]) -> Fe
     t_ab = _pair_marginal_checked(permuted, (0, 1), "spectator-first-partner")
     t_ac = _pair_marginal_checked(permuted, (0, 2), "spectator-second-partner")
 
-    q_shape = (ma, mb, mc, 2, 2, 2)
-    n_q = int(np.prod(q_shape))
+    q = np.arange(ma * mb * mc * 8).reshape(ma, mb, mc, 2, 2, 2)
+    n_q = q.size
     strategies = tuple(
         (bits_b, bits_c)
         for bits_b in itertools.product((0, 1), repeat=mb)
         for bits_c in itertools.product((0, 1), repeat=mc)
     )
-    n_w = len(strategies)
-
-    def q_index(x: int, y: int, z: int, a: int, b: int, c: int) -> int:
-        return int(np.ravel_multi_index((x, y, z, a, b, c), q_shape))
-
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-
-    def new_row() -> np.ndarray:
-        return np.zeros(n_q + n_w)
-
-    for x, y, z in itertools.product(range(ma), range(mb), range(mc)):
-        row = new_row()
-        for a, b, c in itertools.product((0, 1), repeat=3):
-            row[q_index(x, y, z, a, b, c)] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-
-    # No-signaling: summing out one party's outcome must not depend on its
-    # setting; adjacent setting pairs generate all equalities.
-    for x in range(ma - 1):
-        for y, z, b, c in itertools.product(range(mb), range(mc), (0, 1), (0, 1)):
-            row = new_row()
-            for a in (0, 1):
-                row[q_index(x, y, z, a, b, c)] += 1.0
-                row[q_index(x + 1, y, z, a, b, c)] -= 1.0
-            rows.append(row)
-            rhs.append(0.0)
-    for y in range(mb - 1):
-        for x, z, a, c in itertools.product(range(ma), range(mc), (0, 1), (0, 1)):
-            row = new_row()
-            for b in (0, 1):
-                row[q_index(x, y, z, a, b, c)] += 1.0
-                row[q_index(x, y + 1, z, a, b, c)] -= 1.0
-            rows.append(row)
-            rhs.append(0.0)
-    for z in range(mc - 1):
-        for x, y, a, b in itertools.product(range(ma), range(mb), (0, 1), (0, 1)):
-            row = new_row()
-            for c in (0, 1):
-                row[q_index(x, y, z, a, b, c)] += 1.0
-                row[q_index(x, y, z + 1, a, b, c)] -= 1.0
-            rows.append(row)
-            rhs.append(0.0)
-
-    for x, y, z, a, b in itertools.product(range(ma), range(mb), range(mc), (0, 1), (0, 1)):
-        row = new_row()
-        for c in (0, 1):
-            row[q_index(x, y, z, a, b, c)] = 1.0
-        rows.append(row)
-        rhs.append(float(t_ab[x, y, a, b]))
-
-    for x, y, z, a, c in itertools.product(range(ma), range(mb), range(mc), (0, 1), (0, 1)):
-        row = new_row()
-        for b in (0, 1):
-            row[q_index(x, y, z, a, b, c)] = 1.0
-        rows.append(row)
-        rhs.append(float(t_ac[x, z, a, c]))
-
-    for x, y, z, b, c in itertools.product(range(ma), range(mb), range(mc), (0, 1), (0, 1)):
-        row = new_row()
-        for a in (0, 1):
-            row[q_index(x, y, z, a, b, c)] = 1.0
-        for k, (bits_b, bits_c) in enumerate(strategies):
-            if bits_b[y] == b and bits_c[z] == c:
-                row[n_q + k] -= 1.0
-        rows.append(row)
-        rhs.append(0.0)
+    # Q's columns with the summed party's outcome last and the block's
+    # leading setting first.
+    sum_a = q.transpose(0, 1, 2, 4, 5, 3)
+    sum_b = q.transpose(0, 1, 2, 3, 5, 4)
+    ns_b = sum_b.transpose(1, 0, 2, 3, 4, 5)
+    ns_c = q.transpose(2, 0, 1, 3, 4, 5)
+    # answers[s, o, k]: strategy k gives outcome o at setting s (Bob's
+    # settings, then Charlie's).  A quarter of the strategies answer each
+    # (b, c) at (y, z); their weight columns enter decomposition rows.
+    answers = np.array([b + c for b, c in strategies]).T[:, None] == np.arange(2)[:, None]
+    answering = answers[:mb, None, :, None] & answers[None, mb:, None, :]
+    weights = n_q + np.nonzero(answering)[-1].reshape(mb, mc, 2, 2, -1)
+    # (+1 columns, -1 columns, rhs) per row block; adjacent setting pairs
+    # generate all no-signaling equalities.
+    blocks = (
+        (q.reshape(ma, mb, mc, 8), None, 1.0),
+        (sum_a[:-1], sum_a[1:], 0.0),
+        (ns_b[:-1], ns_b[1:], 0.0),
+        (ns_c[:-1], ns_c[1:], 0.0),
+        (q, None, t_ab[:, :, None]),
+        (sum_b, None, t_ac[:, None]),
+        (sum_a, weights, 0.0),
+    )
+    n_rows = sum(math.prod(plus.shape[:-1]) for plus, _, _ in blocks)
+    a_eq = np.zeros((n_rows, n_q + len(strategies)))
+    b_eq = np.zeros(n_rows)
+    start = 0
+    for plus, minus, rhs in blocks:
+        lead = plus.shape[:-1]
+        rows = np.arange(start, start + math.prod(lead)).reshape(lead + (1,))
+        a_eq[rows, plus] = 1.0
+        if minus is not None:
+            a_eq[rows, minus] = -1.0
+        b_eq[start : start + rows.size] = np.broadcast_to(rhs, lead).ravel()
+        start += rows.size
 
     return FeasibilityProblem(
-        a_eq=np.array(rows),
-        b_eq=np.array(rhs),
+        a_eq=a_eq,
+        b_eq=b_eq,
         n_q=n_q,
         strategies=strategies,
         settings=spp,
@@ -362,9 +329,6 @@ def localparts_feasible(target: Behavior, off_pair: tuple[int, int]) -> Feasibil
     carry independently re-checked residuals or margins.
     """
     problem = build_feasibility_problem(target, off_pair)
-    off = tuple(sorted(int(i) for i in off_pair))
-    (spect,) = tuple(set(range(3)) - set(off))
-    perm = (spect, off[0], off[1])
     res = linprog(
         np.zeros(problem.a_eq.shape[1]),
         A_eq=problem.a_eq,
@@ -381,11 +345,11 @@ def localparts_feasible(target: Behavior, off_pair: tuple[int, int]) -> Feasibil
         q = z[: problem.n_q].reshape(ma, mb, mc, 2, 2, 2)
         # Solver roundoff can leave conditionals a few ulp off 1.
         q = q / q.sum(axis=(3, 4, 5), keepdims=True)
-        inverse = tuple(np.argsort(perm)) + tuple(3 + int(i) for i in np.argsort(perm))
+        inverse = tuple(np.argsort(spectator_first(off_pair)))
         witness = Behavior(
             3,
             target.settings_per_party,
-            np.ascontiguousarray(np.transpose(q, inverse)),
+            np.ascontiguousarray(np.transpose(q, inverse + tuple(3 + i for i in inverse))),
         )
         return FeasibilityResult(
             feasible=True,
@@ -494,13 +458,13 @@ def signal_report(
     """
     if geometry.parties != 3:
         raise ValueError("geometry must have three devices")
-    off = tuple(sorted(int(i) for i in off_pair))
-    (spect,) = tuple(set(range(3)) - set(off))
+    spect, i, j = spectator_first(off_pair)
+    off = (i, j)
     sd = signaling_distance(observed, off)
     feas = localparts_feasible(target, off)
     family = marginal(observed, off)
     events = geometry.events
-    point = find_point_d(events[spect], events[off[0]], events[off[1]], c=geometry.c)
+    point = find_point_d(events[spect], events[i], events[j], c=geometry.c)
     report: dict = {
         "off_pair": list(off),
         "spectator": spect,
@@ -613,7 +577,7 @@ def search_infeasible_instance(
         slack = score(ghz, angles)
         candidates.append((slack, angles))
         if slack > slack_threshold:
-            return _conclude(checked, slack, angles, "ghz3")
+            return _conclude(checked, slack, angles, ghz, "ghz3")
 
     candidates.sort(key=lambda item: item[0], reverse=True)
     step = math.pi / (2 * grid)
@@ -627,7 +591,7 @@ def search_infeasible_instance(
                     slack = score(ghz, tuple(tuple(a) for a in current))
                     if slack > slack_threshold:
                         return _conclude(
-                            checked, slack, tuple(tuple(a) for a in current), "ghz3"
+                            checked, slack, tuple(tuple(a) for a in current), ghz, "ghz3"
                         )
                     if slack <= best_slack:
                         current[party][k] = base
@@ -642,7 +606,7 @@ def search_infeasible_instance(
             angles = ((a1, a2), (b1, b1 + math.pi / 4), (b1, b1 + math.pi / 4))
             slack = score(state, angles)
             if slack > slack_threshold:
-                return _conclude(checked, slack, angles, state_label)
+                return _conclude(checked, slack, angles, state, state_label)
 
     return SearchReport(
         outcome="all_feasible",
@@ -655,12 +619,9 @@ def search_infeasible_instance(
     )
 
 
-def _conclude(checked, slack, angles, label) -> SearchReport:
-    from .quantum import born_behavior, make_ghz3
+def _conclude(checked, slack, angles, state, label) -> SearchReport:
+    from .quantum import born_behavior
 
-    state = make_ghz3() if label == "ghz3" else _ghz_family_state(
-        float(label.split("=")[1].rstrip(")"))
-    )
     result = localparts_feasible(born_behavior(state, angles), (1, 2))
     if result.feasible:
         # The slack LP flagged a borderline instance the exact program

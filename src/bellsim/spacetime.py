@@ -209,13 +209,15 @@ def find_point_d(
 ) -> tuple[Event, float] | None:
     """Find a point D inside the future cones of b and c_ev but outside a's.
 
-    D is placed on the perpendicular bisector of the B-C spatial segment,
-    at the earliest time contained in both future cones, so the returned
-    ``advantage`` (seconds by which D beats a light signal sent from A to
-    D's location) is the full window.  The spatial midpoint is tried
-    first; failing that, the bisector is scanned over a bounded grid
-    (10x the largest pairwise distance).  Returns None when no point on
-    the bisector works.
+    Only the perpendicular bisector of the B-C spatial segment is
+    searched.  D is placed on it at the earliest time contained in both
+    future cones, and the returned ``advantage`` is the number of seconds
+    by which D beats a light signal sent from A to D's location.  The
+    spatial midpoint is tried first; failing that, the bisector is
+    scanned over a bounded grid (10x the largest pairwise distance) and
+    its best grid point is returned.  The advantage is therefore that of
+    one point on the bisector, not the largest over the plane, and None
+    means no point D on the bisector, not none anywhere.
 
     A degenerate spatially coincident B=C reduces to the two-event case:
     D sits at their common position, halfway through the time window.

@@ -6,11 +6,13 @@ stderr with capsys; one subprocess test covers the module entry point.
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import bellsim
 from bellsim.cli import main
 from bellsim.presets import get_preset
 
@@ -69,6 +71,9 @@ A_FILE = "<file>"
         (["timing", "--v", "100c", "--L", "30000", "--dt", "inf"], 1),
         (["preset", "run", "mixture-chain", "--trials", "100", "--out", A_FILE], 1),
         (["preset", "run", "mixture-chain", "--trials", "100", "--out", A_FILE + "/sub"], 1),
+        (["simulate", "--preset", "before-before", "--trials", "10", "--workers", "0"], 2),
+        (["chsh", "--trials", "10", "--workers", "-1"], 2),
+        (["preset", "run", "mixture-chain", "--trials", "10", "--workers", "0"], 2),
     ],
 )
 def test_bad_argv_is_json_error_without_traceback(argv, code, tmp_path, capsys):
@@ -411,10 +416,14 @@ def test_point_d_absent_when_sender_sits_between(capsys):
 
 
 def test_module_entry_point():
+    # The child imports the same bellsim, installed or not.
+    package_root = os.path.dirname(os.path.dirname(bellsim.__file__))
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "bellsim", "chain", "--n", "4", "--local-bound"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["local_bound"] == 6.0

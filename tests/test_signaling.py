@@ -1,9 +1,12 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellsim.hvmodels import Geometry, constructive_off_behavior
 from bellsim.inequality import chsh_value
@@ -18,6 +21,9 @@ from bellsim.quantum import (
     state_from_amplitudes,
 )
 from bellsim.signaling import (
+    _local_vertices,
+    _pair_marginal_checked,
+    build_feasibility_problem,
     double_pr_target,
     infeasibility_slack,
     local_polytope_member,
@@ -194,8 +200,128 @@ def test_off_pair_roles_can_be_permuted():
 def test_feasibility_validates_input():
     with pytest.raises(ValueError):
         localparts_feasible(pr_box_behavior(), (0, 1))
-    with pytest.raises(ValueError):
-        localparts_feasible(double_pr_target(), (1, 1))
+    ghz = born_behavior(make_ghz3(), [[0.0, math.pi / 2], [0.0], [0.0]])
+    for off_pair in ((1, 1), (0, 3), (2,)):
+        for solve in (localparts_feasible, constructive_off_behavior):
+            with pytest.raises(ValueError, match="two distinct parties"):
+                solve(ghz, off_pair)
+
+
+def reference_local_vertices(ma, mb):
+    """Deterministic vertices filled entry by entry."""
+    rows = []
+    for bits_a in itertools.product((0, 1), repeat=ma):
+        for bits_b in itertools.product((0, 1), repeat=mb):
+            v = np.zeros((ma, mb, 2, 2))
+            for x in range(ma):
+                for y in range(mb):
+                    v[x, y, bits_a[x], bits_b[y]] = 1.0
+            rows.append(v.reshape(ma * mb * 4))
+    return np.array(rows)
+
+
+def reference_feasibility_problem(target, off_pair):
+    """(a_eq, b_eq, n_q, strategies, settings) of the local-parts LP, built
+    row by row with one loop nest per row block."""
+    off = tuple(sorted(off_pair))
+    (spect,) = tuple(set(range(3)) - set(off))
+    perm = (spect, off[0], off[1])
+    table = np.transpose(target.table, perm + tuple(3 + q for q in perm))
+    spp = tuple(target.settings_per_party[q] for q in perm)
+    permuted = Behavior(3, spp, np.ascontiguousarray(table))
+    ma, mb, mc = spp
+    t_ab = _pair_marginal_checked(permuted, (0, 1), "spectator-first-partner")
+    t_ac = _pair_marginal_checked(permuted, (0, 2), "spectator-second-partner")
+    q_shape = (ma, mb, mc, 2, 2, 2)
+    n_q = int(np.prod(q_shape))
+    strategies = tuple(
+        (bits_b, bits_c)
+        for bits_b in itertools.product((0, 1), repeat=mb)
+        for bits_c in itertools.product((0, 1), repeat=mc)
+    )
+
+    def q_index(*index):
+        return int(np.ravel_multi_index(index, q_shape))
+
+    rows, rhs = [], []
+
+    def add_row(plus, minus=(), value=0.0, weights=()):
+        row = np.zeros(n_q + len(strategies))
+        for index in plus:
+            row[q_index(*index)] += 1.0
+        for index in minus:
+            row[q_index(*index)] -= 1.0
+        for k in weights:
+            row[n_q + k] -= 1.0
+        rows.append(row)
+        rhs.append(float(value))
+
+    for x, y, z in itertools.product(range(ma), range(mb), range(mc)):
+        add_row([(x, y, z, a, b, c) for a, b, c in itertools.product((0, 1), repeat=3)], value=1.0)
+    for x in range(ma - 1):
+        for y, z, b, c in itertools.product(range(mb), range(mc), (0, 1), (0, 1)):
+            add_row([(x, y, z, a, b, c) for a in (0, 1)], [(x + 1, y, z, a, b, c) for a in (0, 1)])
+    for y in range(mb - 1):
+        for x, z, a, c in itertools.product(range(ma), range(mc), (0, 1), (0, 1)):
+            add_row([(x, y, z, a, b, c) for b in (0, 1)], [(x, y + 1, z, a, b, c) for b in (0, 1)])
+    for z in range(mc - 1):
+        for x, y, a, b in itertools.product(range(ma), range(mb), (0, 1), (0, 1)):
+            add_row([(x, y, z, a, b, c) for c in (0, 1)], [(x, y, z + 1, a, b, c) for c in (0, 1)])
+    for x, y, z, a, b in itertools.product(range(ma), range(mb), range(mc), (0, 1), (0, 1)):
+        add_row([(x, y, z, a, b, c) for c in (0, 1)], value=t_ab[x, y, a, b])
+    for x, y, z, a, c in itertools.product(range(ma), range(mb), range(mc), (0, 1), (0, 1)):
+        add_row([(x, y, z, a, b, c) for b in (0, 1)], value=t_ac[x, z, a, c])
+    for x, y, z, b, c in itertools.product(range(ma), range(mb), range(mc), (0, 1), (0, 1)):
+        add_row(
+            [(x, y, z, a, b, c) for a in (0, 1)],
+            weights=[
+                k for k, (bits_b, bits_c) in enumerate(strategies)
+                if bits_b[y] == b and bits_c[z] == c
+            ],
+        )
+    return np.array(rows), np.array(rhs), n_q, strategies, spp
+
+
+def test_local_vertices_match_entry_by_entry_reference():
+    for ma, mb in itertools.product(range(1, 5), repeat=2):
+        got = _local_vertices(ma, mb)
+        want = reference_local_vertices(ma, mb)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", list(itertools.product((1, 2, 3), repeat=3)))
+@settings(max_examples=6, deadline=None)
+@given(
+    kind=st.sampled_from(("born", "double_pr")),
+    seed=st.integers(0, 2**32 - 1),
+    noise=st.floats(0.0, 1.0),
+)
+def test_feasibility_problem_matches_row_by_row_reference(shape, kind, seed, noise):
+    """Byte-identical system on every cut pair, or the same rejection."""
+    if kind == "born":
+        rng = np.random.default_rng(seed)
+        angles = [rng.uniform(0, 2 * math.pi, m).tolist() for m in shape]
+        target = born_behavior(random_state(rng, 3), angles)
+    else:
+        # Its two settings repeat cyclically.  The double PR signals to some
+        # pairs: those cuts must be rejected alike.
+        table = (1 - noise) * double_pr_target().table + noise / 8.0
+        target = Behavior(3, shape, table[np.ix_(*(np.arange(m) % 2 for m in shape))])
+    for off_pair in ((1, 2), (0, 2), (0, 1)):
+        try:
+            a_eq, b_eq, n_q, strategies, spp = reference_feasibility_problem(target, off_pair)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                build_feasibility_problem(target, off_pair)
+            continue
+        problem = build_feasibility_problem(target, off_pair)
+        assert problem.a_eq.shape == a_eq.shape
+        assert problem.a_eq.tobytes() == a_eq.tobytes()
+        assert problem.b_eq.tobytes() == b_eq.tobytes()
+        assert problem.strategies == strategies
+        assert problem.settings == spp
+        assert problem.n_q == n_q
 
 
 def test_infeasibility_slack_signs():
@@ -336,3 +462,32 @@ def test_small_search_reports_honestly():
     else:
         assert report.certificate_margin is not None
         assert report.certificate_margin > 1e-9
+
+
+def test_search_concludes_on_the_flagged_state(monkeypatch):
+    # A slack that flags only targets whose Alice marginal is biased picks
+    # the first weighted-family instance (GHZ marginals are uniform); the
+    # exact program must then be solved on that very state and settings.
+    import bellsim.signaling
+
+    solved = []
+    real_feasible = bellsim.signaling.localparts_feasible
+
+    def biased_alice(target, off_pair):
+        return float(abs(target.table[0, 0, 0].sum(axis=(1, 2))[0] - 0.5) > 1e-6)
+
+    def recording_feasible(target, off_pair):
+        solved.append(target)
+        return real_feasible(target, off_pair)
+
+    monkeypatch.setattr(bellsim.signaling, "infeasibility_slack", biased_alice)
+    monkeypatch.setattr(bellsim.signaling, "localparts_feasible", recording_feasible)
+    report = search_infeasible_instance(grid=2, refine_rounds=1, family_phis=(0.4,))
+    assert report.best_state == "weighted_ghz(phi=0.400000)"
+    amps = np.zeros(8)
+    amps[0], amps[7] = math.cos(0.4), math.sin(0.4)
+    want = born_behavior(state_from_amplitudes(amps), report.best_settings)
+    assert len(solved) == 1
+    assert np.array_equal(solved[0].table, want.table)
+    assert report.outcome == "all_feasible"
+    assert report.witness_residual <= 1e-9
