@@ -27,6 +27,7 @@ from .hvmodels import (
     pair_key,
     pair_timing,
     sample_runs,
+    spectator_first,
     write_run_csv,
     write_run_json,
 )
@@ -80,6 +81,15 @@ def positive_int(text: str) -> int:
     return value
 
 
+def cut_pair(text: str) -> tuple[int, int]:
+    """argparse type for a tripartite cut pair 'i,j', returned sorted."""
+    try:
+        _, i, j = spectator_first(text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return i, j
+
+
 def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -97,26 +107,19 @@ def _finite_or_none(value: float) -> float | None:
     return float(value) if math.isfinite(value) else None
 
 
-def _resolve_scenario(args) -> tuple:
+def _resolve_scenario(args):
     if getattr(args, "scenario", None):
         sc = load_scenario(args.scenario)
-        pipeline = None
     elif getattr(args, "preset", None):
-        preset = get_preset(args.preset)
-        sc = scenario_from_doc(preset.doc)
-        pipeline = preset.pipeline
+        sc = scenario_from_doc(get_preset(args.preset).doc)
     else:
         raise _usage_error("one of --scenario or --preset is required")
-    doc = dict(sc.doc)
-    if getattr(args, "trials", None) is not None:
-        if args.trials < 1:
-            raise _usage_error("--trials must be >= 1")
-        doc = {**doc, "trials": args.trials}
-        sc = scenario_from_doc(doc)
-    if getattr(args, "seed", None) is not None:
-        doc = {**doc, "seed": args.seed}
-        sc = scenario_from_doc(doc)
-    return sc, pipeline
+    overrides = {
+        key: getattr(args, key)
+        for key in ("trials", "seed")
+        if getattr(args, key, None) is not None
+    }
+    return scenario_from_doc({**sc.doc, **overrides}) if overrides else sc
 
 
 def cmd_timing(args) -> int:
@@ -151,7 +154,6 @@ def _empirical_summary(sc, schedule, workers: int) -> tuple:
     sample = sample_runs(
         sc.model, sc.geometry, target, schedule, sc.trials, sc.seed, workers=workers
     )
-    eff = effective_behavior(sc.model, sc.geometry, target)
     correlators = []
     for combo in schedule:
         mean, se, count = sample.empirical_correlator(combo)
@@ -161,10 +163,10 @@ def _empirical_summary(sc, schedule, workers: int) -> tuple:
                 "mean": float(mean),
                 "se": _finite_or_none(se),
                 "count": count,
-                "predicted": correlator(eff, combo),
+                "predicted": correlator(sample.behavior, combo),
             }
         )
-    return sample, eff, correlators
+    return sample, correlators
 
 
 def _derived_block(sc, eff, correlators) -> dict:
@@ -211,33 +213,22 @@ def _derived_block(sc, eff, correlators) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    sc, _ = _resolve_scenario(args)
+    sc = _resolve_scenario(args)
     schedule = [
         list(combo)
         for combo in itertools.product(*(range(len(s)) for s in sc.settings))
     ]
-    sample, eff, correlators = _empirical_summary(sc, schedule, args.workers)
-    if sc.model.kind == "mixture":
-        coordination = {
-            "nonlocal": {
-                pair_key(p): s
-                for p, s in coordination_map(sc.model, sc.geometry, "nonlocal").items()
-            },
-            "local": {
-                pair_key(p): s
-                for p, s in coordination_map(sc.model, sc.geometry, "local").items()
-            },
-        }
-    else:
-        coordination = {
-            pair_key(p): s for p, s in coordination_map(sc.model, sc.geometry).items()
-        }
+    sample, correlators = _empirical_summary(sc, schedule, args.workers)
+    coordination = {
+        branch: {pair_key(p): s for p, s in zip(sample.pairs, states)}
+        for branch, states in (("nonlocal", sample.map_nonlocal), ("local", sample.map_local))
+    }
     summary = {
         "schema": "bellsim-summary-1",
         "scenario": sc.doc,
-        "coordination": coordination,
+        "coordination": coordination if sc.model.kind == "mixture" else coordination["nonlocal"],
         "correlators": correlators,
-        "derived": _derived_block(sc, eff, correlators),
+        "derived": _derived_block(sc, sample.behavior, correlators),
     }
     if sc.model.kind in TIMING_RULES:
         summary["timing"] = {
@@ -259,16 +250,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_signal(args) -> int:
-    sc, _ = _resolve_scenario(args)
-    off = None
-    if args.off_pair:
-        try:
-            i, j = (int(part) for part in args.off_pair.split(","))
-        except ValueError:
-            raise _usage_error("--off-pair must look like '1,2'") from None
-        if i == j or not {i, j} <= {0, 1, 2}:
-            raise _usage_error("--off-pair must name two distinct parties in 0..2")
-        off = (min(i, j), max(i, j))
+    sc = _resolve_scenario(args)
+    off = args.off_pair
     if sc.parties != 3:
         raise _invalid_error("signal needs a tripartite scenario")
     if sc.model.kind == "mixture":
@@ -295,6 +278,45 @@ def cmd_signal(args) -> int:
     return EXIT_OK
 
 
+def _sample_at_optimum(name: str, opt, args) -> tuple | None:
+    """The sampled part of chsh and chain.
+
+    Checks the --model/--p pair.  With --trials, samples the singlet at
+    opt's angles (a chain optimum) under --model over every setting
+    pair and returns the correlators, the derived block and the model
+    echo; without --trials, returns None.
+    """
+    if args.p is not None and args.model != "mixture":
+        raise _usage_error("--p needs --model mixture")
+    if args.model == "mixture" and args.p is None:
+        raise _usage_error("--model mixture needs --p")
+    if args.trials is None:
+        return None
+    n = len(opt.angles_a)
+    model: dict = {"kind": args.model}
+    if args.p is not None:
+        model["p"] = args.p
+    sc = scenario_from_doc(
+        {
+            "schema": "bellsim-scenario-1",
+            "name": name,
+            "geometry": {
+                "events": [{"t": 0.0, "x": -1.0}, {"t": 0.0, "x": 1.0}],
+                "boosts": [{"beta": 0.0}, {"beta": 0.0}],
+            },
+            "model": model,
+            "state": {"kind": "singlet"},
+            "settings": [list(opt.angles_a), list(opt.angles_b)],
+            "trials": args.trials,
+            "seed": args.seed,
+        }
+    )
+    schedule = [[x, y] for x in range(n) for y in range(n)]
+    sample, correlators = _empirical_summary(sc, schedule, args.workers)
+    derived = _derived_block(sc, sample.behavior, correlators)
+    return correlators, derived, {"kind": sc.model.kind, "p": sc.model.p}
+
+
 def cmd_chsh(args) -> int:
     opt = inequality.quantum_chain_optimum(2)
     out = {
@@ -304,15 +326,10 @@ def cmd_chsh(args) -> int:
         "quantum_optimum": opt.value,
         "angles": {"a": list(opt.angles_a), "b": list(opt.angles_b)},
     }
-    if args.trials:
-        sc = _inline_scenario(
-            "chsh", [list(opt.angles_a), list(opt.angles_b)], args
-        )
-        schedule = [[x, y] for x in range(2) for y in range(2)]
-        _, eff, correlators = _empirical_summary(sc, schedule, args.workers)
-        out["correlators"] = correlators
-        out["empirical"] = _derived_block(sc, eff, correlators)["chsh"]
-        out["model"] = {"kind": sc.model.kind, "p": sc.model.p}
+    sampled = _sample_at_optimum("chsh", opt, args)
+    if sampled:
+        out["correlators"], derived, out["model"] = sampled
+        out["empirical"] = derived["chsh"]
     _emit(out, args.out, "chsh.json")
     return EXIT_OK
 
@@ -325,50 +342,21 @@ def cmd_chain(args) -> int:
     out = {"schema": "bellsim-chain-1", "n": args.n}
     if args.local_bound or want_all:
         out["local_bound"] = inequality.local_bound(spec)
-    if args.quantum or want_all:
+    opt = None
+    if args.quantum or want_all or args.trials is not None:
         opt = inequality.quantum_chain_optimum(args.n)
+    if args.quantum or want_all:
         out["quantum_optimum"] = opt.value
         out["closed_form"] = 2 * args.n * math.cos(math.pi / (2 * args.n))
         out["angles"] = {"a": list(opt.angles_a), "b": list(opt.angles_b)}
-    if args.p is not None and args.model != "mixture":
-        raise _usage_error("--p needs --model mixture")
-    if args.trials:
-        opt = inequality.quantum_chain_optimum(args.n)
-        sc = _inline_scenario(
-            "chain", [list(opt.angles_a), list(opt.angles_b)], args
-        )
-        schedule = [[x, y] for x in range(args.n) for y in range(args.n)]
-        _, eff, correlators = _empirical_summary(sc, schedule, args.workers)
-        derived = _derived_block(sc, eff, correlators)
+    sampled = _sample_at_optimum("chain", opt, args)
+    if sampled:
+        _, derived, out["model"] = sampled
         out["empirical"] = derived["chain"]
         if "mixture" in derived:
             out["mixture"] = derived["mixture"]
-        out["model"] = {"kind": sc.model.kind, "p": sc.model.p}
     _emit(out, args.out, "chain.json")
     return EXIT_OK
-
-
-def _inline_scenario(name: str, settings, args):
-    """A bipartite singlet scenario built from command-line flags."""
-    model: dict = {"kind": args.model}
-    if args.model == "mixture":
-        if args.p is None:
-            raise _usage_error("--model mixture needs --p")
-        model["p"] = args.p
-    doc = {
-        "schema": "bellsim-scenario-1",
-        "name": name,
-        "geometry": {
-            "events": [{"t": 0.0, "x": -1.0}, {"t": 0.0, "x": 1.0}],
-            "boosts": [{"beta": 0.0}, {"beta": 0.0}],
-        },
-        "model": model,
-        "state": {"kind": "singlet"},
-        "settings": settings,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
-    return scenario_from_doc(doc)
 
 
 def _parse_event(text: str, flag: str) -> Event:
@@ -384,7 +372,7 @@ def _parse_event(text: str, flag: str) -> Event:
 
 def cmd_point_d(args) -> int:
     if args.scenario or args.preset:
-        sc, _ = _resolve_scenario(args)
+        sc = _resolve_scenario(args)
         if sc.parties != 3:
             raise _invalid_error("point-d needs three devices")
         a, b, c_ev = sc.geometry.events
@@ -459,16 +447,22 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="bellsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scenario=False, sampling=False):
+    def add_common(p, scenario=False, sampling=False, model=False):
+        """--out, plus the scenario source, the flags of a sampled scenario
+        run, or the flags of a sampled chsh or chain run."""
         p.add_argument("--out", default=None, help="directory for output files")
         if scenario:
             p.add_argument("--scenario", default=None, help="scenario JSON file")
             p.add_argument("--preset", default=None, help="shipped preset name")
-        if sampling:
-            p.add_argument("--trials", type=int, default=None)
-            p.add_argument("--seed", type=int, default=None)
+        if sampling or model:
+            p.add_argument("--trials", type=positive_int, default=None)
+            p.add_argument("--seed", type=int, default=0 if model else None)
             p.add_argument("--workers", type=positive_int, default=1)
+        if sampling:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if model:
+            p.add_argument("--model", choices=("quantum", "local", "mixture"), default="quantum")
+            p.add_argument("--p", type=float, default=None, help="local weight for mixtures")
 
     p = sub.add_parser("timing", help="evaluate the timing criteria")
     p.add_argument("--L", type=float, required=True, help="separation in meters")
@@ -480,24 +474,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_timing)
 
     p = sub.add_parser("chsh", help="CHSH numbers and optional sampling")
-    p.add_argument("--trials", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=positive_int, default=1)
-    p.add_argument("--model", choices=("quantum", "local", "mixture"), default="quantum")
-    p.add_argument("--p", type=float, default=None, help="local weight for mixtures")
-    p.add_argument("--out", default=None)
+    add_common(p, model=True)
     p.set_defaults(func=cmd_chsh)
 
     p = sub.add_parser("chain", help="chained-inequality numbers and sampling")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--local-bound", action="store_true", help="report the local bound")
     p.add_argument("--quantum", action="store_true", help="report the quantum optimum")
-    p.add_argument("--trials", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=positive_int, default=1)
-    p.add_argument("--model", choices=("quantum", "local", "mixture"), default="quantum")
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--out", default=None)
+    add_common(p, model=True)
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("simulate", help="sample a scenario to CSV plus summary")
@@ -506,7 +490,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("signal", help="marginal-shift report for a tripartite scenario")
     add_common(p, scenario=True)
-    p.add_argument("--off-pair", default=None, help="receiver pair, e.g. '1,2'")
+    p.add_argument("--off-pair", type=cut_pair, default=None, help="receiver pair, e.g. '1,2'")
     p.set_defaults(func=cmd_signal)
 
     p = sub.add_parser("point-d", help="point-D construction for three events")
@@ -520,11 +504,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("preset", help="list shipped presets or run one")
     p.add_argument("action", choices=("list", "run"))
     p.add_argument("name", nargs="?", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=positive_int, default=1)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    add_common(p, sampling=True)
     p.set_defaults(func=cmd_preset)
 
     p = sub.add_parser("validate", help="check a scenario file against the schema")

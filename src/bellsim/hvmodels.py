@@ -7,8 +7,9 @@ the pair is in before-before timing, and mixtures switch between the
 quantum (all ON) and local (all OFF) maps per trial.  effective_behavior
 turns the map into a probability table: ON parts reproduce the target,
 OFF parts are replaced by a declared local surrogate.  sample_runs draws
-a reproducible columnar sample from that table, and write_run_csv and
-write_run_json write it out.
+a reproducible columnar sample from that table and carries the table and
+the coordination maps with it; write_run_csv and write_run_json write it
+out.
 
 The localized surrogate choices (documented per function) are declared
 conventions, not claims of uniqueness; surrogate-independent conclusions
@@ -174,28 +175,22 @@ def pair_timing(model: ModelConfig, g: Geometry) -> dict[tuple[int, int], dict]:
     return result
 
 
-def coordination_map(
-    model: ModelConfig, g: Geometry, mixture_branch: str = "nonlocal"
-) -> dict[tuple[int, int], str]:
+def coordination_map(model: ModelConfig, g: Geometry) -> dict[tuple[int, int], str]:
     """ON/OFF state per device pair under the model's rule.
 
     Timed models cut exactly the pairs whose pair_timing verdict is
-    True.  Mixtures have no single static map; ``mixture_branch``
-    selects which branch ("nonlocal" = quantum, "local") to report, and
-    sample_runs applies the per-trial switching schedule itself.
+    True.  A mixture has no static map (sample_runs switches between
+    the all-ON and all-OFF maps per trial) and raises ValueError.
     """
+    if model.kind == "mixture":
+        raise ValueError("a mixture has no static coordination map")
     if model.kind in TIMING_RULES:
         verdict = TIMING_RULES[model.kind]
         return {
             pair: OFF if entry.get(verdict) else ON
             for pair, entry in pair_timing(model, g).items()
         }
-    if model.kind == "mixture":
-        if mixture_branch not in ("nonlocal", "local"):
-            raise ValueError(f"mixture_branch must be 'nonlocal' or 'local', got {mixture_branch!r}")
-        state = ON if mixture_branch == "nonlocal" else OFF
-    else:
-        state = ON if model.kind == "quantum" else OFF
+    state = ON if model.kind == "quantum" else OFF
     return {pair: state for pair in g.pairs()}
 
 
@@ -355,12 +350,19 @@ def _validated(target: Behavior) -> Behavior:
 
 @dataclass(frozen=True, eq=False)
 class RunSample:
-    """Columnar sample: trial t used setting row schedule[t % len(schedule)]."""
+    """Columnar sample: trial t used setting row schedule[t % len(schedule)].
+
+    ``behavior`` is the model's effective behavior, which the sample's
+    predictions come from: for a mixture the p-weighted one, otherwise
+    the one every trial is drawn from.  A trial's coordination is
+    ``map_local`` when its mixture branch is local, else ``map_nonlocal``.
+    """
 
     parties: int
     pairs: tuple[tuple[int, int], ...]
     schedule: np.ndarray  # (rows, parties) int16
     outcomes: np.ndarray  # (trials, parties) int8, values +1/-1
+    behavior: Behavior
     map_nonlocal: tuple[str, ...]
     map_local: tuple[str, ...]
     branch_local: np.ndarray | None  # bool per trial for mixtures, else None
@@ -454,12 +456,18 @@ def sample_runs(
         if sched[:, q].min() < 0 or sched[:, q].max() >= target.settings_per_party[q]:
             raise ValueError(f"schedule settings out of range for party {q}")
 
+    behavior = effective_behavior(model, g, target)
+    pairs = g.pairs()
     if model.kind == "mixture":
         behavior_quantum = target
         behavior_local = effective_behavior(ModelConfig(kind="local"), g, target)
+        map_nl = tuple(ON for _ in pairs)
+        map_loc = tuple(OFF for _ in pairs)
     else:
-        behavior_quantum = effective_behavior(model, g, target)
+        behavior_quantum = behavior
         behavior_local = None
+        cmap = coordination_map(model, g)
+        map_nl = map_loc = tuple(cmap[p] for p in pairs)
 
     cum_quantum = _flat_tables(behavior_quantum)
     cum_local = _flat_tables(behavior_local) if behavior_local is not None else None
@@ -508,19 +516,12 @@ def sample_runs(
         np.concatenate([r[1] for r in results]) if model.kind == "mixture" else None
     )
     outcomes = (1 - 2 * ((codes[:, None] >> bit_shift) & 1)).astype(np.int8)
-
-    pairs = g.pairs()
-    if model.kind == "mixture":
-        map_nl = tuple(ON for _ in pairs)
-        map_loc = tuple(OFF for _ in pairs)
-    else:
-        cmap = coordination_map(model, g)
-        map_nl = map_loc = tuple(cmap[p] for p in pairs)
     return RunSample(
         parties=target.parties,
         pairs=pairs,
         schedule=sched,
         outcomes=outcomes,
+        behavior=behavior,
         map_nonlocal=map_nl,
         map_local=map_loc,
         branch_local=branch_local,

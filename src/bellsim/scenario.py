@@ -115,7 +115,6 @@ class Scenario:
     geometry: Geometry
     model: ModelConfig
     state: StateVector
-    state_kind: str
     settings: tuple[tuple[float, ...], ...]
     trials: int
     seed: int
@@ -388,7 +387,6 @@ def scenario_from_doc(doc: dict) -> Scenario:
         geometry=geometry,
         model=model,
         state=_build_state(doc["state"]),
-        state_kind=doc["state"]["kind"],
         settings=tuple(tuple(float(t) for t in row) for row in doc["settings"]),
         trials=doc["trials"],
         seed=doc["seed"],

@@ -74,6 +74,16 @@ A_FILE = "<file>"
         (["simulate", "--preset", "before-before", "--trials", "10", "--workers", "0"], 2),
         (["chsh", "--trials", "10", "--workers", "-1"], 2),
         (["preset", "run", "mixture-chain", "--trials", "10", "--workers", "0"], 2),
+        (["chsh", "--trials", "100", "--p", "0.5"], 2),
+        (["chsh", "--model", "mixture"], 2),
+        (["chain", "--n", "3", "--trials", "100", "--model", "mixture"], 2),
+        (["signal", "--preset", "fig2a", "--off-pair", "1,1"], 2),
+        (["signal", "--preset", "fig2a", "--off-pair", "0,3"], 2),
+        (["signal", "--preset", "fig2a", "--off-pair", "1,2,3"], 2),
+        (["signal", "--preset", "fig2a", "--off-pair", "a,b"], 2),
+        (["chsh", "--trials", "-3"], 2),
+        (["chain", "--n", "3", "--trials", "0"], 2),
+        (["simulate", "--preset", "before-before", "--trials", "0"], 2),
     ],
 )
 def test_bad_argv_is_json_error_without_traceback(argv, code, tmp_path, capsys):

@@ -6,7 +6,9 @@ compared against hashes recorded before the signal report and the
 timing rules were merged into single library functions.  The tripartite,
 two-worker and block-schedule runs, at trial counts off the write-block
 and sampling-chunk boundaries, were recorded before the run writers
-became columnar.  Signal reports drop ``witness``,
+became columnar.  The sampled ``chsh`` and ``chain`` runs, one of them
+past a sampling-chunk boundary on two workers, were recorded before the
+two commands shared one sampling helper.  Signal reports drop ``witness``,
 ``witness_max_residual`` and ``certificate`` before hashing: which valid
 witness the LP solver returns is not part of the contract, and
 tests/test_signaling.py re-checks those fields directly.
@@ -78,6 +80,14 @@ COMMANDS = {
                      "--c-units"],
     "chain": ["chain", "--n", "4"],
     "chsh": ["chsh"],
+    "chsh-sampled": ["chsh", "--trials", "5000", "--seed", "3"],
+    "chsh-mixture-70000-workers-2": ["chsh", "--trials", "70000", "--seed", "3",
+                                     "--model", "mixture", "--p", "0.3",
+                                     "--workers", "2", "--out"],
+    "chain-3-local": ["chain", "--n", "3", "--trials", "5000", "--seed", "4",
+                      "--model", "local"],
+    "chain-4-mixture": ["chain", "--n", "4", "--trials", "5000", "--seed", "4",
+                        "--model", "mixture", "--p", "0.25", "--out"],
     "preset-list": ["preset", "list"],
 }
 
@@ -265,6 +275,34 @@ GOLDEN = {
         "stdout": "4e1311a821b1c66a369ad56e1c5a94a05d0737345b53fcd07d41ccc1970ab26e",
         "stderr": EMPTY,
         "files": {},
+    },
+    "chsh-sampled": {
+        "code": 0,
+        "stdout": "173cca61f635c33c249a238dcf20ff712f23c3408a512ee2257e54ab66ae2f07",
+        "stderr": EMPTY,
+        "files": {},
+    },
+    "chsh-mixture-70000-workers-2": {
+        "code": 0,
+        "stdout": "b1c34d9f7867b72374c1af156d9df84c9a928e9c1fab880453b83a2db3f2ce00",
+        "stderr": EMPTY,
+        "files": {
+            "chsh.json": "b1c34d9f7867b72374c1af156d9df84c9a928e9c1fab880453b83a2db3f2ce00",
+        },
+    },
+    "chain-3-local": {
+        "code": 0,
+        "stdout": "8726af0e0421c529f03fbaf42743e2deb0e424c928e58b97622dc76b9a885cba",
+        "stderr": EMPTY,
+        "files": {},
+    },
+    "chain-4-mixture": {
+        "code": 0,
+        "stdout": "a0f7f04ceadf1c96ab4df5b63f9f09887cdb9d7d3840d3a13026df1a9e0478a9",
+        "stderr": EMPTY,
+        "files": {
+            "chain.json": "a0f7f04ceadf1c96ab4df5b63f9f09887cdb9d7d3840d3a13026df1a9e0478a9",
+        },
     },
     "preset-list": {
         "code": 0,

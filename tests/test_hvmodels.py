@@ -173,9 +173,8 @@ def test_coordination_map_static_kinds():
     g = pair_geometry()
     assert coordination_map(ModelConfig(kind="quantum"), g) == {(0, 1): "ON"}
     assert coordination_map(ModelConfig(kind="local"), g) == {(0, 1): "OFF"}
-    mix = ModelConfig(kind="mixture", p=0.5)
-    assert coordination_map(mix, g) == {(0, 1): "ON"}
-    assert coordination_map(mix, g, mixture_branch="local") == {(0, 1): "OFF"}
+    with pytest.raises(ValueError, match="no static coordination map"):
+        coordination_map(ModelConfig(kind="mixture", p=0.5), g)
 
 
 def test_coordination_map_multisim_static_devices():
@@ -351,6 +350,25 @@ def test_sample_runs_deterministic():
         assert (written(write_run_csv, sw), written(write_run_json, sw)) == files
     s3 = sample_runs(model, g, b, CHSH_SCHEDULE, trials=200_000, seed=100)
     assert not np.array_equal(s1.outcomes, s3.outcomes)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [ModelConfig(kind="mixture", p=0.3), ModelConfig(kind="finite_speed", v=2.0)],
+)
+def test_sample_carries_effective_behavior_and_maps(model):
+    """The sample's behavior and maps are the ones effective_behavior and
+    coordination_map give; a mixture has the all-ON and all-OFF maps."""
+    target = born_behavior(make_ghz3(), [[0.0, math.pi / 2], [0.0], [0.0]])
+    g = tripartite_bc_off_geometry()
+    sample = sample_runs(model, g, target, [(0, 0, 0), (1, 0, 0)], trials=10, seed=1)
+    assert np.array_equal(sample.behavior.table, effective_behavior(model, g, target).table)
+    if model.kind == "mixture":
+        assert sample.map_nonlocal == ("ON",) * 3
+        assert sample.map_local == ("OFF",) * 3
+    else:
+        cmap = coordination_map(model, g)
+        assert sample.map_nonlocal == sample.map_local == tuple(cmap[p] for p in sample.pairs)
 
 
 def test_sample_runs_rejects_bad_input():
