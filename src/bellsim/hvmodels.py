@@ -311,11 +311,7 @@ def effective_behavior(model: ModelConfig, g: Geometry, target: Behavior) -> Beh
             f"geometry has {g.parties} devices but target has {target.parties} parties"
         )
     if model.kind == "mixture":
-        local_table = _product_of_components(
-            _validated(target), [(q,) for q in range(target.parties)]
-        )
-        mixed = (1.0 - model.p) * target.table + model.p * local_table
-        return Behavior(target.parties, target.settings_per_party, mixed)
+        return _mixed(model.p, target, effective_behavior(ModelConfig(kind="local"), g, target))
 
     cmap = coordination_map(model, g)
     if all(state == ON for state in cmap.values()):
@@ -336,6 +332,12 @@ def effective_behavior(model: ModelConfig, g: Geometry, target: Behavior) -> Beh
             f"no expressible surrogate for coordination pattern {cmap!r}"
         )
     return Behavior(target.parties, target.settings_per_party, table)
+
+
+def _mixed(p: float, target: Behavior, local: Behavior) -> Behavior:
+    """The mixture's behavior: local with weight p, the target otherwise."""
+    mixed = (1.0 - p) * target.table + p * local.table
+    return Behavior(target.parties, target.settings_per_party, mixed)
 
 
 def _validated(target: Behavior) -> Behavior:
@@ -456,15 +458,15 @@ def sample_runs(
         if sched[:, q].min() < 0 or sched[:, q].max() >= target.settings_per_party[q]:
             raise ValueError(f"schedule settings out of range for party {q}")
 
-    behavior = effective_behavior(model, g, target)
     pairs = g.pairs()
     if model.kind == "mixture":
         behavior_quantum = target
         behavior_local = effective_behavior(ModelConfig(kind="local"), g, target)
+        behavior = _mixed(model.p, target, behavior_local)
         map_nl = tuple(ON for _ in pairs)
         map_loc = tuple(OFF for _ in pairs)
     else:
-        behavior_quantum = behavior
+        behavior = behavior_quantum = effective_behavior(model, g, target)
         behavior_local = None
         cmap = coordination_map(model, g)
         map_nl = map_loc = tuple(cmap[p] for p in pairs)

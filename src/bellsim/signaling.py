@@ -13,6 +13,8 @@ layout provides a point D inside both receiver lightcones.
 All linear programs are solved with scipy's HiGHS backend, and every
 witness or certificate is re-checked directly against the constraint
 system, so solver tolerances never carry a conclusion on their own.
+scipy.optimize is imported on the first LP, not with this module, so
+commands that solve none never load it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .hvmodels import Geometry, spectator_first
 from .quantum import Behavior, behavior_to_json, marginal
@@ -33,6 +34,13 @@ RECHECK_TOL = 1e-9
 
 MAX_MEMBER_SETTINGS = 4
 MAX_FEASIBILITY_SETTINGS = 3
+
+
+def linprog(*args, **kwargs):
+    """scipy's HiGHS linprog, imported on first use (scipy.optimize takes ~0.4 s to import)."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def signaling_distance(b: Behavior, receivers: tuple[int, ...] | list[int]) -> float:

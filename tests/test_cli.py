@@ -425,15 +425,69 @@ def test_point_d_absent_when_sender_sits_between(capsys):
     assert doc["advantage_seconds"] is None
 
 
-def test_module_entry_point():
-    # The child imports the same bellsim, installed or not.
+def child_env():
+    """The environment of a child process that imports the same bellsim, installed or not."""
     package_root = os.path.dirname(os.path.dirname(bellsim.__file__))
     path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "bellsim", "chain", "--n", "4", "--local-bound"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["local_bound"] == 6.0
+
+
+#: Runs main(argv) with its output discarded, then prints the exit code
+#: and whether scipy.optimize was loaded.
+SCIPY_PROBE = """
+import contextlib, io, sys
+from bellsim.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "scipy.optimize" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, loaded",
+    [
+        (["timing", "--v", "100000c", "--L", "30000"], 0, False),
+        (["validate", "<valid>"], 0, False),
+        (["validate", "<invalid>"], 2, False),
+        (["chsh"], 0, False),
+        (["chsh", "--trials", "1000"], 0, False),
+        (["chain", "--n", "4"], 0, False),
+        (["point-d", "--a", "0,0", "--b", "0,10", "--c", "0,20", "--c-units"], 0, False),
+        (["preset", "list"], 0, False),
+        (["preset", "run", "before-before", "--trials", "1000", "--out", "<out>"], 0, False),
+        (["signal", "--preset", "fig2a"], 0, True),
+    ],
+)
+def test_only_lp_commands_load_scipy_optimize(argv, code, loaded, tmp_path):
+    """scipy.optimize is imported on the first LP, so a fresh process
+    running any other command never loads it."""
+
+    def corrupt(doc):
+        doc["trials"] = 0
+
+    invalid = write_scenario(tmp_path, corrupt).rename(tmp_path / "invalid.json")
+    files = {
+        "<valid>": str(write_scenario(tmp_path)),
+        "<invalid>": str(invalid),
+        "<out>": str(tmp_path / "out"),
+    }
+    argv = [files.get(arg, arg) for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.stderr == ""
+    assert proc.stdout.split() == [str(code), str(loaded)]

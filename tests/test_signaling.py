@@ -330,6 +330,47 @@ def test_infeasibility_slack_signs():
     assert infeasibility_slack(double_pr_target(), (1, 2)) > 0.05
 
 
+def test_lps_reach_scipy_linprog_unchanged(monkeypatch):
+    """Every LP goes through scipy.optimize.linprog as looked up at call
+    time, with its arguments and result passed on unchanged, so a wrapper
+    installed there (as the benchmark tracer does) sees every LP."""
+    import scipy.optimize
+
+    ghz = born_behavior(make_ghz3(), [[0.0, math.pi / 2], [0.0], [0.0]])
+    plain = localparts_feasible(double_pr_target(), (1, 2))
+    plain_slack = infeasibility_slack(ghz, (1, 2))
+
+    real = scipy.optimize.linprog
+    calls = []
+
+    def recorder(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(scipy.optimize, "linprog", recorder)
+    res = localparts_feasible(double_pr_target(), (1, 2))
+    slack = infeasibility_slack(ghz, (1, 2))
+
+    assert [kw["method"] for _, kw, _ in calls] == ["highs"] * 3
+    (_, primal, primal_res), (_, dual, dual_res), (_, slack_lp, slack_res) = calls
+    assert primal["A_eq"] is res.problem.a_eq and primal["b_eq"] is res.problem.b_eq
+    assert primal["bounds"] == (0, 1) and primal_res.status == 2
+    assert np.array_equal(dual["A_ub"], res.problem.a_eq.T) and dual["bounds"] == (-1, 1)
+    problem = build_feasibility_problem(ghz, (1, 2))
+    rows, n = problem.a_eq.shape
+    assert slack_lp["A_ub"].shape == (2 * rows, n + 1)
+    assert np.array_equal(slack_lp["A_ub"][:rows, :n], problem.a_eq)
+    assert slack_lp["bounds"] == [(0, 1)] * n + [(0, None)]
+
+    assert not res.feasible
+    assert res.certificate.y is dual_res.x
+    assert res.certificate.margin == plain.certificate.margin
+    assert recheck_farkas_certificate(res.problem, res.certificate.y) == res.certificate.margin
+    assert slack == plain_slack == float(slack_res.x[-1])
+    assert slack <= 1e-9
+
+
 def test_witness_recheck_flags_corruption():
     res = localparts_feasible(
         born_behavior(make_ghz3(), [[0.0, math.pi / 2], [0.0], [0.0]]), (1, 2)
