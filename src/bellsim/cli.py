@@ -372,6 +372,10 @@ def _parse_event(text: str, flag: str) -> Event:
 
 def cmd_point_d(args) -> int:
     if args.scenario or args.preset:
+        if args.c_units or any(e is not None for e in (args.a, args.b, args.c)):
+            raise _usage_error(
+                "--a, --b, --c and --c-units cannot be combined with --scenario/--preset"
+            )
         sc = _resolve_scenario(args)
         if sc.parties != 3:
             raise _invalid_error("point-d needs three devices")
@@ -412,6 +416,8 @@ def cmd_point_d(args) -> int:
 
 def cmd_preset(args) -> int:
     if args.action == "list":
+        if args.name is not None:
+            raise _usage_error("preset list takes no name")
         _emit(
             [
                 {"name": p.name, "description": p.description, "pipeline": p.pipeline}
@@ -452,8 +458,9 @@ def build_parser() -> _Parser:
         run, or the flags of a sampled chsh or chain run."""
         p.add_argument("--out", default=None, help="directory for output files")
         if scenario:
-            p.add_argument("--scenario", default=None, help="scenario JSON file")
-            p.add_argument("--preset", default=None, help="shipped preset name")
+            source = p.add_mutually_exclusive_group()
+            source.add_argument("--scenario", default=None, help="scenario JSON file")
+            source.add_argument("--preset", default=None, help="shipped preset name")
         if sampling or model:
             p.add_argument("--trials", type=positive_int, default=None)
             p.add_argument("--seed", type=int, default=0 if model else None)

@@ -363,14 +363,14 @@ class RunSample:
     parties: int
     pairs: tuple[tuple[int, int], ...]
     schedule: np.ndarray  # (rows, parties) int16
-    outcomes: np.ndarray  # (trials, parties) int8, values +1/-1
+    codes: np.ndarray  # (trials,) uint8, bit parties-1-q set when party q saw -1
     behavior: Behavior
     map_nonlocal: tuple[str, ...]
     map_local: tuple[str, ...]
     branch_local: np.ndarray | None  # bool per trial for mixtures, else None
 
     def __len__(self) -> int:
-        return self.outcomes.shape[0]
+        return self.codes.shape[0]
 
     def empirical_correlator(self, settings: Sequence[int]) -> tuple[float, float, int]:
         """Mean outcome product, its standard error, and the trial count.
@@ -382,13 +382,15 @@ class RunSample:
         rows = np.flatnonzero(np.all(self.schedule == want, axis=1))
         n_rows = self.schedule.shape[0]
         if rows.size == 1:
-            selected = self.outcomes[rows[0] :: n_rows]
+            selected = self.codes[rows[0] :: n_rows]
         else:
-            selected = self.outcomes[np.isin(np.arange(len(self)) % n_rows, rows)]
+            selected = self.codes[np.isin(np.arange(len(self)) % n_rows, rows)]
         count = selected.shape[0]
         if count == 0:
             return 0.0, math.inf, 0
-        prods = np.prod(selected, axis=1).astype(np.float64)
+        # The outcome product of a code is -1 exactly when it has an odd number of set bits.
+        signs = np.array([1.0 - 2.0 * (bin(c).count("1") & 1) for c in range(1 << self.parties)])
+        prods = signs[selected]
         mean = float(prods.mean())
         if count < 2:
             return mean, math.inf, count
@@ -398,13 +400,10 @@ class RunSample:
     def _row_keys(self, lo: int, hi: int) -> np.ndarray:
         """Key of trials lo..hi-1: (schedule row, outcome code, local branch).
 
-        The outcome code has bit parties-1-q set when party q saw -1; the
-        key is ((row << parties) | code) << 1 | local.
+        The key is ((row << parties) | code) << 1 | local.
         """
         trials = np.arange(lo, hi, dtype=np.int64)
-        bits = (1 - self.outcomes[lo:hi].astype(np.int64)) >> 1
-        code = bits @ (1 << np.arange(self.parties - 1, -1, -1, dtype=np.int64))
-        keys = (((trials % self.schedule.shape[0]) << self.parties) | code) << 1
+        keys = (((trials % self.schedule.shape[0]) << self.parties) | self.codes[lo:hi]) << 1
         if self.branch_local is not None:
             keys |= self.branch_local[lo:hi]
         return keys
@@ -423,11 +422,6 @@ def _block_local_mask(trial_indices: np.ndarray, p: float, block_length: int) ->
     floor((j+1)p) advances, giving long-run local fraction p."""
     blocks = trial_indices // block_length
     return np.floor((blocks + 1) * p) - np.floor(blocks * p) >= 1.0
-
-
-def _flat_tables(b: Behavior) -> np.ndarray:
-    n_settings = int(np.prod(b.settings_per_party))
-    return b.table.reshape(n_settings, 2**b.parties).cumsum(axis=1)
 
 
 def sample_runs(
@@ -460,26 +454,27 @@ def sample_runs(
 
     pairs = g.pairs()
     if model.kind == "mixture":
-        behavior_quantum = target
         behavior_local = effective_behavior(ModelConfig(kind="local"), g, target)
         behavior = _mixed(model.p, target, behavior_local)
+        branches = (target, behavior_local)
         map_nl = tuple(ON for _ in pairs)
         map_loc = tuple(OFF for _ in pairs)
     else:
-        behavior = behavior_quantum = effective_behavior(model, g, target)
-        behavior_local = None
+        behavior = effective_behavior(model, g, target)
+        branches = (behavior,)
         cmap = coordination_map(model, g)
         map_nl = map_loc = tuple(cmap[p] for p in pairs)
 
-    cum_quantum = _flat_tables(behavior_quantum)
-    cum_local = _flat_tables(behavior_local) if behavior_local is not None else None
-    strides = np.array(
-        [int(np.prod(target.settings_per_party[q + 1 :])) for q in range(target.parties)],
-        dtype=np.int64,
+    # One cumulative row per (branch, flat setting index), the local rows
+    # after the quantum ones.  The tables are nonnegative, so each row is
+    # nondecreasing and the number of its entries <= u is
+    # searchsorted(row, u, side="right").  The last column is left out: a
+    # u at or past it takes the last code.
+    n_settings = int(np.prod(target.settings_per_party))
+    cum = np.concatenate(
+        [b.table.reshape(n_settings, -1).cumsum(axis=1)[:, :-1] for b in branches]
     )
-    flat_sched = (sched.astype(np.int64) * strides).sum(axis=1)
-    n_out = 2**target.parties
-    bit_shift = np.arange(target.parties - 1, -1, -1, dtype=np.int64)
+    flat_sched = np.ravel_multi_index(tuple(sched.T), target.settings_per_party)
 
     def sample_chunk(j: int) -> tuple[np.ndarray, np.ndarray | None]:
         lo = j * CHUNK
@@ -493,17 +488,10 @@ def sample_runs(
             else:
                 local_mask = _block_local_mask(idx, model.p, model.block_length)
         u = rng.random(idx.size)
-        sidx = flat_sched[idx % sched.shape[0]]
-        codes = np.empty(idx.size, dtype=np.int64)
-        groups = sidx if local_mask is None else sidx + local_mask * cum_quantum.shape[0]
-        for gid in np.unique(groups):
-            sel = groups == gid
-            if local_mask is not None and gid >= cum_quantum.shape[0]:
-                cum = cum_local[gid - cum_quantum.shape[0]]
-            else:
-                cum = cum_quantum[gid]
-            codes[sel] = np.searchsorted(cum, u[sel], side="right")
-        np.minimum(codes, n_out - 1, out=codes)
+        groups = flat_sched[idx % sched.shape[0]]
+        if local_mask is not None:
+            groups = groups + local_mask * n_settings
+        codes = (cum[groups] <= u[:, None]).sum(axis=1, dtype=np.uint8)
         return codes, local_mask
 
     n_chunks = (trials + CHUNK - 1) // CHUNK
@@ -517,12 +505,11 @@ def sample_runs(
     branch_local = (
         np.concatenate([r[1] for r in results]) if model.kind == "mixture" else None
     )
-    outcomes = (1 - 2 * ((codes[:, None] >> bit_shift) & 1)).astype(np.int8)
     return RunSample(
         parties=target.parties,
         pairs=pairs,
         schedule=sched,
-        outcomes=outcomes,
+        codes=codes,
         behavior=behavior,
         map_nonlocal=map_nl,
         map_local=map_loc,

@@ -17,10 +17,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-#: Outcome value for each outcome-axis index.
-OUTCOME_VALUES = (1, -1)
-
-
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized pure state of n qubits, 1 <= n <= 4."""
@@ -39,19 +35,6 @@ class StateVector:
             raise ValueError(f"state not normalized: |amps|^2 sums to {norm!r}")
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
-
-
-@dataclass(frozen=True)
-class Setting:
-    """A measurement choice: party index and angle, stored modulo 2 pi."""
-
-    party: int
-    theta: float
-
-    def __post_init__(self) -> None:
-        if self.party < 0:
-            raise ValueError(f"party index must be >= 0, got {self.party}")
-        object.__setattr__(self, "theta", float(self.theta) % (2.0 * math.pi))
 
 
 @dataclass(frozen=True, eq=False)

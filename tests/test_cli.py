@@ -84,6 +84,13 @@ A_FILE = "<file>"
         (["chsh", "--trials", "-3"], 2),
         (["chain", "--n", "3", "--trials", "0"], 2),
         (["simulate", "--preset", "before-before", "--trials", "0"], 2),
+        (["simulate", "--scenario", "run.json", "--preset", "fig2b"], 2),
+        (["signal", "--preset", "fig2a", "--scenario", "run.json"], 2),
+        (["point-d", "--preset", "fig2b", "--c-units"], 2),
+        (["point-d", "--preset", "fig2b", "--a", "0,0"], 2),
+        (["point-d", "--scenario", "run.json", "--b", "0,10"], 2),
+        (["point-d", "--preset", "fig2b", "--c", "0,20"], 2),
+        (["preset", "list", "fig2b"], 2),
     ],
 )
 def test_bad_argv_is_json_error_without_traceback(argv, code, tmp_path, capsys):

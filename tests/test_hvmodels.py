@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellsim.hvmodels import (
+    CHUNK,
     TIMING_RULES,
     WRITE_BLOCK,
     Geometry,
@@ -24,6 +25,7 @@ from bellsim.hvmodels import (
 )
 from bellsim.inequality import quantum_chain_optimum
 from bellsim.quantum import (
+    Behavior,
     born_behavior,
     correlator,
     make_ghz3,
@@ -65,9 +67,18 @@ def assert_off_exactly_when_verdict(model, g):
     return timing
 
 
+def outcomes_of(sample):
+    """Trials x parties array of +1/-1: party q saw -1 when bit parties-1-q
+    of the trial's code is set."""
+    codes = sample.codes.astype(np.int64)
+    bits = [(codes >> (sample.parties - 1 - q)) & 1 for q in range(sample.parties)]
+    return 1 - 2 * np.stack(bits, axis=1)
+
+
 def trial_rows(sample):
     """(trial, settings, outcomes, coordination) per trial, one at a time."""
     rows = len(sample.schedule)
+    outcomes = outcomes_of(sample)
     for t in range(len(sample)):
         states = sample.map_nonlocal
         if sample.branch_local is not None and bool(sample.branch_local[t]):
@@ -75,7 +86,7 @@ def trial_rows(sample):
         yield (
             t,
             [int(s) for s in sample.schedule[t % rows]],
-            [int(o) for o in sample.outcomes[t]],
+            [int(o) for o in outcomes[t]],
             dict(zip(sample.pairs, states)),
         )
 
@@ -113,7 +124,7 @@ def reference_correlator(sample, settings):
     count = int(mask.sum())
     if count == 0:
         return 0.0, math.inf, 0
-    prods = np.prod(sample.outcomes[mask], axis=1).astype(np.float64)
+    prods = np.prod(outcomes_of(sample)[mask], axis=1).astype(np.float64)
     if count < 2:
         return float(prods.mean()), math.inf, count
     return float(prods.mean()), float(prods.std(ddof=1) / math.sqrt(count)), count
@@ -341,15 +352,15 @@ def test_sample_runs_deterministic():
     model = ModelConfig(kind="mixture", p=0.3)
     s1 = sample_runs(model, g, b, CHSH_SCHEDULE, trials=200_000, seed=99)
     s2 = sample_runs(model, g, b, CHSH_SCHEDULE, trials=200_000, seed=99)
-    assert np.array_equal(s1.outcomes, s2.outcomes)
+    assert np.array_equal(s1.codes, s2.codes)
     files = (written(write_run_csv, s1), written(write_run_json, s1))
     for workers in (2, 4):
         sw = sample_runs(model, g, b, CHSH_SCHEDULE, trials=200_000, seed=99, workers=workers)
-        assert np.array_equal(s1.outcomes, sw.outcomes)
+        assert np.array_equal(s1.codes, sw.codes)
         assert np.array_equal(s1.branch_local, sw.branch_local)
         assert (written(write_run_csv, sw), written(write_run_json, sw)) == files
     s3 = sample_runs(model, g, b, CHSH_SCHEDULE, trials=200_000, seed=100)
-    assert not np.array_equal(s1.outcomes, s3.outcomes)
+    assert not np.array_equal(s1.codes, s3.codes)
 
 
 @pytest.mark.parametrize(
@@ -428,14 +439,14 @@ def test_run_records_and_csv():
     assert first[7] == "OFF" and first[8] == "" and first[9] == ""
     row = lines[6].split(",")
     assert row[0] == "5" and row[1:3] == ["0", "1"]
-    assert row[4:6] == [str(o) for o in sample.outcomes[5]]
+    assert row[4:6] == [str(o) for o in outcomes_of(sample)[5]]
     doc = json.loads(written(write_run_json, sample))
     assert doc["schema"] == "bellsim-runs-1"
     assert [rec["trial"] for rec in doc["records"]] == list(range(8))
     assert doc["records"][5] == {
         "trial": 5,
         "settings": [0, 1],
-        "outcomes": [int(o) for o in sample.outcomes[5]],
+        "outcomes": [int(o) for o in outcomes_of(sample)[5]],
         "coordination": {"0-1": "OFF"},
     }
 
@@ -497,3 +508,113 @@ def test_empirical_correlator_missing_settings():
     sample = sample_runs(ModelConfig(kind="quantum"), g, b, [(0, 0)], trials=50, seed=1)
     mean, se, count = sample.empirical_correlator((1, 1))
     assert count == 0 and se == math.inf
+
+
+def oracle_codes(model, g, target, schedule, trials, seed):
+    """Every trial's code and local-branch flag, rebuilt from the chunk
+    protocol: chunk j draws from default_rng(SeedSequence(seed,
+    spawn_key=(j,))), coin mixtures draw their coins before the outcome
+    variates u, block mixtures follow the block formula, and a trial's
+    code is the inverse CDF of its branch's row at its settings."""
+    quantum = target if model.kind == "mixture" else effective_behavior(model, g, target)
+    local = None
+    if model.kind == "mixture":
+        local = effective_behavior(ModelConfig(kind="local"), g, target)
+    n_out = 2**target.parties
+    codes = np.empty(trials, dtype=np.int64)
+    branch = np.zeros(trials, dtype=bool)
+    for j, lo in enumerate(range(0, trials, CHUNK)):
+        t = np.arange(lo, min(trials, lo + CHUNK))
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,)))
+        if model.kind == "mixture" and model.schedule == "coin":
+            branch[t] = rng.random(t.size) < model.p
+        elif model.kind == "mixture":
+            blocks = t // model.block_length
+            branch[t] = np.floor((blocks + 1) * model.p) - np.floor(blocks * model.p) >= 1
+        u = rng.random(t.size)
+        for r, settings in enumerate(schedule):
+            for is_local, b in ((False, quantum), (True, local)):
+                sel = (t % len(schedule) == r) & (branch[t] == is_local)
+                if sel.any():
+                    row = np.cumsum(b.table[tuple(settings)].ravel())
+                    code = np.searchsorted(row, u[sel], side="right")
+                    codes[t[sel]] = np.minimum(code, n_out - 1)
+    return codes, branch
+
+
+def first_variates(model, trials, seed):
+    """The outcome variates u of chunk 0, drawn as the chunk protocol draws them."""
+    n = min(trials, CHUNK)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    if model.kind == "mixture" and model.schedule == "coin":
+        rng.random(n)
+    return rng.random(n)
+
+
+def product_table(plus):
+    """Product behavior table from P(+1 | x) per party and setting."""
+    parts = [np.stack([np.asarray(p), 1.0 - np.asarray(p)], axis=1) for p in plus]
+    letters = "xyz"[: len(plus)]
+    expr = ",".join(f"{x}{x.upper()}" for x in letters) + "->" + letters + letters.upper()
+    return np.einsum(expr, *parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    parties=st.sampled_from((2, 3)),
+    kind=st.sampled_from(("quantum", "local", "coin", "block")),
+    trials=st.one_of(
+        st.integers(1, 40), st.integers(1, CHUNK + 1), st.sampled_from((CHUNK, CHUNK + 1))
+    ),
+    workers=st.sampled_from((1, 2)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_sample_codes_match_inverse_cdf_oracle(parties, kind, trials, workers, seed, data):
+    """Random nonnegative tables with exact zeros; when pinned, one trial's
+    variate lies exactly on a cumulative boundary of its row."""
+    model = {
+        "quantum": ModelConfig(kind="quantum"),
+        "local": ModelConfig(kind="local"),
+        "coin": ModelConfig(kind="mixture", p=data.draw(st.sampled_from((0.0, 0.3, 0.5, 1.0)))),
+        "block": ModelConfig(
+            kind="mixture", p=data.draw(st.floats(0.0, 1.0)), schedule="block",
+            block_length=data.draw(st.integers(1, 9)),
+        ),
+    }[kind]
+    g = pair_geometry(c=1.0) if parties == 2 else tripartite_bc_off_geometry()
+    spp = tuple(data.draw(st.integers(1, 3 if parties == 2 else 2)) for _ in range(parties))
+    combos = list(itertools.product(*(range(n) for n in spp)))
+    schedule = data.draw(st.lists(st.sampled_from(combos), min_size=1, max_size=4))
+    prob = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+    def draw_plus():
+        return [[data.draw(prob) for _ in range(n)] for n in spp]
+
+    if data.draw(st.booleans(), label="pin"):
+        t0 = data.draw(st.integers(0, min(trials, CHUNK) - 1))
+        u0 = float(first_variates(model, trials, seed)[t0])
+        plus = draw_plus()
+        for q, x in enumerate(schedule[t0 % len(schedule)]):
+            plus[q][x] = u0 if q == 0 else 1.0
+        table = product_table(plus)
+    elif kind == "quantum":
+        size = len(combos) * 2**parties
+        weights = np.array(
+            data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)), dtype=np.float64
+        ).reshape(len(combos), 2**parties)
+        weights[weights.sum(axis=1) == 0, 0] = 1.0
+        table = (weights / weights.sum(axis=1, keepdims=True)).reshape(spp + (2,) * parties)
+    else:
+        w = data.draw(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0))
+        table = w * product_table(draw_plus()) + (1.0 - w) * product_table(draw_plus())
+    target = Behavior(parties, spp, table)
+
+    sample = sample_runs(model, g, target, schedule, trials, seed, workers=workers)
+    codes, branch = oracle_codes(model, g, target, schedule, trials, seed)
+    assert sample.codes.dtype == np.uint8
+    assert np.array_equal(sample.codes, codes)
+    if model.kind == "mixture":
+        assert np.array_equal(sample.branch_local, branch)
+    else:
+        assert sample.branch_local is None

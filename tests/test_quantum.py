@@ -6,7 +6,6 @@ import pytest
 
 from bellsim.quantum import (
     Behavior,
-    Setting,
     StateVector,
     behavior_from_json,
     behavior_to_json,
@@ -48,13 +47,6 @@ def test_state_validation():
         StateVector(n=5, amps=np.zeros(32))
     with pytest.raises(ValueError):
         state_from_amplitudes([1.0, 0.0, 0.0])
-
-
-def test_setting_angle_normalized():
-    s = Setting(party=0, theta=5 * math.pi)
-    assert abs(s.theta - math.pi) < 1e-12
-    with pytest.raises(ValueError):
-        Setting(party=-1, theta=0.0)
 
 
 def test_born_eigenstate():
