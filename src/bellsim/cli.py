@@ -415,9 +415,17 @@ def cmd_point_d(args) -> int:
 
 
 def cmd_preset(args) -> int:
+    # The preset parser defaults every sampling flag to None, so these were given.
+    given = [
+        f"--{key}"
+        for key in ("trials", "seed", "workers", "format")
+        if getattr(args, key) is not None
+    ]
     if args.action == "list":
         if args.name is not None:
             raise _usage_error("preset list takes no name")
+        if given:
+            raise _usage_error(f"preset list takes no {', '.join(given)}")
         _emit(
             [
                 {"name": p.name, "description": p.description, "pipeline": p.pipeline}
@@ -433,8 +441,12 @@ def cmd_preset(args) -> int:
     args.scenario = None
     args.preset = preset.name
     if preset.pipeline == "signal":
+        if given:
+            raise _usage_error(f"signal preset {preset.name} takes no {', '.join(given)}")
         args.off_pair = None
         return cmd_signal(args)
+    args.workers = 1 if args.workers is None else args.workers
+    args.format = args.format or "csv"
     return cmd_simulate(args)
 
 
@@ -512,7 +524,7 @@ def build_parser() -> _Parser:
     p.add_argument("action", choices=("list", "run"))
     p.add_argument("name", nargs="?", default=None)
     add_common(p, sampling=True)
-    p.set_defaults(func=cmd_preset)
+    p.set_defaults(func=cmd_preset, workers=None, format=None)
 
     p = sub.add_parser("validate", help="check a scenario file against the schema")
     p.add_argument("file")

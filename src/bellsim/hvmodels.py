@@ -19,6 +19,7 @@ come from the feasibility analysis in the signaling module.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import itertools
 import json
 import math
@@ -530,26 +531,62 @@ def pair_key(pair: tuple[int, int]) -> str:
     return f"{pair[0]}-{pair[1]}"
 
 
-def _row_blocks(sample: RunSample, template: Callable[[int], str]) -> Iterator[str]:
-    """The text of every row, WRITE_BLOCK rows at a time.
+@functools.cache
+def _digit_columns() -> np.ndarray:
+    """(3, 1000) uint8: column g holds the ASCII digits of g, zero-padded to three."""
+    g = np.arange(1000)
+    table = (np.stack([g // 100, g // 10 % 10, g % 10]) + ord("0")).astype(np.uint8)
+    table.flags.writeable = False  # every caller shares it
+    return table
+
+
+def _row_blocks(sample: RunSample, template: Callable[[int], str]) -> Iterator[np.ndarray]:
+    """The bytes of every row, at most WRITE_BLOCK rows at a time.
 
     A row is template(key) % trial, the template holding one %d for the
-    trial index; each template is built once, for the keys that occur.
+    trial index.  Once per run, every key's template is split around its
+    %d into head and tail bytes, laid out in one uint8 table over the
+    whole key space: per key, the head, a digit slot as wide as the
+    largest trial index, then the tail, each part NUL-padded to its
+    widest.  A block gathers its rows' lines by key, writes the trial
+    digits into the slot, three at a time from a 000-999 lookup, and
+    drops the padding with one boolean compress (no template holds a
+    NUL).  Blocks also end at powers of ten, so all trials of a block
+    have the same number of digits.
     """
-    templates: dict[int, str] = {}
-    for lo in range(0, len(sample), WRITE_BLOCK):
-        hi = min(len(sample), lo + WRITE_BLOCK)
-        keys, inverse = np.unique(sample._row_keys(lo, hi), return_inverse=True)
-        block = []
-        for key in keys.tolist():
-            if key not in templates:
-                templates[key] = template(key)
-            block.append(templates[key])
-        yield "".join(map(str.__mod__, map(block.__getitem__, inverse.tolist()), range(lo, hi)))
+    n_keys = len(sample.schedule) << (sample.parties + 1)
+    parts = [template(key).encode().split(b"%d") for key in range(n_keys)]
+    slot_start = max(len(head) for head, _ in parts)
+    tail_start = slot_start + len(str(len(sample) - 1))
+    table = np.zeros((n_keys, tail_start + max(len(tail) for _, tail in parts)), np.uint8)
+    for key, (head, tail) in enumerate(parts):
+        table[key, : len(head)] = np.frombuffer(head, np.uint8)
+        table[key, tail_start : tail_start + len(tail)] = np.frombuffer(tail, np.uint8)
+    digits = _digit_columns()
+    powers = (10**k for k in range(1, tail_start - slot_start))
+    bounds = sorted({*range(0, len(sample), WRITE_BLOCK), *powers, len(sample)})
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows = table.take(sample._row_keys(lo, hi), axis=0)
+        trials = np.arange(lo, hi)
+        # Each step writes the slot columns end-3..end-1 that lie in the slot.
+        for end in range(slot_start + len(str(hi - 1)), slot_start, -3):
+            rest = trials // 1000
+            group = trials - 1000 * rest
+            for k in range(max(0, slot_start + 3 - end), 3):
+                rows[:, end - 3 + k] = digits[k].take(group)
+            trials = rest
+        # Rebinding frees the gathered lines before the yield, and the
+        # writers' writelines drops each block once written, so only one
+        # block's bytes outlive the compress.
+        rows = rows[rows != 0]
+        yield rows
 
 
 def write_run_csv(sample: RunSample, path: str) -> None:
-    """Run CSV: header, then one row per trial; parties beyond the sample blank."""
+    """Run CSV: header, then one row per trial; parties beyond the sample blank.
+
+    The rows are _row_blocks' byte arrays, written as they come.
+    """
     if sample.parties > 3:
         raise ValueError("run CSV covers at most three parties")
     blank = [""] * (3 - sample.parties)
@@ -560,15 +597,18 @@ def write_run_csv(sample: RunSample, path: str) -> None:
         cells += [coordination.get(pair, "") for pair in _PAIR_COLUMNS]
         return ",".join(cells) + "\n"
 
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(RUN_CSV_HEADER)
-        for text in _row_blocks(sample, template):
-            fh.write(text)
+    with open(path, "wb") as fh:
+        fh.write(RUN_CSV_HEADER.encode())
+        fh.writelines(_row_blocks(sample, template))
 
 
 def write_run_json(sample: RunSample, path: str) -> None:
     """runs.json: the records of every trial as json.dumps(sort_keys=True,
-    indent=2) lays them out, followed by a newline."""
+    indent=2) lays them out, followed by a newline.
+
+    The records are _row_blocks' byte arrays, written as they come
+    between the document's opening and closing bytes.
+    """
 
     def template(key: int) -> str:
         settings, outcomes, coordination = sample._key_row(key)
@@ -585,8 +625,8 @@ def write_run_json(sample: RunSample, path: str) -> None:
         return ",\n    " + text.replace("\n", "\n    ")
 
     blocks = _row_blocks(sample, template)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write('{\n  "records": [\n' + next(blocks)[2:])
-        for text in blocks:
-            fh.write(text)
-        fh.write('\n  ],\n  "schema": "bellsim-runs-1"\n}\n')
+    with open(path, "wb") as fh:
+        fh.write(b'{\n  "records": [\n')
+        fh.write(next(blocks)[2:])
+        fh.writelines(blocks)
+        fh.write(b'\n  ],\n  "schema": "bellsim-runs-1"\n}\n')

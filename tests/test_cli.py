@@ -91,6 +91,11 @@ A_FILE = "<file>"
         (["point-d", "--scenario", "run.json", "--b", "0,10"], 2),
         (["point-d", "--preset", "fig2b", "--c", "0,20"], 2),
         (["preset", "list", "fig2b"], 2),
+        (["preset", "list", "--trials", "5", "--workers", "3", "--format", "json"], 2),
+        (["preset", "run", "fig2b", "--trials", "7", "--workers", "2", "--format", "json"], 2),
+        (["preset", "run", "fig2b", "--seed", "3"], 2),
+        (["preset", "run", "fig2b", "--workers", "1"], 2),
+        (["preset", "run", "fig2b", "--format", "csv"], 2),
     ],
 )
 def test_bad_argv_is_json_error_without_traceback(argv, code, tmp_path, capsys):
