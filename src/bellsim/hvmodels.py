@@ -398,16 +398,23 @@ class RunSample:
         se = float(prods.std(ddof=1) / math.sqrt(count))
         return mean, se, count
 
-    def _row_keys(self, lo: int, hi: int) -> np.ndarray:
-        """Key of trials lo..hi-1: (schedule row, outcome code, local branch).
+    def _row_keys(self, bounds: Sequence[int]) -> Iterator[np.ndarray]:
+        """Keys of the trials of each block bounds[k]..bounds[k+1]-1:
+        (schedule row, outcome code, local branch).
 
-        The key is ((row << parties) | code) << 1 | local.
+        The key is ((row << parties) | code) << 1 | local.  Trial t's row
+        is t % rows; a block's row bits are a slice of one cycle of them,
+        built once and long enough for the longest block.
         """
-        trials = np.arange(lo, hi, dtype=np.int64)
-        keys = (((trials % self.schedule.shape[0]) << self.parties) | self.codes[lo:hi]) << 1
-        if self.branch_local is not None:
-            keys |= self.branch_local[lo:hi]
-        return keys
+        n_rows = self.schedule.shape[0]
+        longest = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+        cycle = (np.arange(n_rows + longest - 1, dtype=np.int64) % n_rows) << (self.parties + 1)
+        for lo, hi in zip(bounds, bounds[1:]):
+            start = lo % n_rows
+            keys = cycle[start : start + hi - lo] | (self.codes[lo:hi] << 1)
+            if self.branch_local is not None:
+                keys |= self.branch_local[lo:hi]
+            yield keys
 
     def _key_row(self, key: int) -> tuple[list[int], list[int], dict[tuple[int, int], str]]:
         """Settings, outcomes and coordination of the rows with this key."""
@@ -544,8 +551,8 @@ def _row_blocks(sample: RunSample, template: Callable[[int], str]) -> Iterator[n
     """The bytes of every row, at most WRITE_BLOCK rows at a time.
 
     A row is template(key) % trial, the template holding one %d for the
-    trial index.  Once per run, every key's template is split around its
-    %d into head and tail bytes, laid out in one uint8 table over the
+    trial index.  Once per run, each distinct template is split around
+    its %d into head and tail bytes, laid out in one uint8 table over the
     whole key space: per key, the head, a digit slot as wide as the
     largest trial index, then the tail, each part NUL-padded to its
     widest.  A block gathers its rows' lines by key, writes the trial
@@ -555,18 +562,23 @@ def _row_blocks(sample: RunSample, template: Callable[[int], str]) -> Iterator[n
     have the same number of digits.
     """
     n_keys = len(sample.schedule) << (sample.parties + 1)
-    parts = [template(key).encode().split(b"%d") for key in range(n_keys)]
+    # A key's last bit picks its branch's coordination map; when both
+    # branches have one map, the odd keys share the text of the key below.
+    step = 1 if sample.map_local != sample.map_nonlocal else 2
+    parts = [template(key).encode().split(b"%d") for key in range(0, n_keys, step)]
     slot_start = max(len(head) for head, _ in parts)
     tail_start = slot_start + len(str(len(sample) - 1))
-    table = np.zeros((n_keys, tail_start + max(len(tail) for _, tail in parts)), np.uint8)
-    for key, (head, tail) in enumerate(parts):
-        table[key, : len(head)] = np.frombuffer(head, np.uint8)
-        table[key, tail_start : tail_start + len(tail)] = np.frombuffer(tail, np.uint8)
+    table = np.zeros((len(parts), tail_start + max(len(tail) for _, tail in parts)), np.uint8)
+    for k, (head, tail) in enumerate(parts):
+        table[k, : len(head)] = np.frombuffer(head, np.uint8)
+        table[k, tail_start : tail_start + len(tail)] = np.frombuffer(tail, np.uint8)
+    if step > 1:
+        table = table.repeat(step, axis=0)
     digits = _digit_columns()
     powers = (10**k for k in range(1, tail_start - slot_start))
     bounds = sorted({*range(0, len(sample), WRITE_BLOCK), *powers, len(sample)})
-    for lo, hi in zip(bounds, bounds[1:]):
-        rows = table.take(sample._row_keys(lo, hi), axis=0)
+    for lo, hi, keys in zip(bounds, bounds[1:], sample._row_keys(bounds)):
+        rows = table.take(keys, axis=0)
         trials = np.arange(lo, hi)
         # Each step writes the slot columns end-3..end-1 that lie in the slot.
         for end in range(slot_start + len(str(hi - 1)), slot_start, -3):

@@ -113,13 +113,19 @@ def born_behavior(state: StateVector, settings: Sequence[Sequence[float]]) -> Be
     if any(len(a) == 0 for a in angles):
         raise ValueError("every party needs at least one setting")
     spp = tuple(len(a) for a in angles)
-    psi = state.amps.reshape((2,) * n)
+    # Party by party: the state after parties 0..i have measured depends
+    # only on their settings, so each setting prefix is contracted once and
+    # shared by every combo that extends it.
+    level = {(): state.amps.reshape((2,) * n)}
+    for i in range(n):
+        bases = [measurement_basis(t) for t in angles[i]]
+        level = {
+            prefix + (s,): np.moveaxis(np.tensordot(u, phi, axes=(1, i)), 0, i)
+            for prefix, phi in level.items()
+            for s, u in enumerate(bases)
+        }
     table = np.empty(spp + (2,) * n)
-    for combo in itertools.product(*(range(m) for m in spp)):
-        phi = psi
-        for i in range(n):
-            u = measurement_basis(angles[i][combo[i]])
-            phi = np.moveaxis(np.tensordot(u, phi, axes=(1, i)), 0, i)
+    for combo, phi in level.items():
         table[combo] = np.abs(phi) ** 2
     # Rounding can leave sums a few ulp off 1; renormalize exactly.
     sums = table.sum(axis=tuple(range(n, 2 * n)), keepdims=True)

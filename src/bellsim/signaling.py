@@ -13,12 +13,15 @@ layout provides a point D inside both receiver lightcones.
 All linear programs are solved with scipy's HiGHS backend, and every
 witness or certificate is re-checked directly against the constraint
 system, so solver tolerances never carry a conclusion on their own.
-scipy.optimize is imported on the first LP, not with this module, so
-commands that solve none never load it.
+The local-parts constraint matrix is built once per settings shape, and
+HiGHS gets cached sparse (CSC) copies of it.  scipy.optimize and
+scipy.sparse are imported on the first LP, not with this module, so
+commands that solve none never load them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -240,29 +243,59 @@ def _pair_marginal_checked(target: Behavior, pair: tuple[int, int], what: str) -
     return tables[0]
 
 
-def build_feasibility_problem(target: Behavior, off_pair: tuple[int, int]) -> FeasibilityProblem:
-    """Constraint system for the local-parts question with ``off_pair`` cut.
+class _LPSystem:
+    """The target-independent part of the program for one spectator-first
+    settings shape, shared by every FeasibilityProblem of that shape.
 
-    Parties are permuted so the spectator comes first; FeasibilityProblem
-    lists the row blocks.  The decomposition of the pair marginal into
-    shared strategy weights enforces both its spectator-independence and
-    its local-polytope membership.
+    a_eq is read-only.  ``rhs_rows`` spans the rows of the three blocks
+    whose rhs is not zero: normalization, the AB marginal and the AC
+    marginal.  The sparse copies handed to HiGHS are built on first use.
+    A plain class, not a dataclass: defining a dataclass takes about half
+    a millisecond, which every command would pay at import.
     """
-    if target.parties != 3:
-        raise ValueError(f"need a tripartite behavior, got {target.parties} parties")
-    perm = spectator_first(off_pair)
-    if max(target.settings_per_party) > MAX_FEASIBILITY_SETTINGS:
-        raise ValueError(
-            f"feasibility limited to {MAX_FEASIBILITY_SETTINGS} settings per party"
-        )
-    table = np.transpose(target.table, perm + tuple(3 + q for q in perm))
-    spp = tuple(target.settings_per_party[q] for q in perm)
-    permuted = Behavior(3, spp, np.ascontiguousarray(table))
+
+    def __init__(
+        self,
+        a_eq: np.ndarray,
+        n_q: int,
+        strategies: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
+        rhs_rows: tuple[slice, slice, slice],
+    ) -> None:
+        self.a_eq = a_eq
+        self.n_q = n_q
+        self.strategies = strategies
+        self.rhs_rows = rhs_rows
+
+    @functools.cached_property
+    def a_eq_csc(self):
+        """a_eq for the primal LP."""
+        return _csc(self.a_eq)
+
+    @functools.cached_property
+    def a_eq_t_csc(self):
+        """a_eq.T for the dual LP."""
+        return _csc(self.a_eq.T)
+
+    @functools.cached_property
+    def slack_csc(self):
+        """[[A, -1], [-A, -1]] for the slack LP over [z; t]."""
+        ones = np.ones((self.a_eq.shape[0], 1))
+        return _csc(np.block([[self.a_eq, -ones], [-self.a_eq, -ones]]))
+
+
+def _csc(dense: np.ndarray):
+    """A scipy.sparse CSC copy of ``dense``; scipy.sparse loads on the first call."""
+    from scipy.sparse import csc_matrix
+
+    return csc_matrix(dense)
+
+
+@functools.cache
+def _lp_system(spp: tuple[int, int, int]) -> _LPSystem:
+    """Build the constraint matrix of FeasibilityProblem's row blocks for
+    spectator-first settings ``spp``, once per shape.  There are at most
+    MAX_FEASIBILITY_SETTINGS**3 shapes, so the cache stays small."""
     ma, mb, mc = spp
-
-    t_ab = _pair_marginal_checked(permuted, (0, 1), "spectator-first-partner")
-    t_ac = _pair_marginal_checked(permuted, (0, 2), "spectator-second-partner")
-
     q = np.arange(ma * mb * mc * 8).reshape(ma, mb, mc, 2, 2, 2)
     n_q = q.size
     strategies = tuple(
@@ -282,35 +315,69 @@ def build_feasibility_problem(target: Behavior, off_pair: tuple[int, int]) -> Fe
     answers = np.array([b + c for b, c in strategies]).T[:, None] == np.arange(2)[:, None]
     answering = answers[:mb, None, :, None] & answers[None, mb:, None, :]
     weights = n_q + np.nonzero(answering)[-1].reshape(mb, mc, 2, 2, -1)
-    # (+1 columns, -1 columns, rhs) per row block; adjacent setting pairs
+    # (+1 columns, -1 columns) per row block; adjacent setting pairs
     # generate all no-signaling equalities.
     blocks = (
-        (q.reshape(ma, mb, mc, 8), None, 1.0),
-        (sum_a[:-1], sum_a[1:], 0.0),
-        (ns_b[:-1], ns_b[1:], 0.0),
-        (ns_c[:-1], ns_c[1:], 0.0),
-        (q, None, t_ab[:, :, None]),
-        (sum_b, None, t_ac[:, None]),
-        (sum_a, weights, 0.0),
+        (q.reshape(ma, mb, mc, 8), None),
+        (sum_a[:-1], sum_a[1:]),
+        (ns_b[:-1], ns_b[1:]),
+        (ns_c[:-1], ns_c[1:]),
+        (q, None),
+        (sum_b, None),
+        (sum_a, weights),
     )
-    n_rows = sum(math.prod(plus.shape[:-1]) for plus, _, _ in blocks)
+    n_rows = sum(math.prod(plus.shape[:-1]) for plus, _ in blocks)
     a_eq = np.zeros((n_rows, n_q + len(strategies)))
-    b_eq = np.zeros(n_rows)
+    spans = []
     start = 0
-    for plus, minus, rhs in blocks:
+    for plus, minus in blocks:
         lead = plus.shape[:-1]
         rows = np.arange(start, start + math.prod(lead)).reshape(lead + (1,))
         a_eq[rows, plus] = 1.0
         if minus is not None:
             a_eq[rows, minus] = -1.0
-        b_eq[start : start + rows.size] = np.broadcast_to(rhs, lead).ravel()
+        spans.append(slice(start, start + rows.size))
         start += rows.size
+    a_eq.flags.writeable = False  # every problem of the shape shares it
+    return _LPSystem(a_eq, n_q, strategies, (spans[0], spans[4], spans[5]))
 
+
+def build_feasibility_problem(target: Behavior, off_pair: tuple[int, int]) -> FeasibilityProblem:
+    """Constraint system for the local-parts question with ``off_pair`` cut.
+
+    Parties are permuted so the spectator comes first; FeasibilityProblem
+    lists the row blocks.  The decomposition of the pair marginal into
+    shared strategy weights enforces both its spectator-independence and
+    its local-polytope membership.  The matrix depends only on the
+    permuted settings shape and is built once per shape; a target sets
+    only the rhs.
+    """
+    if target.parties != 3:
+        raise ValueError(f"need a tripartite behavior, got {target.parties} parties")
+    perm = spectator_first(off_pair)
+    if max(target.settings_per_party) > MAX_FEASIBILITY_SETTINGS:
+        raise ValueError(
+            f"feasibility limited to {MAX_FEASIBILITY_SETTINGS} settings per party"
+        )
+    table = np.transpose(target.table, perm + tuple(3 + q for q in perm))
+    spp = tuple(target.settings_per_party[q] for q in perm)
+    permuted = Behavior(3, spp, np.ascontiguousarray(table))
+
+    t_ab = _pair_marginal_checked(permuted, (0, 1), "spectator-first-partner")
+    t_ac = _pair_marginal_checked(permuted, (0, 2), "spectator-second-partner")
+
+    system = _lp_system(spp)
+    lead = spp + (2, 2)
+    norm, ab, ac = system.rhs_rows
+    b_eq = np.zeros(system.a_eq.shape[0])
+    b_eq[norm] = 1.0
+    b_eq[ab] = np.broadcast_to(t_ab[:, :, None], lead).ravel()
+    b_eq[ac] = np.broadcast_to(t_ac[:, None], lead).ravel()
     return FeasibilityProblem(
-        a_eq=a_eq,
+        a_eq=system.a_eq,
         b_eq=b_eq,
-        n_q=n_q,
-        strategies=strategies,
+        n_q=system.n_q,
+        strategies=system.strategies,
         settings=spp,
     )
 
@@ -337,9 +404,10 @@ def localparts_feasible(target: Behavior, off_pair: tuple[int, int]) -> Feasibil
     carry independently re-checked residuals or margins.
     """
     problem = build_feasibility_problem(target, off_pair)
+    system = _lp_system(problem.settings)
     res = linprog(
         np.zeros(problem.a_eq.shape[1]),
-        A_eq=problem.a_eq,
+        A_eq=system.a_eq_csc,
         b_eq=problem.b_eq,
         bounds=(0, 1),
         method="highs",
@@ -371,7 +439,7 @@ def localparts_feasible(target: Behavior, off_pair: tuple[int, int]) -> Feasibil
         raise RuntimeError(f"feasibility LP failed with status {res.status}: {res.message}")
     dual = linprog(
         -problem.b_eq,
-        A_ub=problem.a_eq.T,
+        A_ub=system.a_eq_t_csc,
         b_ub=np.zeros(problem.a_eq.shape[1]),
         bounds=(-1, 1),
         method="highs",
@@ -403,14 +471,10 @@ def infeasibility_slack(target: Behavior, off_pair: tuple[int, int]) -> float:
     # Variables [z; t]: minimize t with -t <= (A z - b)_i <= t.
     c = np.zeros(n + 1)
     c[-1] = 1.0
-    ones = np.ones((problem.a_eq.shape[0], 1))
-    a_ub = np.vstack(
-        [np.hstack([problem.a_eq, -ones]), np.hstack([-problem.a_eq, -ones])]
-    )
     b_ub = np.concatenate([problem.b_eq, -problem.b_eq])
     res = linprog(
         c,
-        A_ub=a_ub,
+        A_ub=_lp_system(problem.settings).slack_csc,
         b_ub=b_ub,
         bounds=[(0, 1)] * n + [(0, None)],
         method="highs",

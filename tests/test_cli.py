@@ -462,7 +462,7 @@ import contextlib, io, sys
 from bellsim.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, "scipy.optimize" in sys.modules)
+print(code, "scipy.optimize" in sys.modules, "scipy.sparse" in sys.modules)
 """
 
 
@@ -482,8 +482,8 @@ print(code, "scipy.optimize" in sys.modules)
     ],
 )
 def test_only_lp_commands_load_scipy_optimize(argv, code, loaded, tmp_path):
-    """scipy.optimize is imported on the first LP, so a fresh process
-    running any other command never loads it."""
+    """scipy.optimize and scipy.sparse are imported on the first LP, so a
+    fresh process running any other command loads neither."""
 
     def corrupt(doc):
         doc["trials"] = 0
@@ -502,4 +502,4 @@ def test_only_lp_commands_load_scipy_optimize(argv, code, loaded, tmp_path):
         env=child_env(),
     )
     assert proc.stderr == ""
-    assert proc.stdout.split() == [str(code), str(loaded)]
+    assert proc.stdout.split() == [str(code), str(loaded), str(loaded)]

@@ -1,8 +1,11 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellsim.quantum import (
     Behavior,
@@ -14,6 +17,7 @@ from bellsim.quantum import (
     make_ghz3,
     make_singlet,
     marginal,
+    measurement_basis,
     no_signaling_defect,
     state_from_amplitudes,
 )
@@ -147,6 +151,39 @@ def test_quantum_no_signaling_random_suite():
         settings = [list(rng.uniform(0, 2 * math.pi, size=rng.integers(1, 3))) for _ in range(n)]
         b = born_behavior(random_state(rng, n), settings)
         assert no_signaling_defect(b) <= 1e-10
+
+
+def reference_born_table(state, angles):
+    """Born table with every setting combo contracted from the state alone."""
+    n = state.n
+    spp = tuple(len(a) for a in angles)
+    psi = state.amps.reshape((2,) * n)
+    table = np.empty(spp + (2,) * n)
+    for combo in itertools.product(*(range(m) for m in spp)):
+        phi = psi
+        for i in range(n):
+            u = measurement_basis(angles[i][combo[i]])
+            phi = np.moveaxis(np.tensordot(u, phi, axes=(1, i)), 0, i)
+        table[combo] = np.abs(phi) ** 2
+    table /= table.sum(axis=tuple(range(n, 2 * n)), keepdims=True)
+    return table
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    spp=st.lists(st.integers(1, 3), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_born_behavior_matches_per_combo_reference(n, spp, seed):
+    """Sharing setting prefixes changes no bit of the table."""
+    rng = np.random.default_rng(seed)
+    angles = [rng.uniform(0, 2 * math.pi, m).tolist() for m in spp[:n]]
+    state = random_state(rng, n)
+    got = born_behavior(state, angles).table
+    want = reference_born_table(state, angles)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_behavior_validation():

@@ -22,6 +22,7 @@ from bellsim.quantum import (
 )
 from bellsim.signaling import (
     _local_vertices,
+    _lp_system,
     _pair_marginal_checked,
     build_feasibility_problem,
     double_pr_target,
@@ -333,8 +334,10 @@ def test_infeasibility_slack_signs():
 def test_lps_reach_scipy_linprog_unchanged(monkeypatch):
     """Every LP goes through scipy.optimize.linprog as looked up at call
     time, with its arguments and result passed on unchanged, so a wrapper
-    installed there (as the benchmark tracer does) sees every LP."""
+    installed there (as the benchmark tracer does) sees every LP.  The
+    matrices arrive as the shape's cached sparse copies of the system."""
     import scipy.optimize
+    import scipy.sparse
 
     ghz = born_behavior(make_ghz3(), [[0.0, math.pi / 2], [0.0], [0.0]])
     plain = localparts_feasible(double_pr_target(), (1, 2))
@@ -354,13 +357,20 @@ def test_lps_reach_scipy_linprog_unchanged(monkeypatch):
 
     assert [kw["method"] for _, kw, _ in calls] == ["highs"] * 3
     (_, primal, primal_res), (_, dual, dual_res), (_, slack_lp, slack_res) = calls
-    assert primal["A_eq"] is res.problem.a_eq and primal["b_eq"] is res.problem.b_eq
+    system = _lp_system(res.problem.settings)
+    assert primal["A_eq"] is system.a_eq_csc and primal["b_eq"] is res.problem.b_eq
+    assert dual["A_ub"] is system.a_eq_t_csc
+    for matrix in (primal["A_eq"], dual["A_ub"], slack_lp["A_ub"]):
+        assert scipy.sparse.issparse(matrix) and matrix.format == "csc"
+    assert np.array_equal(primal["A_eq"].toarray(), res.problem.a_eq)
     assert primal["bounds"] == (0, 1) and primal_res.status == 2
-    assert np.array_equal(dual["A_ub"], res.problem.a_eq.T) and dual["bounds"] == (-1, 1)
+    assert np.array_equal(dual["A_ub"].toarray(), res.problem.a_eq.T) and dual["bounds"] == (-1, 1)
     problem = build_feasibility_problem(ghz, (1, 2))
     rows, n = problem.a_eq.shape
-    assert slack_lp["A_ub"].shape == (2 * rows, n + 1)
-    assert np.array_equal(slack_lp["A_ub"][:rows, :n], problem.a_eq)
+    ones = np.ones((rows, 1))
+    assert np.array_equal(
+        slack_lp["A_ub"].toarray(), np.block([[problem.a_eq, -ones], [-problem.a_eq, -ones]])
+    )
     assert slack_lp["bounds"] == [(0, 1)] * n + [(0, None)]
 
     assert not res.feasible
@@ -369,6 +379,47 @@ def test_lps_reach_scipy_linprog_unchanged(monkeypatch):
     assert recheck_farkas_certificate(res.problem, res.certificate.y) == res.certificate.margin
     assert slack == plain_slack == float(slack_res.x[-1])
     assert slack <= 1e-9
+
+
+def test_system_is_built_once_per_shape():
+    """Problems of one spectator-first shape share one read-only matrix,
+    and rebuilding it from scratch changes no result bit."""
+    rng = np.random.default_rng(41)
+    targets = [
+        born_behavior(random_state(rng, 3), rng.uniform(0, 2 * math.pi, (3, 2)).tolist()),
+        double_pr_target(),
+        born_behavior(random_state(rng, 3), [[0.3, 1.9], [0.7], [2.2, 0.4, 1.1]]),
+    ]
+
+    def results():
+        out = []
+        for target in targets:
+            for off_pair in ((1, 2), (0, 2)):
+                try:
+                    res = localparts_feasible(target, off_pair)
+                except ValueError:
+                    continue  # the double PR signals to some cut pairs
+                found = res.witness.table if res.feasible else res.certificate.y
+                out.append((res.problem, found, infeasibility_slack(target, off_pair)))
+        return out
+
+    before = results()
+    a = build_feasibility_problem(targets[0], (1, 2)).a_eq
+    b = build_feasibility_problem(targets[1], (1, 2)).a_eq
+    assert a is b and not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0] = 2.0
+    assert build_feasibility_problem(targets[2], (1, 2)).a_eq is not a
+
+    _lp_system.cache_clear()
+    after = results()
+    assert len(before) == len(after) >= 4
+    for (p0, found0, slack0), (p1, found1, slack1) in zip(before, after):
+        assert p1.a_eq is not p0.a_eq
+        assert p1.a_eq.tobytes() == p0.a_eq.tobytes()
+        assert p1.b_eq.tobytes() == p0.b_eq.tobytes()
+        assert found1.tobytes() == found0.tobytes()
+        assert np.float64(slack1).tobytes() == np.float64(slack0).tobytes()
 
 
 def test_witness_recheck_flags_corruption():
