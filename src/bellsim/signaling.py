@@ -35,6 +35,9 @@ from .spacetime import find_point_d
 #: Residual tolerance for re-checking witnesses and certificates.
 RECHECK_TOL = 1e-9
 
+#: Slack above which the settings sweep stops and solves for a certificate.
+SLACK_THRESHOLD = 1e-7
+
 MAX_MEMBER_SETTINGS = 4
 MAX_FEASIBILITY_SETTINGS = 3
 
@@ -233,13 +236,14 @@ class FeasibilityResult:
 
 
 def _pair_marginal_checked(target: Behavior, pair: tuple[int, int], what: str) -> np.ndarray:
-    family = marginal(target, pair)
-    tables = [family[k].table for k in sorted(family.keys())]
-    for t in tables[1:]:
-        if np.max(np.abs(t - tables[0])) > RECHECK_TOL:
-            raise ValueError(
-                f"target's {what} marginal depends on the remaining party's setting"
-            )
+    """The tripartite target's marginal table over ``pair``, checked to be
+    the same at every setting of the remaining party."""
+    (rest,) = set(range(3)) - set(pair)
+    # One table per remaining setting, leading; the outcome sum is over
+    # a length-2 axis, so its bits do not depend on the axis order.
+    tables = np.moveaxis(target.table.sum(axis=3 + rest), rest, 0)
+    if np.max(np.abs(tables - tables[0])) > RECHECK_TOL:
+        raise ValueError(f"target's {what} marginal depends on the remaining party's setting")
     return tables[0]
 
 
@@ -395,6 +399,17 @@ def recheck_farkas_certificate(problem: FeasibilityProblem, y: np.ndarray) -> fl
     return float(y @ problem.b_eq - np.clip(aty, 0.0, None).sum())
 
 
+def _solve_feasibility_lp(problem: FeasibilityProblem):
+    """HiGHS on the primal program: some z in [0, 1]^n with A z = b."""
+    return linprog(
+        np.zeros(problem.a_eq.shape[1]),
+        A_eq=_lp_system(problem.settings).a_eq_csc,
+        b_eq=problem.b_eq,
+        bounds=(0, 1),
+        method="highs",
+    )
+
+
 def localparts_feasible(target: Behavior, off_pair: tuple[int, int]) -> FeasibilityResult:
     """Solve the local-parts feasibility program.
 
@@ -404,14 +419,7 @@ def localparts_feasible(target: Behavior, off_pair: tuple[int, int]) -> Feasibil
     carry independently re-checked residuals or margins.
     """
     problem = build_feasibility_problem(target, off_pair)
-    system = _lp_system(problem.settings)
-    res = linprog(
-        np.zeros(problem.a_eq.shape[1]),
-        A_eq=system.a_eq_csc,
-        b_eq=problem.b_eq,
-        bounds=(0, 1),
-        method="highs",
-    )
+    res = _solve_feasibility_lp(problem)
     if res.status == 0:
         z = np.clip(res.x, 0.0, None)
         resid = recheck_feasibility_witness(problem, res.x)
@@ -439,7 +447,7 @@ def localparts_feasible(target: Behavior, off_pair: tuple[int, int]) -> Feasibil
         raise RuntimeError(f"feasibility LP failed with status {res.status}: {res.message}")
     dual = linprog(
         -problem.b_eq,
-        A_ub=system.a_eq_t_csc,
+        A_ub=_lp_system(problem.settings).a_eq_t_csc,
         b_ub=np.zeros(problem.a_eq.shape[1]),
         bounds=(-1, 1),
         method="highs",
@@ -462,11 +470,17 @@ def localparts_feasible(target: Behavior, off_pair: tuple[int, int]) -> Feasibil
 def infeasibility_slack(target: Behavior, off_pair: tuple[int, int]) -> float:
     """Smallest max-norm constraint violation over candidate distributions.
 
-    Zero (up to solver tolerance) exactly when the instance is feasible;
-    positive values rank how strongly an instance resists a local-parts
-    account, which guides the settings search.
+    The feasibility LP of localparts_feasible is solved first: when it
+    finds a witness that passes recheck_feasibility_witness, the slack is
+    exactly 0.0.  Only an instance it rejects (or whose witness fails the
+    re-check) gets the slack LP, whose optimum ranks how strongly the
+    instance resists a local-parts account, which guides the settings
+    search.
     """
     problem = build_feasibility_problem(target, off_pair)
+    res = _solve_feasibility_lp(problem)
+    if res.status == 0 and recheck_feasibility_witness(problem, res.x) <= RECHECK_TOL:
+        return 0.0
     n = problem.a_eq.shape[1]
     # Variables [z; t]: minimize t with -t <= (A z - b)_i <= t.
     c = np.zeros(n + 1)
@@ -605,7 +619,6 @@ def search_infeasible_instance(
         3 * math.pi / 8,
         7 * math.pi / 16,
     ),
-    slack_threshold: float = 1e-7,
 ) -> SearchReport:
     """Sweep measurement settings (and a weighted state family) for an
     infeasible local-parts instance with the pair (1, 2) cut.
@@ -615,7 +628,7 @@ def search_infeasible_instance(
     best candidates by coordinate descent on the infeasibility slack;
     stage 3 repeats the scan over amplitude-weighted superpositions
     cos(phi)|000> + sin(phi)|111>.  Every instance is scored by
-    infeasibility_slack; any instance crossing the threshold is solved
+    infeasibility_slack; any instance above SLACK_THRESHOLD is solved
     for a certificate and re-checked.  The honest outcome is reported
     either way: feasible-everywhere is a result, not a failure.
     """
@@ -648,7 +661,7 @@ def search_infeasible_instance(
         angles = ((a1, a2), (b1, b2), (b1, b2))
         slack = score(ghz, angles)
         candidates.append((slack, angles))
-        if slack > slack_threshold:
+        if slack > SLACK_THRESHOLD:
             return _conclude(checked, slack, angles, ghz, "ghz3")
 
     candidates.sort(key=lambda item: item[0], reverse=True)
@@ -661,7 +674,7 @@ def search_infeasible_instance(
                 for delta in (-step, step, -step / 2, step / 2):
                     current[party][k] = base + delta
                     slack = score(ghz, tuple(tuple(a) for a in current))
-                    if slack > slack_threshold:
+                    if slack > SLACK_THRESHOLD:
                         return _conclude(
                             checked, slack, tuple(tuple(a) for a in current), ghz, "ghz3"
                         )
@@ -677,7 +690,7 @@ def search_infeasible_instance(
                 continue
             angles = ((a1, a2), (b1, b1 + math.pi / 4), (b1, b1 + math.pi / 4))
             slack = score(state, angles)
-            if slack > slack_threshold:
+            if slack > SLACK_THRESHOLD:
                 return _conclude(checked, slack, angles, state, state_label)
 
     return SearchReport(

@@ -23,7 +23,6 @@ from bellsim.quantum import (
 from bellsim.signaling import (
     _local_vertices,
     _lp_system,
-    _pair_marginal_checked,
     build_feasibility_problem,
     double_pr_target,
     infeasibility_slack,
@@ -221,6 +220,17 @@ def reference_local_vertices(ma, mb):
     return np.array(rows)
 
 
+def reference_pair_marginal(permuted, pair, what):
+    """The pair's marginal through quantum.marginal, one Behavior per
+    remaining setting, each compared with the first."""
+    family = marginal(permuted, pair)
+    tables = [family[k].table for k in sorted(family)]
+    for t in tables[1:]:
+        if np.max(np.abs(t - tables[0])) > 1e-9:
+            raise ValueError(f"target's {what} marginal depends on the remaining party's setting")
+    return tables[0]
+
+
 def reference_feasibility_problem(target, off_pair):
     """(a_eq, b_eq, n_q, strategies, settings) of the local-parts LP, built
     row by row with one loop nest per row block."""
@@ -231,8 +241,8 @@ def reference_feasibility_problem(target, off_pair):
     spp = tuple(target.settings_per_party[q] for q in perm)
     permuted = Behavior(3, spp, np.ascontiguousarray(table))
     ma, mb, mc = spp
-    t_ab = _pair_marginal_checked(permuted, (0, 1), "spectator-first-partner")
-    t_ac = _pair_marginal_checked(permuted, (0, 2), "spectator-second-partner")
+    t_ab = reference_pair_marginal(permuted, (0, 1), "spectator-first-partner")
+    t_ac = reference_pair_marginal(permuted, (0, 2), "spectator-second-partner")
     q_shape = (ma, mb, mc, 2, 2, 2)
     n_q = int(np.prod(q_shape))
     strategies = tuple(
@@ -335,13 +345,16 @@ def test_lps_reach_scipy_linprog_unchanged(monkeypatch):
     """Every LP goes through scipy.optimize.linprog as looked up at call
     time, with its arguments and result passed on unchanged, so a wrapper
     installed there (as the benchmark tracer does) sees every LP.  The
-    matrices arrive as the shape's cached sparse copies of the system."""
+    matrices arrive as the shape's cached sparse copies of the system.
+    The slack of a feasible target takes the feasibility LP alone; the
+    slack LP runs only after that LP rejects the target."""
     import scipy.optimize
     import scipy.sparse
 
     ghz = born_behavior(make_ghz3(), [[0.0, math.pi / 2], [0.0], [0.0]])
-    plain = localparts_feasible(double_pr_target(), (1, 2))
-    plain_slack = infeasibility_slack(ghz, (1, 2))
+    dpr = double_pr_target()
+    plain = localparts_feasible(dpr, (1, 2))
+    plain_slacks = (infeasibility_slack(ghz, (1, 2)), infeasibility_slack(dpr, (1, 2)))
 
     real = scipy.optimize.linprog
     calls = []
@@ -351,34 +364,132 @@ def test_lps_reach_scipy_linprog_unchanged(monkeypatch):
         calls.append((args, kwargs, result))
         return result
 
+    def recorded(fn, *args):
+        calls.clear()
+        return fn(*args), list(calls)
+
+    def assert_primal(args, kwargs, problem):
+        (c,) = args
+        assert kwargs["A_eq"] is _lp_system(problem.settings).a_eq_csc
+        assert kwargs["b_eq"].tobytes() == problem.b_eq.tobytes()
+        assert kwargs["bounds"] == (0, 1)
+        assert c.tobytes() == np.zeros(problem.a_eq.shape[1]).tobytes()
+
     monkeypatch.setattr(scipy.optimize, "linprog", recorder)
-    res = localparts_feasible(double_pr_target(), (1, 2))
-    slack = infeasibility_slack(ghz, (1, 2))
+    res, feasible_calls = recorded(localparts_feasible, dpr, (1, 2))
+    ghz_slack, ghz_calls = recorded(infeasibility_slack, ghz, (1, 2))
+    dpr_slack, dpr_calls = recorded(infeasibility_slack, dpr, (1, 2))
 
-    assert [kw["method"] for _, kw, _ in calls] == ["highs"] * 3
-    (_, primal, primal_res), (_, dual, dual_res), (_, slack_lp, slack_res) = calls
-    system = _lp_system(res.problem.settings)
-    assert primal["A_eq"] is system.a_eq_csc and primal["b_eq"] is res.problem.b_eq
-    assert dual["A_ub"] is system.a_eq_t_csc
-    for matrix in (primal["A_eq"], dual["A_ub"], slack_lp["A_ub"]):
+    for _, kw, _ in feasible_calls + ghz_calls + dpr_calls:
+        assert kw["method"] == "highs"
+        matrix = kw.get("A_eq", kw.get("A_ub"))
         assert scipy.sparse.issparse(matrix) and matrix.format == "csc"
-    assert np.array_equal(primal["A_eq"].toarray(), res.problem.a_eq)
-    assert primal["bounds"] == (0, 1) and primal_res.status == 2
-    assert np.array_equal(dual["A_ub"].toarray(), res.problem.a_eq.T) and dual["bounds"] == (-1, 1)
-    problem = build_feasibility_problem(ghz, (1, 2))
-    rows, n = problem.a_eq.shape
-    ones = np.ones((rows, 1))
-    assert np.array_equal(
-        slack_lp["A_ub"].toarray(), np.block([[problem.a_eq, -ones], [-problem.a_eq, -ones]])
-    )
-    assert slack_lp["bounds"] == [(0, 1)] * n + [(0, None)]
 
+    # localparts_feasible: the primal, rejected, then the dual for y.
+    (p_args, primal, primal_res), (_, dual, dual_res) = feasible_calls
+    system = _lp_system(res.problem.settings)
+    assert primal["b_eq"] is res.problem.b_eq
+    assert_primal(p_args, primal, res.problem)
+    assert primal_res.status == 2
+    assert np.array_equal(primal["A_eq"].toarray(), res.problem.a_eq)
+    assert dual["A_ub"] is system.a_eq_t_csc
+    assert np.array_equal(dual["A_ub"].toarray(), res.problem.a_eq.T) and dual["bounds"] == (-1, 1)
     assert not res.feasible
     assert res.certificate.y is dual_res.x
     assert res.certificate.margin == plain.certificate.margin
     assert recheck_farkas_certificate(res.problem, res.certificate.y) == res.certificate.margin
-    assert slack == plain_slack == float(slack_res.x[-1])
-    assert slack <= 1e-9
+
+    # Feasible GHZ target: one LP, the primal, whose witness re-checks.
+    ((g_args, ghz_primal, ghz_res),) = ghz_calls
+    assert_primal(g_args, ghz_primal, build_feasibility_problem(ghz, (1, 2)))
+    assert ghz_res.status == 0
+    assert ghz_slack == plain_slacks[0] == 0.0
+
+    # Double PR: the primal (status 2), then the slack LP over [z; t].
+    (d_args, dpr_primal, dpr_primal_res), (_, slack_lp, slack_res) = dpr_calls
+    problem = build_feasibility_problem(dpr, (1, 2))
+    assert_primal(d_args, dpr_primal, problem)
+    assert dpr_primal_res.status == 2
+    rows, n = problem.a_eq.shape
+    ones = np.ones((rows, 1))
+    assert slack_lp["A_ub"] is _lp_system(problem.settings).slack_csc
+    assert np.array_equal(
+        slack_lp["A_ub"].toarray(), np.block([[problem.a_eq, -ones], [-problem.a_eq, -ones]])
+    )
+    assert slack_lp["bounds"] == [(0, 1)] * n + [(0, None)]
+    assert dpr_slack == plain_slacks[1] == float(slack_res.x[-1])
+    assert dpr_slack > 0.05
+
+
+def direct_slack(target, off_pair):
+    """The slack LP over [z; t] solved on its own, with no feasibility LP first."""
+    import scipy.optimize
+
+    problem = build_feasibility_problem(target, off_pair)
+    n = problem.a_eq.shape[1]
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    res = scipy.optimize.linprog(
+        c,
+        A_ub=_lp_system(problem.settings).slack_csc,
+        b_ub=np.concatenate([problem.b_eq, -problem.b_eq]),
+        bounds=[(0, 1)] * n + [(0, None)],
+        method="highs",
+    )
+    assert res.status == 0
+    return float(res.x[-1])
+
+
+def test_slack_equals_the_slack_lp_alone():
+    """Answering feasible instances from the feasibility LP changes no
+    slack bit: random states at (2,2,2) and (3,3,3), noisy double PRs and
+    a slice of the sweep's stage-1 GHZ grid."""
+    rng = np.random.default_rng(29)
+    targets = [
+        born_behavior(random_state(rng, 3), rng.uniform(0, 2 * math.pi, (3, m)).tolist())
+        for m in (2, 2, 2, 3, 3, 3)
+    ]
+    for lam in rng.uniform(0.0, 0.4, 4):
+        targets.append(Behavior(3, (2, 2, 2), (1 - lam) * double_pr_target().table + lam / 8.0))
+    axis = [k * math.pi / 8 for k in range(8)]
+    ghz = make_ghz3()
+    targets += [
+        born_behavior(ghz, ((axis[0], axis[4]), (b1, b2), (b1, b2)))
+        for b1, b2 in itertools.product(axis, repeat=2)
+    ]
+    zeros = 0
+    for target in targets:
+        slack = infeasibility_slack(target, (1, 2))
+        assert np.float64(slack).tobytes() == np.float64(direct_slack(target, (1, 2))).tobytes()
+        if localparts_feasible(target, (1, 2)).feasible:
+            assert slack == 0.0
+            zeros += 1
+        else:
+            assert slack > 0.0
+    assert 0 < zeros < len(targets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lam=st.floats(0.0, 1.0),
+    product=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_slack_is_zero_exactly_on_feasible_mixtures(lam, product, seed):
+    """(1 - lam) double PR + lam (white noise or a product behavior): a
+    feasible verdict gives slack 0.0, and any other the slack LP's optimum."""
+    if product:
+        rng = np.random.default_rng(seed)
+        pa, pb, pc = (rng.dirichlet(np.ones(2), size=2) for _ in range(3))
+        other = np.einsum("xa,yb,zc->xyzabc", pa, pb, pc)
+    else:
+        other = np.full((2,) * 6, 1 / 8.0)
+    target = Behavior(3, (2, 2, 2), (1 - lam) * double_pr_target().table + lam * other)
+    slack = infeasibility_slack(target, (1, 2))
+    if localparts_feasible(target, (1, 2)).feasible:
+        assert slack == 0.0
+    else:
+        assert slack == direct_slack(target, (1, 2))
 
 
 def test_system_is_built_once_per_shape():
