@@ -227,6 +227,17 @@ def _validate_model(doc, c: float, errors: list[SchemaError]) -> None:
                 errors.append(SchemaError(f"/model/{field}", f"{kind} takes no {field}"))
 
 
+def _amplitudes(entries: list) -> tuple[np.ndarray, np.float64]:
+    """Custom amplitudes as a complex array, with the norm that normalizes
+    them: inf when it overflows, 0.0 when it underflows."""
+    amps = np.asarray(
+        [complex(a, 0.0) if _is_number(a) else complex(a[0], a[1]) for a in entries],
+        dtype=np.complex128,
+    )
+    with np.errstate(over="ignore"):
+        return amps, np.linalg.norm(amps)
+
+
 def _validate_state(doc, parties: int | None, errors: list[SchemaError]) -> None:
     if not isinstance(doc, dict):
         errors.append(SchemaError("/state", "must be an object"))
@@ -245,23 +256,16 @@ def _validate_state(doc, parties: int | None, errors: list[SchemaError]) -> None
         if not isinstance(amps, list) or not amps:
             errors.append(SchemaError("/state/amplitudes", "required for custom states"))
             return
-        norm2 = 0.0
         ok = True
         for i, amp in enumerate(amps):
-            if _finite_number(amp):
-                norm2 += float(amp) ** 2
-            elif (
-                isinstance(amp, list)
+            if not (
+                _finite_number(amp)
+                or isinstance(amp, list)
                 and len(amp) == 2
                 and all(_finite_number(part) for part in amp)
             ):
-                norm2 += amp[0] ** 2 + amp[1] ** 2
-            else:
-                errors.append(
-                    SchemaError(
-                        f"/state/amplitudes/{i}", "must be a number or an [re, im] pair"
-                    )
-                )
+                message = "must be a number or an [re, im] pair"
+                errors.append(SchemaError(f"/state/amplitudes/{i}", message))
                 ok = False
         n = len(amps)
         if n & (n - 1) or (parties is not None and n != 2**parties):
@@ -271,8 +275,12 @@ def _validate_state(doc, parties: int | None, errors: list[SchemaError]) -> None
                     "length must be 2**devices (one amplitude per basis state)",
                 )
             )
-        if ok and norm2 == 0.0:
-            errors.append(SchemaError("/state/amplitudes", "must not all be zero"))
+        if ok:
+            norm = _amplitudes(amps)[1]
+            if not 0.0 < norm < math.inf:
+                why = "overflows" if norm else "is zero or underflows"
+                message = f"norm {why} in double precision; it must be positive and finite"
+                errors.append(SchemaError("/state/amplitudes", message))
     elif "amplitudes" in doc:
         errors.append(SchemaError("/state/amplitudes", f"{kind} takes no amplitudes"))
 
@@ -351,12 +359,8 @@ def _build_state(doc: dict) -> StateVector:
         return make_singlet()
     if kind == "ghz3":
         return make_ghz3()
-    raw = [
-        complex(a, 0.0) if _is_number(a) else complex(a[0], a[1])
-        for a in doc["amplitudes"]
-    ]
-    amps = np.asarray(raw, dtype=np.complex128)
-    return state_from_amplitudes(amps / np.linalg.norm(amps))
+    amps, norm = _amplitudes(doc["amplitudes"])
+    return state_from_amplitudes(amps / norm)
 
 
 def scenario_from_doc(doc: dict) -> Scenario:
@@ -400,6 +404,6 @@ def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ScenarioError([SchemaError("/", f"not valid JSON: {exc}")]) from None
     return scenario_from_doc(doc)

@@ -207,10 +207,12 @@ class FeasibilityProblem:
 
 @dataclass(frozen=True, eq=False)
 class FarkasCertificate:
-    """Infeasibility certificate y: y.b > 0 while (A^T y)_j <= 0.
+    """Infeasibility certificate y over the rows of A z = b, with
+    ||y||_1 <= 1: the slack LP's duals.
 
-    margin is re-checked as y.b - sum_j max(0, (A^T y)_j), which bounds
-    y.(A z) - y.b away from zero for every z in [0, 1]^n, so a positive
+    margin is re-checked as y.b - sum_j max(0, (A^T y)_j).  Every z in
+    [0, 1]^n has y.(b - A z) >= margin, so margin / ||y||_1 bounds its
+    max-norm violation max_i |(A z - b)_i| from below, and a positive
     margin rules out all candidate distributions, solver-independent.
     """
 
@@ -253,7 +255,8 @@ class _LPSystem:
 
     a_eq is read-only.  ``rhs_rows`` spans the rows of the three blocks
     whose rhs is not zero: normalization, the AB marginal and the AC
-    marginal.  The sparse copies handed to HiGHS are built on first use.
+    marginal.  HiGHS gets two sparse copies, each built on first use:
+    a_eq for the primal LP and the slack LP's block.
     A plain class, not a dataclass: defining a dataclass takes about half
     a millisecond, which every command would pay at import.
     """
@@ -274,11 +277,6 @@ class _LPSystem:
     def a_eq_csc(self):
         """a_eq for the primal LP."""
         return _csc(self.a_eq)
-
-    @functools.cached_property
-    def a_eq_t_csc(self):
-        """a_eq.T for the dual LP."""
-        return _csc(self.a_eq.T)
 
     @functools.cached_property
     def slack_csc(self):
@@ -399,15 +397,51 @@ def recheck_farkas_certificate(problem: FeasibilityProblem, y: np.ndarray) -> fl
     return float(y @ problem.b_eq - np.clip(aty, 0.0, None).sum())
 
 
-def _solve_feasibility_lp(problem: FeasibilityProblem):
-    """HiGHS on the primal program: some z in [0, 1]^n with A z = b."""
-    return linprog(
-        np.zeros(problem.a_eq.shape[1]),
-        A_eq=_lp_system(problem.settings).a_eq_csc,
-        b_eq=problem.b_eq,
-        bounds=(0, 1),
+def _solve_localparts(problem: FeasibilityProblem):
+    """``(z, witness residual, None)`` when some z re-checks to RECHECK_TOL,
+    else ``(None, slack, certificate)`` when a certificate re-checks above it.
+
+    The primal LP (z in [0, 1]^n with A z = b) decides alone when its
+    witness re-checks.  Otherwise the slack LP, min t subject to
+    |A z - b| <= t, gives a fallback witness and, from its duals, a
+    certificate y with ||y||_1 <= 1 whose margin equals the slack.
+    """
+    system = _lp_system(problem.settings)
+    m, n = problem.a_eq.shape
+    res = linprog(
+        np.zeros(n), A_eq=system.a_eq_csc, b_eq=problem.b_eq, bounds=(0, 1), method="highs"
+    )
+    if res.status not in (0, 2):
+        raise RuntimeError(f"feasibility LP failed with status {res.status}: {res.message}")
+    if res.status == 0:
+        resid = recheck_feasibility_witness(problem, res.x)
+        if resid <= RECHECK_TOL:
+            return res.x, resid, None
+    # Variables [z; t]: minimize t with -t <= (A z - b)_i <= t.
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    res = linprog(
+        c,
+        A_ub=system.slack_csc,
+        b_ub=np.concatenate([problem.b_eq, -problem.b_eq]),
+        bounds=[(0, 1)] * n + [(0, None)],
         method="highs",
     )
+    if res.status != 0:
+        raise RuntimeError(f"slack LP failed with status {res.status}: {res.message}")
+    z = res.x[:-1]
+    resid = recheck_feasibility_witness(problem, z)
+    if resid <= RECHECK_TOL:
+        return z, resid, None
+    duals = res.ineqlin.marginals
+    y = duals[:m] - duals[m:]
+    margin = recheck_farkas_certificate(problem, y)
+    if margin <= RECHECK_TOL:
+        raise RuntimeError(
+            "target is within solver tolerance of the local-parts boundary: "
+            f"witness residual {resid:.3e}, certificate margin {margin:.3e}"
+        )
+    return None, float(res.x[-1]), FarkasCertificate(y=y, margin=margin)
 
 
 def localparts_feasible(target: Behavior, off_pair: tuple[int, int]) -> FeasibilityResult:
@@ -415,16 +449,15 @@ def localparts_feasible(target: Behavior, off_pair: tuple[int, int]) -> Feasibil
 
     Feasible instances return the witness distribution (in the original
     party order) plus the strategy weights; infeasible ones return a
-    Farkas certificate from the explicit dual program.  Both outcomes
-    carry independently re-checked residuals or margins.
+    Farkas certificate from the slack LP's duals.  Both outcomes carry
+    independently re-checked residuals or margins; a target for which
+    neither re-checks raises RuntimeError.
     """
     problem = build_feasibility_problem(target, off_pair)
-    res = _solve_feasibility_lp(problem)
-    if res.status == 0:
-        z = np.clip(res.x, 0.0, None)
-        resid = recheck_feasibility_witness(problem, res.x)
-        if resid > RECHECK_TOL:
-            raise RuntimeError(f"witness failed re-checking with residual {resid:.3e}")
+    x, value, certificate = _solve_localparts(problem)
+    witness = weights = None
+    if certificate is None:
+        z = np.clip(x, 0.0, None)
         ma, mb, mc = problem.settings
         q = z[: problem.n_q].reshape(ma, mb, mc, 2, 2, 2)
         # Solver roundoff can leave conditionals a few ulp off 1.
@@ -435,67 +468,28 @@ def localparts_feasible(target: Behavior, off_pair: tuple[int, int]) -> Feasibil
             target.settings_per_party,
             np.ascontiguousarray(np.transpose(q, inverse + tuple(3 + i for i in inverse))),
         )
-        return FeasibilityResult(
-            feasible=True,
-            witness=witness,
-            witness_weights=z[problem.n_q :],
-            certificate=None,
-            problem=problem,
-            max_residual=resid,
-        )
-    if res.status != 2:
-        raise RuntimeError(f"feasibility LP failed with status {res.status}: {res.message}")
-    dual = linprog(
-        -problem.b_eq,
-        A_ub=_lp_system(problem.settings).a_eq_t_csc,
-        b_ub=np.zeros(problem.a_eq.shape[1]),
-        bounds=(-1, 1),
-        method="highs",
-    )
-    if dual.status != 0:
-        raise RuntimeError(f"dual LP failed with status {dual.status}: {dual.message}")
-    margin = recheck_farkas_certificate(problem, dual.x)
-    if margin <= RECHECK_TOL:
-        raise RuntimeError(f"certificate failed re-checking with margin {margin:.3e}")
+        weights = z[problem.n_q :]
     return FeasibilityResult(
-        feasible=False,
-        witness=None,
-        witness_weights=None,
-        certificate=FarkasCertificate(y=dual.x, margin=margin),
+        feasible=certificate is None,
+        witness=witness,
+        witness_weights=weights,
+        certificate=certificate,
         problem=problem,
-        max_residual=None,
+        max_residual=value if certificate is None else None,
     )
 
 
 def infeasibility_slack(target: Behavior, off_pair: tuple[int, int]) -> float:
     """Smallest max-norm constraint violation over candidate distributions.
 
-    The feasibility LP of localparts_feasible is solved first: when it
-    finds a witness that passes recheck_feasibility_witness, the slack is
-    exactly 0.0.  Only an instance it rejects (or whose witness fails the
-    re-check) gets the slack LP, whose optimum ranks how strongly the
-    instance resists a local-parts account, which guides the settings
-    search.
+    The same decision as localparts_feasible: exactly 0.0 when the
+    verdict is feasible, otherwise the slack LP's optimum, which the
+    certificate's re-checked margin equals.  The slack ranks how strongly
+    an instance resists a local-parts account, which guides the settings
+    search; feasible instances take the feasibility LP alone.
     """
-    problem = build_feasibility_problem(target, off_pair)
-    res = _solve_feasibility_lp(problem)
-    if res.status == 0 and recheck_feasibility_witness(problem, res.x) <= RECHECK_TOL:
-        return 0.0
-    n = problem.a_eq.shape[1]
-    # Variables [z; t]: minimize t with -t <= (A z - b)_i <= t.
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    b_ub = np.concatenate([problem.b_eq, -problem.b_eq])
-    res = linprog(
-        c,
-        A_ub=_lp_system(problem.settings).slack_csc,
-        b_ub=b_ub,
-        bounds=[(0, 1)] * n + [(0, None)],
-        method="highs",
-    )
-    if res.status != 0:
-        raise RuntimeError(f"slack LP failed with status {res.status}: {res.message}")
-    return float(res.x[-1])
+    _, value, certificate = _solve_localparts(build_feasibility_problem(target, off_pair))
+    return 0.0 if certificate is None else value
 
 
 def pr_box_behavior() -> Behavior:

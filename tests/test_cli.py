@@ -246,6 +246,68 @@ def test_validate_rejects_broken_json(tmp_path, capsys):
     assert json.loads(err)["ok"] is False
 
 
+def test_non_utf8_scenario_is_a_schema_error(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    (error,) = json.loads(err)["errors"]
+    assert error["path"] == "/" and error["message"].startswith("not valid JSON")
+    out_dir = tmp_path / "out"
+    for argv in (
+        ["simulate", "--scenario", str(path), "--out", str(out_dir)],
+        ["signal", "--scenario", str(path)],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)["error"]
+        assert doc["code"] == "schema"
+        assert [e["path"] for e in doc["errors"]] == ["/"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "amplitudes, why",
+    [
+        ([1e200, 0, 0, 0], "overflows"),
+        ([1e155, 1e155, 0, 0], "overflows"),
+        ([[0, 1e200], 0, 0, 0], "overflows"),
+        ([1e-200, 1e-200, 0, 0], "is zero or underflows"),
+        ([0, 0, 0, 0], "is zero or underflows"),
+    ],
+)
+def test_amplitude_norm_out_of_range_is_a_schema_error(tmp_path, capsys, amplitudes, why):
+    def custom_state(doc):
+        doc["state"] = {"kind": "custom", "amplitudes": amplitudes}
+
+    path = write_scenario(tmp_path, custom_state)
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    (error,) = json.loads(err)["errors"]
+    assert error["path"] == "/state/amplitudes"
+    assert f"norm {why}" in error["message"]
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        ["simulate", "--scenario", str(path), "--out", str(out_dir)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "schema"
+    assert not out_dir.exists()
+
+
+def test_small_but_normalizable_amplitudes_are_accepted(tmp_path, capsys):
+    def custom_state(doc):
+        doc["state"] = {"kind": "custom", "amplitudes": [1e-150, 0, 0, -1e-150]}
+
+    code, out, _ = run_cli(["validate", str(write_scenario(tmp_path, custom_state))], capsys)
+    assert code == 0
+    assert json.loads(out) == {"ok": True}
+
+
 def test_missing_scenario_file(capsys):
     code, _, err = run_cli(["simulate", "--scenario", "/no/such/file.json"], capsys)
     assert code == 1

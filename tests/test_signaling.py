@@ -21,6 +21,7 @@ from bellsim.quantum import (
     state_from_amplitudes,
 )
 from bellsim.signaling import (
+    RECHECK_TOL,
     _local_vertices,
     _lp_system,
     build_feasibility_problem,
@@ -385,17 +386,19 @@ def test_lps_reach_scipy_linprog_unchanged(monkeypatch):
         matrix = kw.get("A_eq", kw.get("A_ub"))
         assert scipy.sparse.issparse(matrix) and matrix.format == "csc"
 
-    # localparts_feasible: the primal, rejected, then the dual for y.
-    (p_args, primal, primal_res), (_, dual, dual_res) = feasible_calls
+    # localparts_feasible: the primal, rejected, then the slack LP, whose
+    # duals on the two row blocks are the certificate.
+    (p_args, primal, primal_res), (_, slack_lp, slack_res) = feasible_calls
     system = _lp_system(res.problem.settings)
+    m = res.problem.a_eq.shape[0]
     assert primal["b_eq"] is res.problem.b_eq
     assert_primal(p_args, primal, res.problem)
     assert primal_res.status == 2
     assert np.array_equal(primal["A_eq"].toarray(), res.problem.a_eq)
-    assert dual["A_ub"] is system.a_eq_t_csc
-    assert np.array_equal(dual["A_ub"].toarray(), res.problem.a_eq.T) and dual["bounds"] == (-1, 1)
+    assert slack_lp["A_ub"] is system.slack_csc
     assert not res.feasible
-    assert res.certificate.y is dual_res.x
+    duals = slack_res.ineqlin.marginals
+    assert res.certificate.y.tobytes() == (duals[:m] - duals[m:]).tobytes()
     assert res.certificate.margin == plain.certificate.margin
     assert recheck_farkas_certificate(res.problem, res.certificate.y) == res.certificate.margin
 
@@ -443,7 +446,8 @@ def direct_slack(target, off_pair):
 def test_slack_equals_the_slack_lp_alone():
     """Answering feasible instances from the feasibility LP changes no
     slack bit: random states at (2,2,2) and (3,3,3), noisy double PRs and
-    a slice of the sweep's stage-1 GHZ grid."""
+    a slice of the sweep's stage-1 GHZ grid.  A rejected instance's
+    certificate has ||y||_1 <= 1 and re-checks to the slack."""
     rng = np.random.default_rng(29)
     targets = [
         born_behavior(random_state(rng, 3), rng.uniform(0, 2 * math.pi, (3, m)).tolist())
@@ -461,11 +465,14 @@ def test_slack_equals_the_slack_lp_alone():
     for target in targets:
         slack = infeasibility_slack(target, (1, 2))
         assert np.float64(slack).tobytes() == np.float64(direct_slack(target, (1, 2))).tobytes()
-        if localparts_feasible(target, (1, 2)).feasible:
+        res = localparts_feasible(target, (1, 2))
+        if res.feasible:
             assert slack == 0.0
             zeros += 1
         else:
             assert slack > 0.0
+            assert res.certificate.margin == pytest.approx(slack, rel=1e-12)
+            assert np.abs(res.certificate.y).sum() <= 1 + 1e-12
     assert 0 < zeros < len(targets)
 
 
@@ -490,6 +497,34 @@ def test_slack_is_zero_exactly_on_feasible_mixtures(lam, product, seed):
         assert slack == 0.0
     else:
         assert slack == direct_slack(target, (1, 2))
+
+
+@pytest.mark.parametrize(
+    "lam, slack",
+    [(0.5 + eps, 0.0) for eps in (1e-7, 3e-8, 1e-8, 3e-9)]
+    + [(0.5 - 1e-6, 2.0e-7), (0.5 - 1e-7, 1.43e-8), (0.5 - 1e-8, None)],
+)
+def test_noisy_double_pr_near_the_boundary(lam, slack):
+    """(1 - lam) double PR + lam white noise is feasible exactly for
+    lam >= 1/2.  Just above, a witness re-checks; below, a certificate
+    re-checks to the slack; within HiGHS's tolerance below 1/2 neither
+    does, and both functions say so instead of guessing."""
+    target = Behavior(3, (2, 2, 2), (1 - lam) * double_pr_target().table + lam / 8.0)
+    if slack is None:
+        for fn in (localparts_feasible, infeasibility_slack):
+            with pytest.raises(RuntimeError, match="within solver tolerance"):
+                fn(target, (1, 2))
+        return
+    res = localparts_feasible(target, (1, 2))
+    found = infeasibility_slack(target, (1, 2))
+    assert res.feasible == (slack == 0.0)
+    if res.feasible:
+        assert res.max_residual <= RECHECK_TOL
+        assert found == 0.0
+    else:
+        assert found == pytest.approx(slack, rel=1e-2)
+        assert res.certificate.margin == pytest.approx(found, abs=1e-15)
+        assert res.certificate.margin > RECHECK_TOL
 
 
 def test_system_is_built_once_per_shape():
