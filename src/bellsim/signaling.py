@@ -10,13 +10,14 @@ every model with a local Bob-Charlie part must let that marginal depend
 on Alice's setting, which is a superluminal channel once the spacetime
 layout provides a point D inside both receiver lightcones.
 
-All linear programs are solved with scipy's HiGHS backend, and every
-witness or certificate is re-checked directly against the constraint
+The local-parts program is decided by its Frechet reduction (see
+_Reduction): an empty Frechet interval, or a receiver marginal that the
+spectator's setting shifts, is rejected with no LP; otherwise one small
+LP over the cut pair's strategy weights gives a witness.  Every witness
+or certificate is re-checked directly against the full constraint
 system, so solver tolerances never carry a conclusion on their own.
-The local-parts constraint matrix is built once per settings shape, and
-HiGHS gets cached sparse (CSC) copies of it.  scipy.optimize and
-scipy.sparse are imported on the first LP, not with this module, so
-commands that solve none never load them.
+LPs use scipy's HiGHS backend; scipy.optimize is imported on the first
+LP, not with this module, so commands that solve none never load it.
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ from .spacetime import find_point_d
 
 #: Residual tolerance for re-checking witnesses and certificates.
 RECHECK_TOL = 1e-9
-
-#: Slack above which the settings sweep stops and solves for a certificate.
-SLACK_THRESHOLD = 1e-7
 
 MAX_MEMBER_SETTINGS = 4
 MAX_FEASIBILITY_SETTINGS = 3
@@ -170,9 +168,11 @@ class FeasibilityProblem:
     """Equality system A z = b over z = [Q entries; strategy weights] >= 0.
 
     Q runs over (x, y, z, a, b, c) in C order for the permuted party
-    order (spectator first); strategies enumerate deterministic outcome
-    assignments for the uncoordinated pair.  Any feasible z also obeys
-    z <= 1, which certificate re-checking relies on.
+    order: spectator A first, then the cut pair B and C; strategies
+    enumerate deterministic outcome assignments for the cut pair.  Any
+    feasible z also obeys z <= 1, which certificate re-checking relies
+    on.  No LP solves this system: witnesses and certificates of the
+    Frechet reduction are re-checked against it.
 
     Farkas certificates index the rows, which come in blocks, each in C
     order of the indices named:
@@ -208,23 +208,22 @@ class FeasibilityProblem:
 @dataclass(frozen=True, eq=False)
 class FarkasCertificate:
     """Infeasibility certificate y over the rows of A z = b, with
-    ||y||_1 <= 1: the slack LP's duals.
+    ||y||_1 = 1, combining a few rows into the statement it proves: an
+    empty Frechet interval, a receiver marginal shifted by the spectator's
+    setting, or (from the centred LP's duals) no local L in the intervals.
 
     margin is re-checked as y.b - sum_j max(0, (A^T y)_j).  Every z in
-    [0, 1]^n has y.(b - A z) >= margin, so margin / ||y||_1 bounds its
-    max-norm violation max_i |(A z - b)_i| from below, and a positive
-    margin rules out all candidate distributions, solver-independent.
+    [0, 1]^n has y.(b - A z) >= margin, so margin bounds its max-norm
+    violation max_i |(A z - b)_i| from below, and a positive margin rules
+    out all candidate distributions, solver-independent.
     """
 
     y: np.ndarray
     margin: float
+    statement: str
 
     def inequality_string(self) -> str:
-        return (
-            f"certificate y with y.rhs = margin {self.margin:.6e} > 0 while "
-            "y.A <= 0 componentwise: the marginal-matching and local-"
-            "decomposition constraints are jointly unsatisfiable"
-        )
+        return f"{self.statement}; certificate margin {self.margin:.6e} > 0"
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,43 +252,26 @@ class _LPSystem:
     """The target-independent part of the program for one spectator-first
     settings shape, shared by every FeasibilityProblem of that shape.
 
-    a_eq is read-only.  ``rhs_rows`` spans the rows of the three blocks
-    whose rhs is not zero: normalization, the AB marginal and the AC
-    marginal.  HiGHS gets two sparse copies, each built on first use:
-    a_eq for the primal LP and the slack LP's block.
+    a_eq is read-only; norm, ab, ac and d hold the row numbers of blocks
+    1, 5, 6 and 7, shaped like their indices.  The centred LP runs over
+    [strategy weights; t]: lp_eq's rows are sum w = 1 and P(+1) at each
+    setting of B, then of C; lp_ub's are -L00 + t and L00 + t per (y, z),
+    where s00 @ w is L00, the weight answering (+1, +1).
     A plain class, not a dataclass: defining a dataclass takes about half
     a millisecond, which every command would pay at import.
     """
 
-    def __init__(
-        self,
-        a_eq: np.ndarray,
-        n_q: int,
-        strategies: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
-        rhs_rows: tuple[slice, slice, slice],
-    ) -> None:
+    def __init__(self, a_eq, n_q, strategies, rows, answers) -> None:
         self.a_eq = a_eq
         self.n_q = n_q
         self.strategies = strategies
-        self.rhs_rows = rhs_rows
-
-    @functools.cached_property
-    def a_eq_csc(self):
-        """a_eq for the primal LP."""
-        return _csc(self.a_eq)
-
-    @functools.cached_property
-    def slack_csc(self):
-        """[[A, -1], [-A, -1]] for the slack LP over [z; t]."""
-        ones = np.ones((self.a_eq.shape[0], 1))
-        return _csc(np.block([[self.a_eq, -ones], [-self.a_eq, -ones]]))
-
-
-def _csc(dense: np.ndarray):
-    """A scipy.sparse CSC copy of ``dense``; scipy.sparse loads on the first call."""
-    from scipy.sparse import csc_matrix
-
-    return csc_matrix(dense)
+        self.norm, self.ab, self.ac, self.d = rows
+        plus = answers[:, 0].astype(float)  # (setting, strategy): answers +1 there
+        mb, k = len(strategies[0][0]), plus.shape[1]
+        self.s00 = (plus[:mb, None] * plus[None, mb:]).reshape(-1, k)
+        eq, ub = np.vstack([np.ones((1, k)), plus]), np.vstack([-self.s00, self.s00])
+        self.lp_eq = np.hstack([eq, np.zeros((len(eq), 1))])
+        self.lp_ub = np.hstack([ub, np.ones((len(ub), 1))])
 
 
 @functools.cache
@@ -330,7 +312,7 @@ def _lp_system(spp: tuple[int, int, int]) -> _LPSystem:
     )
     n_rows = sum(math.prod(plus.shape[:-1]) for plus, _ in blocks)
     a_eq = np.zeros((n_rows, n_q + len(strategies)))
-    spans = []
+    rows_of = []
     start = 0
     for plus, minus in blocks:
         lead = plus.shape[:-1]
@@ -338,10 +320,11 @@ def _lp_system(spp: tuple[int, int, int]) -> _LPSystem:
         a_eq[rows, plus] = 1.0
         if minus is not None:
             a_eq[rows, minus] = -1.0
-        spans.append(slice(start, start + rows.size))
+        rows_of.append(rows[..., 0])
         start += rows.size
     a_eq.flags.writeable = False  # every problem of the shape shares it
-    return _LPSystem(a_eq, n_q, strategies, (spans[0], spans[4], spans[5]))
+    rows = (rows_of[0], rows_of[4], rows_of[5], rows_of[6])
+    return _LPSystem(a_eq, n_q, strategies, rows, answers)
 
 
 def build_feasibility_problem(target: Behavior, off_pair: tuple[int, int]) -> FeasibilityProblem:
@@ -369,12 +352,10 @@ def build_feasibility_problem(target: Behavior, off_pair: tuple[int, int]) -> Fe
     t_ac = _pair_marginal_checked(permuted, (0, 2), "spectator-second-partner")
 
     system = _lp_system(spp)
-    lead = spp + (2, 2)
-    norm, ab, ac = system.rhs_rows
     b_eq = np.zeros(system.a_eq.shape[0])
-    b_eq[norm] = 1.0
-    b_eq[ab] = np.broadcast_to(t_ab[:, :, None], lead).ravel()
-    b_eq[ac] = np.broadcast_to(t_ac[:, None], lead).ravel()
+    b_eq[system.norm] = 1.0
+    b_eq[system.ab] = t_ab[:, :, None]
+    b_eq[system.ac] = t_ac[:, None]
     return FeasibilityProblem(
         a_eq=system.a_eq,
         b_eq=b_eq,
@@ -397,51 +378,162 @@ def recheck_farkas_certificate(problem: FeasibilityProblem, y: np.ndarray) -> fl
     return float(y @ problem.b_eq - np.clip(aty, 0.0, None).sum())
 
 
-def _solve_localparts(problem: FeasibilityProblem):
-    """``(z, witness residual, None)`` when some z re-checks to RECHECK_TOL,
-    else ``(None, slack, certificate)`` when a certificate re-checks above it.
+class _Reduction:
+    """The Frechet intervals of one FeasibilityProblem, read from its rhs.
 
-    The primal LP (z in [0, 1]^n with A z = b) decides alone when its
-    witness re-checks.  Otherwise the slack LP, min t subject to
-    |A z - b| <= t, gives a fallback witness and, from its duals, a
-    certificate y with ||y||_1 <= 1 whose margin equals the slack.
+    The coupling Q(a, +1, +1 | x, y, z) lies in [lo_a, hi_a], with
+    lo_a = max(0, T_AC(a,+1|x,z) - T_AB(a,-1|x,y)) and
+    hi_a = min(T_AB(a,+1|x,y), T_AC(a,+1|x,z)); lo and hi sum them over a.
+    Each bound is a combination of the full system's rows whose Q
+    coefficients are all <= 0, and a certificate weighs such combinations.
     """
-    system = _lp_system(problem.settings)
-    m, n = problem.a_eq.shape
-    res = linprog(
-        np.zeros(n), A_eq=system.a_eq_csc, b_eq=problem.b_eq, bounds=(0, 1), method="highs"
-    )
-    if res.status not in (0, 2):
-        raise RuntimeError(f"feasibility LP failed with status {res.status}: {res.message}")
-    if res.status == 0:
-        resid = recheck_feasibility_witness(problem, res.x)
-        if resid <= RECHECK_TOL:
-            return res.x, resid, None
-    # Variables [z; t]: minimize t with -t <= (A z - b)_i <= t.
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    res = linprog(
-        c,
-        A_ub=system.slack_csc,
-        b_ub=np.concatenate([problem.b_eq, -problem.b_eq]),
-        bounds=[(0, 1)] * n + [(0, None)],
-        method="highs",
-    )
-    if res.status != 0:
-        raise RuntimeError(f"slack LP failed with status {res.status}: {res.message}")
-    z = res.x[:-1]
-    resid = recheck_feasibility_witness(problem, z)
-    if resid <= RECHECK_TOL:
-        return z, resid, None
-    duals = res.ineqlin.marginals
-    y = duals[:m] - duals[m:]
-    margin = recheck_farkas_certificate(problem, y)
-    if margin <= RECHECK_TOL:
-        raise RuntimeError(
-            "target is within solver tolerance of the local-parts boundary: "
-            f"witness residual {resid:.3e}, certificate margin {margin:.3e}"
+
+    def __init__(self, problem: FeasibilityProblem) -> None:
+        self.problem, self.s = problem, _lp_system(problem.settings)
+        self.t_ab, self.t_ac = problem.b_eq[self.s.ab[:, :, 0]], problem.b_eq[self.s.ac[:, 0]]
+        self.ab0, self.ac0 = self.t_ab[:, :, None, :, 0], self.t_ac[:, None, :, :, 0]
+        # T_A(a|x) - T_AB(a,+1|x,y) is T_AB(a,-1|x,y), as the rows give it.
+        self.lo_branch = self.ac0 - self.t_ab[:, :, None, :, 1]  # (x, y, z, a)
+        self.lo_a, self.hi_a = np.maximum(self.lo_branch, 0.0), np.minimum(self.ab0, self.ac0)
+        self.hi_from_ab = self.ab0 <= self.ac0
+        self.lo, self.hi = self.lo_a.sum(axis=-1), self.hi_a.sum(axis=-1)
+        self.x_lo, self.x_hi = self.lo.argmax(axis=0), self.hi.argmin(axis=0)
+        self.gap = self.lo.max(axis=0) - self.hi.min(axis=0)  # (y, z)
+        # P_B(+1|y) and P_C(+1|z) at each x.
+        self.t_b, self.t_c = self.t_ab[..., 0].sum(axis=2), self.t_ac[..., 0].sum(axis=2)
+
+    def certificate(self, statement, u_lo, u_hi, one=0.0, lam_b=0.0, lam_c=0.0):
+        """Weigh, per (y, z), the bound lo at x_lo by u_lo and hi at x_hi by
+        u_hi, and the equalities sum w = 1, P_B(+1|y) and P_C(+1|z) at each
+        x (Q cancels in them) by one, lam_b and lam_c; None unless the
+        certificate re-checks."""
+        s, y = self.s, np.zeros(len(self.problem.b_eq))
+        at_lo = (self.x_lo, *np.indices(self.gap.shape))
+        at_hi = (self.x_hi, *at_lo[1:])
+        # lo <= L00: AC(a,+1) - AB(a,-1) for each a on the non-zero branch, less D(+1,+1).
+        on = u_lo[..., None] * (self.lo_branch[at_lo] > 0)
+        y[s.ac[at_lo][..., 0]] += on
+        y[s.ab[at_lo][..., 1]] -= on
+        y[s.d[at_lo][..., 0, 0]] -= u_lo
+        # L00 <= hi: less AB(a,+1) or AC(a,+1), whichever gave hi_a, plus D(+1,+1).
+        hi_rows = np.where(self.hi_from_ab[at_hi], s.ab[at_hi][..., 0], s.ac[at_hi][..., 0])
+        y[hi_rows] -= u_hi[..., None]
+        y[s.d[at_hi][..., 0, 0]] += u_hi
+        y[s.norm[0, 0, 0]] += one
+        y[s.d[0, 0, 0]] -= one
+        lam_b = np.broadcast_to(lam_b, self.t_b.shape)[..., None]
+        lam_c = np.broadcast_to(lam_c, self.t_c.shape)[..., None]
+        y[s.ab[:, :, 0, :, 0]] += lam_b
+        y[s.d[:, :, 0, 0, :]] -= lam_b
+        y[s.ac[:, 0, :, :, 0]] += lam_c
+        y[s.d[:, 0, :, :, 0]] -= lam_c
+        y /= np.abs(y).sum()
+        margin = recheck_farkas_certificate(self.problem, y)
+        return FarkasCertificate(y, margin, statement) if margin > RECHECK_TOL else None
+
+    def rejection(self) -> FarkasCertificate | None:
+        """With no LP: of the certificates of the emptiest Frechet interval
+        and of the spectator's largest shifts of P_B and P_C, the one with
+        the largest margin, if any re-checks."""
+        zero = np.zeros(self.gap.shape)
+        cell = np.unravel_index(np.argmax(self.gap), zero.shape)
+        found = []
+        if self.gap[cell] > RECHECK_TOL:
+            x, x2 = self.x_lo[cell], self.x_hi[cell]
+            lo = ["P_AC(a,+1|x,z)-P_AB(a,-1|x,y)" if v > 0 else "0" for v in self.lo_branch[x][cell]]
+            hi = ["P_AB(a,+1|x',y)" if f else "P_AC(a,+1|x',z)" for f in self.hi_from_ab[x2][cell]]
+            onehot = zero.copy()
+            onehot[cell] = 1.0
+            found.append(self.certificate(
+                f"Frechet interval empty at x={x}, x'={x2}, (y, z)={tuple(map(int, cell))}: "
+                f"lo = {self.lo[x][cell]:.6g} > hi = {self.hi[x2][cell]:.6g}, where for "
+                f"a = +1, -1 lo_a = {', '.join(lo)} and hi_a = {', '.join(hi)}",
+                onehot,
+                onehot,
+            ))
+        for party, t in enumerate((self.t_b, self.t_c)):
+            k = int(np.argmax(t.max(axis=0) - t.min(axis=0)))
+            x, x2 = int(np.argmax(t[:, k])), int(np.argmin(t[:, k]))
+            if t[x, k] - t[x2, k] > RECHECK_TOL:
+                lam = [np.zeros(self.t_b.shape), np.zeros(self.t_c.shape)]
+                lam[party][x, k], lam[party][x2, k] = 1.0, -1.0
+                found.append(self.certificate(
+                    f"the spectator's setting shifts P_{'BC'[party]}(+1|{'yz'[party]}={k}) "
+                    f"from {t[x2, k]:.6g} at x={x2} to {t[x, k]:.6g} at x={x}",
+                    zero,
+                    zero,
+                    0.0,
+                    *lam,
+                ))
+        return max(filter(None, found), key=lambda cert: cert.margin, default=None)
+
+    def witness(self):
+        """(z, residual, certificate or None, t*) from the centred LP.
+
+        It maximizes t subject to sum w = 1, P_B and P_C at x = 0, and
+        max_x lo + t <= L00 <= min_x hi - t per (y, z).  Centring keeps L00
+        off the interval ends, where the LP's tolerance would push the
+        lift outside them.  The lift puts every a's coupling at the same
+        fraction of its interval at each x.  When t* < 0 no local L fits,
+        and the LP's duals weigh the certificate.
+        """
+        s, (ma, mb, mc) = self.s, self.problem.settings
+        c = np.zeros(s.lp_ub.shape[1])
+        c[-1] = -1.0
+        res = linprog(
+            c,
+            A_ub=s.lp_ub,
+            b_ub=np.concatenate([-self.lo.max(axis=0).ravel(), self.hi.min(axis=0).ravel()]),
+            A_eq=s.lp_eq,
+            b_eq=np.concatenate([[1.0], self.t_b[0], self.t_c[0]]),
+            bounds=[(0, None)] * (len(c) - 1) + [(None, None)],
+            method="highs",
         )
-    return None, float(res.x[-1]), FarkasCertificate(y=y, margin=margin)
+        if res.status != 0:
+            raise RuntimeError(f"centred LP failed with status {res.status}: {res.message}")
+        w, t_star = np.clip(res.x[:-1], 0.0, None), float(res.x[-1])
+        width = self.hi - self.lo
+        frac = np.divide((s.s00 @ w).reshape(mb, mc) - self.lo, width, where=width > 0,
+                         out=np.zeros_like(width))
+        q = np.empty((ma, mb, mc, 2, 2, 2))
+        q[..., 0, 0] = self.lo_a + np.clip(frac, 0.0, 1.0)[..., None] * (self.hi_a - self.lo_a)
+        q[..., 0, 1] = self.ab0 - q[..., 0, 0]
+        q[..., 1, 0] = self.ac0 - q[..., 0, 0]
+        q[..., 1, 1] = self.t_ab[:, :, None, :, 1] - q[..., 1, 0]
+        z = np.concatenate([q.ravel(), w])
+        cert = None
+        if t_star < 0:
+            # The <= rows' duals are <= 0 and sum to -1.
+            lam = res.eqlin.marginals
+            lam_b, lam_c = np.zeros(self.t_b.shape), np.zeros(self.t_c.shape)
+            lam_b[0], lam_c[0] = lam[1 : 1 + mb], lam[1 + mb :]
+            cert = self.certificate(
+                f"no local receiver-pair behavior fits the Frechet intervals: the "
+                f"centred LP's margin is {t_star:.6g} < 0, and its duals weigh the bounds",
+                *-res.ineqlin.marginals.reshape(2, mb, mc),
+                lam[0],
+                lam_b,
+                lam_c,
+            )
+        return z, recheck_feasibility_witness(self.problem, z), cert, t_star
+
+
+def _decide(problem: FeasibilityProblem):
+    """``(z, witness residual, None)`` when some z re-checks to RECHECK_TOL,
+    else ``(None, margin, certificate)`` when a certificate re-checks above
+    it; RuntimeError when neither does."""
+    reduction = _Reduction(problem)
+    found = reduction.rejection()
+    if found is None:
+        z, resid, found, t_star = reduction.witness()
+        if resid <= RECHECK_TOL:
+            return z, resid, None
+        if found is None:
+            raise RuntimeError(
+                "target is within re-check tolerance of the local-parts boundary: "
+                f"witness residual {resid:.3e}, centred LP margin {t_star:.3e}"
+            )
+    return None, found.margin, found
 
 
 def localparts_feasible(target: Behavior, off_pair: tuple[int, int]) -> FeasibilityResult:
@@ -449,26 +541,23 @@ def localparts_feasible(target: Behavior, off_pair: tuple[int, int]) -> Feasibil
 
     Feasible instances return the witness distribution (in the original
     party order) plus the strategy weights; infeasible ones return a
-    Farkas certificate from the slack LP's duals.  Both outcomes carry
-    independently re-checked residuals or margins; a target for which
-    neither re-checks raises RuntimeError.
+    Farkas certificate naming the violated statement.  Both outcomes
+    carry independently re-checked residuals or margins; a target for
+    which neither re-checks raises RuntimeError.
     """
     problem = build_feasibility_problem(target, off_pair)
-    x, value, certificate = _solve_localparts(problem)
+    x, value, certificate = _decide(problem)
     witness = weights = None
     if certificate is None:
-        z = np.clip(x, 0.0, None)
         ma, mb, mc = problem.settings
-        q = z[: problem.n_q].reshape(ma, mb, mc, 2, 2, 2)
-        # Solver roundoff can leave conditionals a few ulp off 1.
-        q = q / q.sum(axis=(3, 4, 5), keepdims=True)
+        q = np.clip(x[: problem.n_q], 0.0, None).reshape(ma, mb, mc, 2, 2, 2)
         inverse = tuple(np.argsort(spectator_first(off_pair)))
         witness = Behavior(
             3,
             target.settings_per_party,
             np.ascontiguousarray(np.transpose(q, inverse + tuple(3 + i for i in inverse))),
         )
-        weights = z[problem.n_q :]
+        weights = x[problem.n_q :]
     return FeasibilityResult(
         feasible=certificate is None,
         witness=witness,
@@ -480,15 +569,14 @@ def localparts_feasible(target: Behavior, off_pair: tuple[int, int]) -> Feasibil
 
 
 def infeasibility_slack(target: Behavior, off_pair: tuple[int, int]) -> float:
-    """Smallest max-norm constraint violation over candidate distributions.
+    """How strongly a target resists a local-parts account.
 
     The same decision as localparts_feasible: exactly 0.0 when the
-    verdict is feasible, otherwise the slack LP's optimum, which the
-    certificate's re-checked margin equals.  The slack ranks how strongly
-    an instance resists a local-parts account, which guides the settings
-    search; feasible instances take the feasibility LP alone.
+    verdict is feasible, otherwise the certificate's re-checked margin.
+    That margin is a proven lower bound on the smallest max-norm
+    constraint violation over candidate distributions z in [0, 1]^n.
     """
-    _, value, certificate = _solve_localparts(build_feasibility_problem(target, off_pair))
+    _, value, certificate = _decide(build_feasibility_problem(target, off_pair))
     return 0.0 if certificate is None else value
 
 
@@ -590,7 +678,6 @@ class SearchReport:
     best_settings: tuple[tuple[float, ...], ...]
     best_state: str
     certificate_margin: float | None
-    witness_residual: float | None
 
 
 def _ghz_family_state(phi: float):
@@ -621,9 +708,10 @@ def search_infeasible_instance(
     angles) on a coarse grid; stage 2 refines all six angles around the
     best candidates by coordinate descent on the infeasibility slack;
     stage 3 repeats the scan over amplitude-weighted superpositions
-    cos(phi)|000> + sin(phi)|111>.  Every instance is scored by
-    infeasibility_slack; any instance above SLACK_THRESHOLD is solved
-    for a certificate and re-checked.  The honest outcome is reported
+    cos(phi)|000> + sin(phi)|111>.  Every instance is decided once by
+    localparts_feasible and scored by its slack (0.0 when feasible, else
+    the certificate's margin); the first infeasible one ends the sweep
+    with its re-checked certificate.  The honest outcome is reported
     either way: feasible-everywhere is a result, not a failure.
     """
     from .quantum import born_behavior, make_ghz3
@@ -634,16 +722,16 @@ def search_infeasible_instance(
     best_angles: tuple[tuple[float, ...], ...] = ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
     best_state = "ghz3"
 
-    def score(state, angles) -> float:
+    def score(state, angles) -> tuple[float, FeasibilityResult]:
         nonlocal checked, best_slack, best_angles, best_state
-        target = born_behavior(state, angles)
-        slack = infeasibility_slack(target, (1, 2))
+        result = localparts_feasible(born_behavior(state, angles), (1, 2))
+        slack = 0.0 if result.feasible else result.certificate.margin
         checked += 1
         if slack > best_slack:
             best_slack = slack
             best_angles = tuple(tuple(a) for a in angles)
             best_state = state_label
-        return slack
+        return slack, result
 
     state_label = "ghz3"
     ghz = make_ghz3()
@@ -653,10 +741,10 @@ def search_infeasible_instance(
             # The ansatz is symmetric under swapping Alice's settings.
             continue
         angles = ((a1, a2), (b1, b2), (b1, b2))
-        slack = score(ghz, angles)
+        slack, result = score(ghz, angles)
         candidates.append((slack, angles))
-        if slack > SLACK_THRESHOLD:
-            return _conclude(checked, slack, angles, ghz, "ghz3")
+        if not result.feasible:
+            return _conclude(checked, angles, "ghz3", result)
 
     candidates.sort(key=lambda item: item[0], reverse=True)
     step = math.pi / (2 * grid)
@@ -667,11 +755,10 @@ def search_infeasible_instance(
                 base = current[party][k]
                 for delta in (-step, step, -step / 2, step / 2):
                     current[party][k] = base + delta
-                    slack = score(ghz, tuple(tuple(a) for a in current))
-                    if slack > SLACK_THRESHOLD:
-                        return _conclude(
-                            checked, slack, tuple(tuple(a) for a in current), ghz, "ghz3"
-                        )
+                    angles = tuple(tuple(a) for a in current)
+                    slack, result = score(ghz, angles)
+                    if not result.feasible:
+                        return _conclude(checked, angles, "ghz3", result)
                     if slack <= best_slack:
                         current[party][k] = base
 
@@ -683,9 +770,9 @@ def search_infeasible_instance(
             if a1 >= a2:
                 continue
             angles = ((a1, a2), (b1, b1 + math.pi / 4), (b1, b1 + math.pi / 4))
-            slack = score(state, angles)
-            if slack > SLACK_THRESHOLD:
-                return _conclude(checked, slack, angles, state, state_label)
+            _, result = score(state, angles)
+            if not result.feasible:
+                return _conclude(checked, angles, state_label, result)
 
     return SearchReport(
         outcome="all_feasible",
@@ -694,32 +781,16 @@ def search_infeasible_instance(
         best_settings=best_angles,
         best_state=best_state,
         certificate_margin=None,
-        witness_residual=None,
     )
 
 
-def _conclude(checked, slack, angles, state, label) -> SearchReport:
-    from .quantum import born_behavior
-
-    result = localparts_feasible(born_behavior(state, angles), (1, 2))
-    if result.feasible:
-        # The slack LP flagged a borderline instance the exact program
-        # accepts; treat it as feasible rather than over-claim.
-        return SearchReport(
-            outcome="all_feasible",
-            instances_checked=checked,
-            max_slack=slack,
-            best_settings=angles,
-            best_state=label,
-            certificate_margin=None,
-            witness_residual=result.max_residual,
-        )
+def _conclude(checked, angles, label, result: FeasibilityResult) -> SearchReport:
+    """The report of the sweep's first infeasible instance, from its one decision."""
     return SearchReport(
         outcome="infeasible_found",
         instances_checked=checked,
-        max_slack=slack,
+        max_slack=result.certificate.margin,
         best_settings=angles,
         best_state=label,
         certificate_margin=result.certificate.margin,
-        witness_residual=None,
     )

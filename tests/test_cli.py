@@ -544,8 +544,8 @@ print(code, "scipy.optimize" in sys.modules, "scipy.sparse" in sys.modules)
     ],
 )
 def test_only_lp_commands_load_scipy_optimize(argv, code, loaded, tmp_path):
-    """scipy.optimize and scipy.sparse are imported on the first LP, so a
-    fresh process running any other command loads neither."""
+    """scipy.optimize, which loads scipy.sparse, is imported on the first
+    LP, so a fresh process running any other command loads neither."""
 
     def corrupt(doc):
         doc["trials"] = 0

@@ -2,13 +2,14 @@ import itertools
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellsim.hvmodels import Geometry, constructive_off_behavior
+from bellsim.hvmodels import Geometry, constructive_off_behavior, spectator_first
 from bellsim.inequality import chsh_value
 from bellsim.quantum import (
     Behavior,
@@ -23,6 +24,7 @@ from bellsim.quantum import (
 from bellsim.signaling import (
     RECHECK_TOL,
     _local_vertices,
+    _Reduction,
     _lp_system,
     build_feasibility_problem,
     double_pr_target,
@@ -181,7 +183,62 @@ def test_double_pr_target_infeasible_with_verified_certificate():
     margin = recheck_farkas_certificate(res.problem, res.certificate.y)
     assert margin > 1e-9
     assert res.certificate.margin == pytest.approx(margin)
-    assert "unsatisfiable" in res.certificate.inequality_string()
+    # PR-box monogamy: at x = 0, b = c = a forces L(+1,+1|0,1) = 1/2, at
+    # x = 1, c = not b forces it to 0.  Six rows of weight 1/6 prove it.
+    assert res.certificate.margin == pytest.approx(1 / 12, abs=1e-15)
+    assert np.abs(res.certificate.y).sum() == pytest.approx(1.0, abs=1e-15)
+    assert res.certificate.inequality_string().startswith(
+        "Frechet interval empty at x=0, x'=1, (y, z)=(0, 1): lo = 0.5 > hi = 0, where for "
+        "a = +1, -1 lo_a = P_AC(a,+1|x,z)-P_AB(a,-1|x,y), 0 and "
+        "hi_a = P_AC(a,+1|x',z), P_AB(a,+1|x',y)"
+    )
+
+
+def exact_margin(problem, y):
+    """y.b - sum_j max(0, (A^T y)_j) in exact rational arithmetic from the
+    float y and b: every float is a dyadic rational, so nothing rounds."""
+    support = np.nonzero(y)[0]
+    ys = [Fraction(float(y[i])) for i in support]
+    value = sum(w * Fraction(float(problem.b_eq[i])) for w, i in zip(ys, support))
+    aty = [
+        sum(w * int(problem.a_eq[i, j]) for w, i in zip(ys, support))
+        for j in range(problem.a_eq.shape[1])
+    ]
+    return value - sum(max(Fraction(0), v) for v in aty)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5 - 1e-8])
+def test_named_inequality_has_an_exact_positive_margin(lam):
+    """The double PR, and with white noise 1e-8 short of the boundary:
+    the certificate names (x, x', y, z) and each a's branch, and its margin
+    recomputed exactly from the float rhs is positive."""
+    target = Behavior(3, (2, 2, 2), (1 - lam) * double_pr_target().table + lam / 8.0)
+    res = localparts_feasible(target, (1, 2))
+    assert not res.feasible
+    assert res.certificate.inequality_string().startswith(
+        "Frechet interval empty at x=0, x'=1, (y, z)=(0, 1)"
+    )
+    exact = exact_margin(res.problem, res.certificate.y)
+    assert exact > 0
+    assert float(exact) == pytest.approx(res.certificate.margin, abs=1e-15)
+    assert float(exact) == pytest.approx((0.5 - lam) / 6, rel=1e-6)
+
+
+def test_spectator_shift_of_a_receiver_marginal_is_rejected():
+    """Bob's outcome depends on Alice's setting while both pair marginals
+    with Alice stay independent of the third setting: no local part can
+    match, and the certificate names the shift exactly."""
+    pa = np.array([[0.5, 0.5], [0.25, 0.75]])
+    pb = np.array([[[0.875, 0.125]] * 2, [[0.125, 0.875]] * 2])  # (x, y, b)
+    pc = np.array([[0.5, 0.5], [0.5, 0.5]])
+    target = Behavior(3, (2, 2, 2), np.einsum("xa,xyb,zc->xyzabc", pa, pb, pc))
+    res = localparts_feasible(target, (1, 2))
+    assert not res.feasible
+    assert res.certificate.inequality_string().startswith(
+        "the spectator's setting shifts P_B(+1|y=0) from 0.125 at x=1 to 0.875 at x=0"
+    )
+    assert exact_margin(res.problem, res.certificate.y) == Fraction(3, 32)
+    assert infeasibility_slack(target, (1, 2)) == res.certificate.margin == 3 / 32
 
 
 def test_off_pair_roles_can_be_permuted():
@@ -345,17 +402,15 @@ def test_infeasibility_slack_signs():
 def test_lps_reach_scipy_linprog_unchanged(monkeypatch):
     """Every LP goes through scipy.optimize.linprog as looked up at call
     time, with its arguments and result passed on unchanged, so a wrapper
-    installed there (as the benchmark tracer does) sees every LP.  The
-    matrices arrive as the shape's cached sparse copies of the system.
-    The slack of a feasible target takes the feasibility LP alone; the
-    slack LP runs only after that LP rejects the target."""
+    installed there (as the benchmark tracer does) sees every LP.  A
+    feasible target takes one centred LP over the cut pair's strategy
+    weights and t, with the shape's cached dense matrices; a target with an
+    empty Frechet interval takes none."""
     import scipy.optimize
-    import scipy.sparse
 
     ghz = born_behavior(make_ghz3(), [[0.0, math.pi / 2], [0.0], [0.0]])
     dpr = double_pr_target()
-    plain = localparts_feasible(dpr, (1, 2))
-    plain_slacks = (infeasibility_slack(ghz, (1, 2)), infeasibility_slack(dpr, (1, 2)))
+    plain = localparts_feasible(ghz, (1, 2))
 
     real = scipy.optimize.linprog
     calls = []
@@ -369,85 +424,58 @@ def test_lps_reach_scipy_linprog_unchanged(monkeypatch):
         calls.clear()
         return fn(*args), list(calls)
 
-    def assert_primal(args, kwargs, problem):
-        (c,) = args
-        assert kwargs["A_eq"] is _lp_system(problem.settings).a_eq_csc
-        assert kwargs["b_eq"].tobytes() == problem.b_eq.tobytes()
-        assert kwargs["bounds"] == (0, 1)
-        assert c.tobytes() == np.zeros(problem.a_eq.shape[1]).tobytes()
-
     monkeypatch.setattr(scipy.optimize, "linprog", recorder)
-    res, feasible_calls = recorded(localparts_feasible, dpr, (1, 2))
+    res, feasible_calls = recorded(localparts_feasible, ghz, (1, 2))
     ghz_slack, ghz_calls = recorded(infeasibility_slack, ghz, (1, 2))
-    dpr_slack, dpr_calls = recorded(infeasibility_slack, dpr, (1, 2))
+    rejected, dpr_calls = recorded(localparts_feasible, dpr, (1, 2))
+    dpr_slack, dpr_slack_calls = recorded(infeasibility_slack, dpr, (1, 2))
 
-    for _, kw, _ in feasible_calls + ghz_calls + dpr_calls:
-        assert kw["method"] == "highs"
-        matrix = kw.get("A_eq", kw.get("A_ub"))
-        assert scipy.sparse.issparse(matrix) and matrix.format == "csc"
+    assert dpr_calls == dpr_slack_calls == []
+    assert not rejected.feasible and dpr_slack == rejected.certificate.margin > 0.05
+    assert res.feasible and ghz_slack == 0.0 and len(ghz_calls) == 1
 
-    # localparts_feasible: the primal, rejected, then the slack LP, whose
-    # duals on the two row blocks are the certificate.
-    (p_args, primal, primal_res), (_, slack_lp, slack_res) = feasible_calls
+    ((c,), kw, result) = feasible_calls[0]
+    assert len(feasible_calls) == 1
     system = _lp_system(res.problem.settings)
-    m = res.problem.a_eq.shape[0]
-    assert primal["b_eq"] is res.problem.b_eq
-    assert_primal(p_args, primal, res.problem)
-    assert primal_res.status == 2
-    assert np.array_equal(primal["A_eq"].toarray(), res.problem.a_eq)
-    assert slack_lp["A_ub"] is system.slack_csc
-    assert not res.feasible
-    duals = slack_res.ineqlin.marginals
-    assert res.certificate.y.tobytes() == (duals[:m] - duals[m:]).tobytes()
-    assert res.certificate.margin == plain.certificate.margin
-    assert recheck_farkas_certificate(res.problem, res.certificate.y) == res.certificate.margin
-
-    # Feasible GHZ target: one LP, the primal, whose witness re-checks.
-    ((g_args, ghz_primal, ghz_res),) = ghz_calls
-    assert_primal(g_args, ghz_primal, build_feasibility_problem(ghz, (1, 2)))
-    assert ghz_res.status == 0
-    assert ghz_slack == plain_slacks[0] == 0.0
-
-    # Double PR: the primal (status 2), then the slack LP over [z; t].
-    (d_args, dpr_primal, dpr_primal_res), (_, slack_lp, slack_res) = dpr_calls
-    problem = build_feasibility_problem(dpr, (1, 2))
-    assert_primal(d_args, dpr_primal, problem)
-    assert dpr_primal_res.status == 2
-    rows, n = problem.a_eq.shape
-    ones = np.ones((rows, 1))
-    assert slack_lp["A_ub"] is _lp_system(problem.settings).slack_csc
-    assert np.array_equal(
-        slack_lp["A_ub"].toarray(), np.block([[problem.a_eq, -ones], [-problem.a_eq, -ones]])
-    )
-    assert slack_lp["bounds"] == [(0, 1)] * n + [(0, None)]
-    assert dpr_slack == plain_slacks[1] == float(slack_res.x[-1])
-    assert dpr_slack > 0.05
+    k = len(res.problem.strategies)
+    assert kw["method"] == "highs"
+    assert kw["A_ub"] is system.lp_ub and kw["A_eq"] is system.lp_eq
+    assert isinstance(kw["A_ub"], np.ndarray) and isinstance(kw["A_eq"], np.ndarray)
+    _, mb, mc = res.problem.settings
+    assert kw["A_ub"].shape == (2 * mb * mc, k + 1) and kw["A_eq"].shape == (1 + mb + mc, k + 1)
+    assert c.tobytes() == np.concatenate([np.zeros(k), [-1.0]]).tobytes()
+    assert kw["bounds"] == [(0, None)] * k + [(None, None)]
+    assert result.status == 0
+    assert res.witness_weights.tobytes() == np.clip(result.x[:-1], 0.0, None).tobytes()
+    assert res.witness.table.tobytes() == plain.witness.table.tobytes()
 
 
-def direct_slack(target, off_pair):
-    """The slack LP over [z; t] solved on its own, with no feasibility LP first."""
+def oracle_slack(target, off_pair):
+    """The slack LP, min t subject to |A z - b| <= t with z in [0, 1], on the
+    row-by-row reference system, and the max-norm violation of its z
+    clipped to [0, 1], re-checked: an upper bound on the true minimum,
+    which no certificate's margin may exceed."""
     import scipy.optimize
 
-    problem = build_feasibility_problem(target, off_pair)
-    n = problem.a_eq.shape[1]
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
+    a_eq, b_eq, *_ = reference_feasibility_problem(target, off_pair)
+    rows, n = a_eq.shape
+    ones = np.ones((rows, 1))
     res = scipy.optimize.linprog(
-        c,
-        A_ub=_lp_system(problem.settings).slack_csc,
-        b_ub=np.concatenate([problem.b_eq, -problem.b_eq]),
+        np.concatenate([np.zeros(n), [1.0]]),
+        A_ub=np.block([[a_eq, -ones], [-a_eq, -ones]]),
+        b_ub=np.concatenate([b_eq, -b_eq]),
         bounds=[(0, 1)] * n + [(0, None)],
         method="highs",
     )
     assert res.status == 0
-    return float(res.x[-1])
+    return float(np.max(np.abs(a_eq @ np.clip(res.x[:-1], 0.0, 1.0) - b_eq)))
 
 
 def test_slack_equals_the_slack_lp_alone():
-    """Answering feasible instances from the feasibility LP changes no
-    slack bit: random states at (2,2,2) and (3,3,3), noisy double PRs and
-    a slice of the sweep's stage-1 GHZ grid.  A rejected instance's
-    certificate has ||y||_1 <= 1 and re-checks to the slack."""
+    """infeasibility_slack is exactly 0.0 on a feasible verdict and else the
+    certificate's margin (||y||_1 = 1), which the slack LP on the full
+    system bounds from above: random states at (2,2,2) and (3,3,3), noisy
+    double PRs and a slice of the sweep's stage-1 GHZ grid."""
     rng = np.random.default_rng(29)
     targets = [
         born_behavior(random_state(rng, 3), rng.uniform(0, 2 * math.pi, (3, m)).tolist())
@@ -464,15 +492,14 @@ def test_slack_equals_the_slack_lp_alone():
     zeros = 0
     for target in targets:
         slack = infeasibility_slack(target, (1, 2))
-        assert np.float64(slack).tobytes() == np.float64(direct_slack(target, (1, 2))).tobytes()
         res = localparts_feasible(target, (1, 2))
         if res.feasible:
             assert slack == 0.0
             zeros += 1
         else:
-            assert slack > 0.0
-            assert res.certificate.margin == pytest.approx(slack, rel=1e-12)
-            assert np.abs(res.certificate.y).sum() <= 1 + 1e-12
+            assert slack == res.certificate.margin
+            assert 0.0 < slack <= oracle_slack(target, (1, 2)) + 1e-12
+            assert np.abs(res.certificate.y).sum() == pytest.approx(1.0, abs=1e-12)
     assert 0 < zeros < len(targets)
 
 
@@ -484,7 +511,8 @@ def test_slack_equals_the_slack_lp_alone():
 )
 def test_slack_is_zero_exactly_on_feasible_mixtures(lam, product, seed):
     """(1 - lam) double PR + lam (white noise or a product behavior): a
-    feasible verdict gives slack 0.0, and any other the slack LP's optimum."""
+    feasible verdict gives slack 0.0, and any other a margin that the slack
+    LP's optimum bounds from above."""
     if product:
         rng = np.random.default_rng(seed)
         pa, pb, pc = (rng.dirichlet(np.ones(2), size=2) for _ in range(3))
@@ -496,35 +524,100 @@ def test_slack_is_zero_exactly_on_feasible_mixtures(lam, product, seed):
     if localparts_feasible(target, (1, 2)).feasible:
         assert slack == 0.0
     else:
-        assert slack == direct_slack(target, (1, 2))
+        assert 0.0 < slack <= oracle_slack(target, (1, 2)) + 1e-12
 
 
 @pytest.mark.parametrize(
-    "lam, slack",
-    [(0.5 + eps, 0.0) for eps in (1e-7, 3e-8, 1e-8, 3e-9)]
-    + [(0.5 - 1e-6, 2.0e-7), (0.5 - 1e-7, 1.43e-8), (0.5 - 1e-8, None)],
+    "lam, margin",
+    [(0.5 + eps, 0.0) for eps in (1e-7, 3e-8, 1e-8, 3e-9, 1e-9)]
+    + [(0.5 - 1e-6, 1.67e-7), (0.5 - 1e-7, 1.67e-8), (0.5 - 1e-8, 1.67e-9), (0.5 - 3e-9, None)],
 )
-def test_noisy_double_pr_near_the_boundary(lam, slack):
+def test_noisy_double_pr_near_the_boundary(lam, margin):
     """(1 - lam) double PR + lam white noise is feasible exactly for
-    lam >= 1/2.  Just above, a witness re-checks; below, a certificate
-    re-checks to the slack; within HiGHS's tolerance below 1/2 neither
-    does, and both functions say so instead of guessing."""
+    lam >= 1/2, where its Frechet gap 1/2 - lam closes.  Just above, a
+    witness re-checks; below, the interval's certificate re-checks with
+    margin (1/2 - lam) / 6 down to 1e-8 short of 1/2.  Between about 1e-9
+    and 6e-9 short, the lifted witness misses by the gap while the margin
+    is at most RECHECK_TOL, and both functions say so instead of guessing."""
     target = Behavior(3, (2, 2, 2), (1 - lam) * double_pr_target().table + lam / 8.0)
-    if slack is None:
+    if margin is None:
         for fn in (localparts_feasible, infeasibility_slack):
-            with pytest.raises(RuntimeError, match="within solver tolerance"):
+            with pytest.raises(RuntimeError, match="within re-check tolerance"):
                 fn(target, (1, 2))
         return
     res = localparts_feasible(target, (1, 2))
     found = infeasibility_slack(target, (1, 2))
-    assert res.feasible == (slack == 0.0)
+    assert res.feasible == (margin == 0.0)
     if res.feasible:
         assert res.max_residual <= RECHECK_TOL
         assert found == 0.0
     else:
-        assert found == pytest.approx(slack, rel=1e-2)
-        assert res.certificate.margin == pytest.approx(found, abs=1e-15)
+        assert found == res.certificate.margin == pytest.approx(margin, rel=1e-2)
         assert res.certificate.margin > RECHECK_TOL
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.2, 0.49])
+def test_centred_lp_duals_certify_when_no_local_behavior_fits(lam):
+    """A negative centred-LP margin t* means no local L fits the intervals,
+    and the LP's duals, mapped to rows of the full system, make a
+    certificate that re-checks.  The noisy double PR reaches this path
+    only when the interval test is skipped, as here."""
+    target = Behavior(3, (2, 2, 2), (1 - lam) * double_pr_target().table + lam / 8.0)
+    problem = build_feasibility_problem(target, (1, 2))
+    _, resid, cert, t_star = _Reduction(problem).witness()
+    assert t_star == pytest.approx(-(0.5 - lam) / 2, abs=1e-12)
+    assert resid > RECHECK_TOL
+    assert cert.inequality_string().startswith("no local receiver-pair behavior fits")
+    assert np.abs(cert.y).sum() == pytest.approx(1.0, abs=1e-12)
+    assert cert.margin == recheck_farkas_certificate(problem, cert.y)
+    assert cert.margin == pytest.approx(localparts_feasible(target, (1, 2)).certificate.margin)
+    assert cert.margin <= oracle_slack(target, (1, 2)) + 1e-12
+
+
+@pytest.mark.parametrize("shape", list(itertools.product((1, 2, 3), repeat=3)))
+@settings(max_examples=3, deadline=None)
+@given(
+    kind=st.sampled_from(("born", "double_pr", "shifted")),
+    seed=st.integers(0, 2**32 - 1),
+    noise=st.floats(0.0, 1.0),
+)
+def test_decision_agrees_with_the_full_lp(shape, kind, seed, noise):
+    """On every cut pair: a feasible verdict's witness re-checks against
+    the row-by-row reference system; a rejection's margin is positive and
+    at most the slack LP's optimum on that system; and an undecided target
+    lies within the LP's tolerance of the boundary.  Targets are random
+    quantum states, noisy double PRs and products in which party 0's
+    setting shifts party 1's marginal."""
+    rng = np.random.default_rng(seed)
+    if kind == "born":
+        angles = [rng.uniform(0, 2 * math.pi, m).tolist() for m in shape]
+        target = born_behavior(random_state(rng, 3), angles)
+    elif kind == "double_pr":
+        table = (1 - noise) * double_pr_target().table + noise / 8.0
+        target = Behavior(3, shape, table[np.ix_(*(np.arange(m) % 2 for m in shape))])
+    else:
+        pa = rng.dirichlet(np.ones(2), size=shape[0])
+        pb = rng.dirichlet(np.ones(2), size=shape[:2])
+        pc = rng.dirichlet(np.ones(2), size=shape[2])
+        target = Behavior(3, shape, np.einsum("xa,xyb,zc->xyzabc", pa, pb, pc))
+    for off_pair in ((1, 2), (0, 2), (0, 1)):
+        try:
+            a_eq, b_eq, *_ = reference_feasibility_problem(target, off_pair)
+        except ValueError:
+            continue  # the double PR signals to some pairs
+        try:
+            res = localparts_feasible(target, off_pair)
+        except RuntimeError:
+            assert oracle_slack(target, off_pair) <= 1e-7
+            continue
+        if res.feasible:
+            perm = spectator_first(off_pair)
+            q = np.transpose(res.witness.table, perm + tuple(3 + p for p in perm))
+            z = np.concatenate([q.ravel(), res.witness_weights])
+            assert np.max(np.abs(a_eq @ z - b_eq)) <= RECHECK_TOL
+            assert z.min() >= -RECHECK_TOL
+        else:
+            assert RECHECK_TOL < res.certificate.margin <= oracle_slack(target, off_pair) + 1e-12
 
 
 def test_system_is_built_once_per_shape():
@@ -703,29 +796,28 @@ def test_small_search_reports_honestly():
 
 
 def test_search_concludes_on_the_flagged_state(monkeypatch):
-    # A slack that flags only targets whose Alice marginal is biased picks
-    # the first weighted-family instance (GHZ marginals are uniform); the
-    # exact program must then be solved on that very state and settings.
+    # A decision that rejects only targets whose Alice marginal is biased
+    # ends the sweep at the first weighted-family instance (GHZ marginals
+    # are uniform); the report carries that very decision, made once.
     import bellsim.signaling
 
-    solved = []
     real_feasible = bellsim.signaling.localparts_feasible
+    rejected = real_feasible(double_pr_target(), (1, 2))
+    decided = []
 
     def biased_alice(target, off_pair):
-        return float(abs(target.table[0, 0, 0].sum(axis=(1, 2))[0] - 0.5) > 1e-6)
-
-    def recording_feasible(target, off_pair):
-        solved.append(target)
+        decided.append(target)
+        if abs(target.table[0, 0, 0].sum(axis=(1, 2))[0] - 0.5) > 1e-6:
+            return rejected
         return real_feasible(target, off_pair)
 
-    monkeypatch.setattr(bellsim.signaling, "infeasibility_slack", biased_alice)
-    monkeypatch.setattr(bellsim.signaling, "localparts_feasible", recording_feasible)
+    monkeypatch.setattr(bellsim.signaling, "localparts_feasible", biased_alice)
     report = search_infeasible_instance(grid=2, refine_rounds=1, family_phis=(0.4,))
+    assert report.outcome == "infeasible_found"
     assert report.best_state == "weighted_ghz(phi=0.400000)"
+    assert report.certificate_margin == report.max_slack == rejected.certificate.margin
     amps = np.zeros(8)
     amps[0], amps[7] = math.cos(0.4), math.sin(0.4)
     want = born_behavior(state_from_amplitudes(amps), report.best_settings)
-    assert len(solved) == 1
-    assert np.array_equal(solved[0].table, want.table)
-    assert report.outcome == "all_feasible"
-    assert report.witness_residual <= 1e-9
+    assert len(decided) == report.instances_checked
+    assert np.array_equal(decided[-1].table, want.table)
