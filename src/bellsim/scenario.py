@@ -157,6 +157,7 @@ def _validate_geometry(doc, errors: list[SchemaError]) -> None:
             errors.append(SchemaError(f"{base}/y", "must be a finite number"))
     boosts = doc.get("boosts")
     if boosts is None:
+        errors.append(SchemaError("/geometry/boosts", "required"))
         boosts = []
     elif not isinstance(boosts, list):
         errors.append(SchemaError("/geometry/boosts", "must be a list"))

@@ -670,127 +670,86 @@ def signal_report(
 
 @dataclass(frozen=True, eq=False)
 class SearchReport:
-    """Outcome of the infeasibility settings sweep."""
+    """Outcome of the infeasibility settings sweep.
 
-    outcome: str  # "infeasible_found" or "all_feasible"
+    ``state`` and ``settings`` name the instance that ended the sweep (the
+    first rejected or undecided one), else the first instance decided.
+    """
+
+    outcome: str  # "infeasible_found", "undecided" or "all_feasible"
     instances_checked: int
-    max_slack: float
-    best_settings: tuple[tuple[float, ...], ...]
-    best_state: str
+    state: str
+    settings: tuple[tuple[float, ...], ...]
     certificate_margin: float | None
 
 
-def _ghz_family_state(phi: float):
-    from .quantum import state_from_amplitudes
+def _sweep_instances(grid: int, family_phis: tuple[float, ...]):
+    """The sweep's (label, state, angles) instances, in order, each once."""
+    from .quantum import make_ghz3, state_from_amplitudes
 
-    amps = np.zeros(8)
-    amps[0] = math.cos(phi)
-    amps[7] = math.sin(phi)
-    return state_from_amplitudes(amps)
+    ghz = make_ghz3()
+    axis = [k * math.pi / grid for k in range(grid)]
+    # Bob and Charlie share angles; swapping Alice's settings is a symmetry.
+    stage1 = [
+        ((a1, a2), (b1, b2), (b1, b2))
+        for a1, a2, b1, b2 in itertools.product(axis, repeat=4)
+        if a1 < a2
+    ]
+    for angles in stage1:
+        yield "ghz3", ghz, angles
+    step = math.pi / (2 * grid)
+    for start in stage1[:4]:
+        for party, k in itertools.product(range(3), range(2)):
+            for delta in (-step, step, -step / 2, step / 2):
+                angles = [list(a) for a in start]
+                angles[party][k] += delta
+                yield "ghz3", ghz, tuple(tuple(a) for a in angles)
+    coarse = [k * math.pi / 4 for k in range(4)]
+    for phi in family_phis:
+        amps = np.zeros(8)
+        amps[0], amps[7] = math.cos(phi), math.sin(phi)
+        state = state_from_amplitudes(amps)
+        for a1, a2, b1 in itertools.product(coarse, repeat=3):
+            if a1 < a2:
+                bc = (b1, b1 + math.pi / 4)
+                yield f"weighted_ghz(phi={phi:.6f})", state, ((a1, a2), bc, bc)
 
 
 def search_infeasible_instance(
     grid: int = 8,
-    refine_rounds: int = 2,
-    family_phis: tuple[float, ...] = (
-        math.pi / 16,
-        math.pi / 8,
-        3 * math.pi / 16,
-        5 * math.pi / 16,
-        3 * math.pi / 8,
-        7 * math.pi / 16,
-    ),
+    family_phis: tuple[float, ...] = tuple(k * math.pi / 16 for k in (1, 2, 3, 5, 6, 7)),
 ) -> SearchReport:
-    """Sweep measurement settings (and a weighted state family) for an
-    infeasible local-parts instance with the pair (1, 2) cut.
+    """Decide a fixed list of GHZ-type instances, with the pair (1, 2) cut,
+    until one is rejected.
 
-    Stage 1 scans a symmetric two-setting ansatz (Bob and Charlie share
-    angles) on a coarse grid; stage 2 refines all six angles around the
-    best candidates by coordinate descent on the infeasibility slack;
-    stage 3 repeats the scan over amplitude-weighted superpositions
-    cos(phi)|000> + sin(phi)|111>.  Every instance is decided once by
-    localparts_feasible and scored by its slack (0.0 when feasible, else
-    the certificate's margin); the first infeasible one ends the sweep
-    with its re-checked certificate.  The honest outcome is reported
-    either way: feasible-everywhere is a result, not a failure.
+    The list, in order: a symmetric two-setting ansatz on GHZ (Bob and
+    Charlie share angles) over a grid of pi/grid steps; the single-angle
+    neighbours (+-pi/(2 grid), +-pi/(4 grid)) of its first four
+    instances; and a coarse scan of cos(phi)|000> + sin(phi)|111> for
+    each phi in family_phis.  Nothing is scored or ranked: each instance
+    is decided once by localparts_feasible.  The first rejected one ends
+    the sweep as "infeasible_found" with its re-checked certificate's
+    margin; one whose decision raises RuntimeError (no verdict re-checks,
+    or the LP fails) ends it as "undecided", with no margin.  Either
+    instance counts in instances_checked.  "all_feasible" says only that
+    every listed instance has a re-checked witness, nothing about the
+    instances the list leaves out.
     """
-    from .quantum import born_behavior, make_ghz3
+    from .quantum import born_behavior
 
-    axis = [k * math.pi / grid for k in range(grid)]
     checked = 0
-    best_slack = -1.0
-    best_angles: tuple[tuple[float, ...], ...] = ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
-    best_state = "ghz3"
-
-    def score(state, angles) -> tuple[float, FeasibilityResult]:
-        nonlocal checked, best_slack, best_angles, best_state
-        result = localparts_feasible(born_behavior(state, angles), (1, 2))
-        slack = 0.0 if result.feasible else result.certificate.margin
+    first = None
+    for label, state, angles in _sweep_instances(grid, family_phis):
         checked += 1
-        if slack > best_slack:
-            best_slack = slack
-            best_angles = tuple(tuple(a) for a in angles)
-            best_state = state_label
-        return slack, result
-
-    state_label = "ghz3"
-    ghz = make_ghz3()
-    candidates: list[tuple[float, tuple[tuple[float, ...], ...]]] = []
-    for a1, a2, b1, b2 in itertools.product(axis, repeat=4):
-        if a1 >= a2:
-            # The ansatz is symmetric under swapping Alice's settings.
-            continue
-        angles = ((a1, a2), (b1, b2), (b1, b2))
-        slack, result = score(ghz, angles)
-        candidates.append((slack, angles))
+        first = first or (label, angles)
+        target = born_behavior(state, angles)
+        try:
+            result = localparts_feasible(target, (1, 2))
+        except RuntimeError:
+            return SearchReport("undecided", checked, label, angles, None)
         if not result.feasible:
-            return _conclude(checked, angles, "ghz3", result)
-
-    candidates.sort(key=lambda item: item[0], reverse=True)
-    step = math.pi / (2 * grid)
-    for _, start in candidates[:4]:
-        current = [list(a) for a in start]
-        for _ in range(refine_rounds):
-            for party, k in itertools.product(range(3), range(2)):
-                base = current[party][k]
-                for delta in (-step, step, -step / 2, step / 2):
-                    current[party][k] = base + delta
-                    angles = tuple(tuple(a) for a in current)
-                    slack, result = score(ghz, angles)
-                    if not result.feasible:
-                        return _conclude(checked, angles, "ghz3", result)
-                    if slack <= best_slack:
-                        current[party][k] = base
-
-    coarse = [k * math.pi / 4 for k in range(4)]
-    for phi in family_phis:
-        state_label = f"weighted_ghz(phi={phi:.6f})"
-        state = _ghz_family_state(phi)
-        for a1, a2, b1 in itertools.product(coarse, repeat=3):
-            if a1 >= a2:
-                continue
-            angles = ((a1, a2), (b1, b1 + math.pi / 4), (b1, b1 + math.pi / 4))
-            _, result = score(state, angles)
-            if not result.feasible:
-                return _conclude(checked, angles, state_label, result)
-
-    return SearchReport(
-        outcome="all_feasible",
-        instances_checked=checked,
-        max_slack=best_slack,
-        best_settings=best_angles,
-        best_state=best_state,
-        certificate_margin=None,
-    )
-
-
-def _conclude(checked, angles, label, result: FeasibilityResult) -> SearchReport:
-    """The report of the sweep's first infeasible instance, from its one decision."""
-    return SearchReport(
-        outcome="infeasible_found",
-        instances_checked=checked,
-        max_slack=result.certificate.margin,
-        best_settings=angles,
-        best_state=label,
-        certificate_margin=result.certificate.margin,
-    )
+            margin = result.certificate.margin
+            return SearchReport("infeasible_found", checked, label, angles, margin)
+    if first is None:
+        raise ValueError("the sweep lists no instance")
+    return SearchReport("all_feasible", checked, *first, None)

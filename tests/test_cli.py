@@ -219,6 +219,29 @@ def test_validate_collects_all_pointer_paths(tmp_path, capsys):
     assert "/geometry/boosts/1/beta" in paths
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc["geometry"].pop("boosts"),
+        lambda doc: doc["geometry"].update(boosts=None),
+    ],
+    ids=["missing", "null"],
+)
+def test_geometry_without_boosts_is_a_schema_error(mutate, tmp_path, capsys):
+    path = write_scenario(tmp_path, mutate)
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["errors"] == [
+        {"path": "/geometry/boosts", "message": "required"}
+    ]
+    code, out, err = run_cli(
+        ["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")], capsys
+    )
+    assert code == 2
+    assert json.loads(err)["error"]["code"] == "schema"
+
+
 def test_non_finite_speed_is_a_schema_error(tmp_path, capsys):
     def infinite_speed(doc):
         doc["model"] = {"kind": "finite_speed", "v": "infc"}

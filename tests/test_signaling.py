@@ -784,40 +784,84 @@ def test_signal_report_carries_rechecked_certificate():
 
 
 def test_small_search_reports_honestly():
-    report = search_infeasible_instance(grid=2, refine_rounds=1, family_phis=(0.4,))
+    report = search_infeasible_instance(grid=2, family_phis=(0.4,))
     assert report.outcome in ("all_feasible", "infeasible_found")
-    assert report.instances_checked > 0
     if report.outcome == "all_feasible":
-        assert report.max_slack <= 1e-7
+        # 4 grid instances, 24 neighbours of each, 24 weighted-family ones.
+        assert report.instances_checked == 4 + 4 * 24 + 24
         assert report.certificate_margin is None
+        assert report.state == "ghz3"
+        assert report.settings == ((0.0, math.pi / 2), (0.0, 0.0), (0.0, 0.0))
     else:
         assert report.certificate_margin is not None
         assert report.certificate_margin > 1e-9
 
 
-def test_search_concludes_on_the_flagged_state(monkeypatch):
-    # A decision that rejects only targets whose Alice marginal is biased
-    # ends the sweep at the first weighted-family instance (GHZ marginals
-    # are uniform); the report carries that very decision, made once.
+def _record_decisions(monkeypatch, flagged=None):
+    """Record every target the sweep decides.  ``flagged``, if given,
+    decides the targets whose Alice marginal is biased: the weighted
+    family's, since GHZ marginals are uniform."""
     import bellsim.signaling
 
     real_feasible = bellsim.signaling.localparts_feasible
-    rejected = real_feasible(double_pr_target(), (1, 2))
     decided = []
 
-    def biased_alice(target, off_pair):
+    def decide(target, off_pair):
         decided.append(target)
-        if abs(target.table[0, 0, 0].sum(axis=(1, 2))[0] - 0.5) > 1e-6:
-            return rejected
+        biased = abs(target.table[0, 0, 0].sum(axis=(1, 2))[0] - 0.5) > 1e-6
+        if flagged is not None and biased:
+            return flagged()
         return real_feasible(target, off_pair)
 
-    monkeypatch.setattr(bellsim.signaling, "localparts_feasible", biased_alice)
-    report = search_infeasible_instance(grid=2, refine_rounds=1, family_phis=(0.4,))
-    assert report.outcome == "infeasible_found"
-    assert report.best_state == "weighted_ghz(phi=0.400000)"
-    assert report.certificate_margin == report.max_slack == rejected.certificate.margin
+    monkeypatch.setattr(bellsim.signaling, "localparts_feasible", decide)
+    return decided
+
+
+def _first_family_target(settings):
     amps = np.zeros(8)
     amps[0], amps[7] = math.cos(0.4), math.sin(0.4)
-    want = born_behavior(state_from_amplitudes(amps), report.best_settings)
+    return born_behavior(state_from_amplitudes(amps), settings)
+
+
+def test_search_decides_each_instance_once(monkeypatch):
+    # Instances are compared by (state, angles), not by Born table: flipping
+    # the sign of one angle can leave a GHZ table unchanged.
+    import bellsim.quantum
+
+    real_born = bellsim.quantum.born_behavior
+    instances = []
+
+    def born(state, settings):
+        instances.append((state.amps.tobytes(), settings))
+        return real_born(state, settings)
+
+    monkeypatch.setattr(bellsim.quantum, "born_behavior", born)
+    decided = _record_decisions(monkeypatch)
+    report = search_infeasible_instance(grid=2, family_phis=(0.4,))
+    assert len(decided) == len(instances) == report.instances_checked
+    assert len(set(instances)) == len(instances)
+
+
+def test_search_concludes_on_the_flagged_state(monkeypatch):
+    # The report carries the rejecting decision, made once.
+    rejected = localparts_feasible(double_pr_target(), (1, 2))
+    decided = _record_decisions(monkeypatch, lambda: rejected)
+    report = search_infeasible_instance(grid=2, family_phis=(0.4,))
+    assert report.outcome == "infeasible_found"
+    assert report.state == "weighted_ghz(phi=0.400000)"
+    assert report.certificate_margin == rejected.certificate.margin
     assert len(decided) == report.instances_checked
-    assert np.array_equal(decided[-1].table, want.table)
+    assert np.array_equal(decided[-1].table, _first_family_target(report.settings).table)
+
+
+def test_search_ends_undecided_on_a_boundary_error(monkeypatch):
+    def boundary():
+        raise RuntimeError("target is within re-check tolerance of the boundary")
+
+    decided = _record_decisions(monkeypatch, boundary)
+    report = search_infeasible_instance(grid=2, family_phis=(0.4,))
+    assert report.outcome == "undecided"
+    assert report.certificate_margin is None
+    assert report.state == "weighted_ghz(phi=0.400000)"
+    assert len(decided) == report.instances_checked == 4 + 4 * 24 + 1
+    assert np.array_equal(decided[-1].table, _first_family_target(report.settings).table)
