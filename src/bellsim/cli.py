@@ -21,7 +21,7 @@ import sys
 from . import inequality
 from .hvmodels import (
     TIMING_RULES,
-    UnsupportedConfigurationError,
+    ModelConfig,
     coordination_map,
     effective_behavior,
     pair_key,
@@ -170,45 +170,44 @@ def _empirical_summary(sc, schedule, workers: int) -> tuple:
 
 
 def _derived_block(sc, eff, correlators) -> dict:
-    """Chain/CHSH values from the summary's correlators, plus mixture analysis."""
-    derived = {}
+    """Chain/CHSH values from the summary's correlators, plus mixture
+    analysis, for a bipartite scenario with 2..MAX_CHAIN_N settings per side."""
     if sc.parties != 2:
-        return derived
+        return {}
     n_a, n_b = len(sc.settings[0]), len(sc.settings[1])
-    if n_a == n_b and n_a >= 2:
-        spec = inequality.chain_spec(n_a)
-        by_settings = {tuple(entry["settings"]): entry for entry in correlators}
-        value = se2 = 0.0
-        for (ia, ib), sign in spec.terms:
-            entry = by_settings[(ia, ib)]
-            value += sign * entry["mean"]
-            se = entry["se"]
-            se2 += se * se if se is not None else math.inf
-        block = {
-            "n": n_a,
-            "empirical_value": float(value),
-            "se": _finite_or_none(math.sqrt(se2) if math.isfinite(se2) else math.inf),
-            "predicted_value": inequality.chain_value(eff, spec),
-            "local_bound": inequality.local_bound(spec),
-            "quantum_optimum": inequality.quantum_chain_optimum(n_a).value,
+    if n_a != n_b or not 2 <= n_a <= inequality.MAX_CHAIN_N:
+        return {}
+    spec = inequality.chain_spec(n_a)
+    by_settings = {tuple(entry["settings"]): entry for entry in correlators}
+    value = se2 = 0.0
+    for (ia, ib), sign in spec.terms:
+        entry = by_settings[(ia, ib)]
+        value += sign * entry["mean"]
+        se = entry["se"]
+        se2 += se * se if se is not None else math.inf
+    block = {
+        "n": n_a,
+        "empirical_value": float(value),
+        "se": _finite_or_none(math.sqrt(se2) if math.isfinite(se2) else math.inf),
+        "predicted_value": inequality.chain_value(eff, spec),
+        "local_bound": inequality.local_bound(spec),
+        "quantum_optimum": inequality.quantum_chain_optimum(n_a).value,
+    }
+    derived = {"chain": block}
+    if n_a == 2:
+        derived["chsh"] = {
+            "empirical_value": block["empirical_value"],
+            "se": block["se"],
+            "predicted_value": block["predicted_value"],
+            "local_bound": 2.0,
+            "tsirelson": 2.0 * math.sqrt(2.0),
         }
-        derived["chain"] = block
-        if n_a == 2:
-            derived["chsh"] = {
-                "empirical_value": block["empirical_value"],
-                "se": block["se"],
-                "predicted_value": block["predicted_value"],
-                "local_bound": 2.0,
-                "tsirelson": 2.0 * math.sqrt(2.0),
-            }
     if sc.model.kind == "mixture":
-        n = len(sc.settings[0])
-        if n == len(sc.settings[1]) and 2 <= n <= inequality.MAX_CHAIN_N:
-            derived["mixture"] = {
-                "p": sc.model.p,
-                "max_value": inequality.mixture_max_value(sc.model.p, n),
-                "deviation": inequality.mixture_deviation(sc.model.p, n),
-            }
+        derived["mixture"] = {
+            "p": sc.model.p,
+            "max_value": inequality.mixture_max_value(sc.model.p, n_a),
+            "deviation": inequality.mixture_deviation(sc.model.p, n_a),
+        }
     return derived
 
 
@@ -288,8 +287,11 @@ def _sample_at_optimum(name: str, opt, args) -> tuple | None:
     """
     if args.p is not None and args.model != "mixture":
         raise _usage_error("--p needs --model mixture")
-    if args.model == "mixture" and args.p is None:
-        raise _usage_error("--model mixture needs --p")
+    if args.model == "mixture":
+        try:
+            ModelConfig(kind="mixture", p=args.p)
+        except ValueError as exc:
+            raise _usage_error(f"--model mixture needs --p: {exc}") from None
     if args.trials is None:
         return None
     n = len(opt.angles_a)
@@ -556,7 +558,7 @@ def main(argv=None) -> int:
             _json_text({"error": {"code": "io", "message": str(exc)}})
         )
         return EXIT_ERROR
-    except (ValueError, UnsupportedConfigurationError) as exc:
+    except ValueError as exc:
         sys.stderr.write(
             _json_text({"error": {"code": "invalid", "message": str(exc)}})
         )

@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .quantum import Behavior, marginal, no_signaling_defect
+from .quantum import Behavior, marginal, no_signaling_defect, outcome_signs
 from .spacetime import (
     SPEED_OF_LIGHT,
     Boost,
@@ -274,26 +274,14 @@ def constructive_off_behavior(target: Behavior, off_pair: tuple[int, int]) -> Be
 
 
 def _components_of_on_graph(parties: int, cmap: dict[tuple[int, int], str]) -> list[tuple[int, ...]]:
-    adj: dict[int, set[int]] = {i: set() for i in range(parties)}
+    """Connected components of the ON pairs, as sorted tuples ordered by
+    their lowest party."""
+    comp = {q: {q} for q in range(parties)}
     for (i, j), state in cmap.items():
-        if state == ON:
-            adj[i].add(j)
-            adj[j].add(i)
-    seen: set[int] = set()
-    components: list[tuple[int, ...]] = []
-    for start in range(parties):
-        if start in seen:
-            continue
-        stack, comp = [start], set()
-        while stack:
-            q = stack.pop()
-            if q in comp:
-                continue
-            comp.add(q)
-            stack.extend(adj[q] - comp)
-        seen |= comp
-        components.append(tuple(sorted(comp)))
-    return components
+        if state == ON and comp[i] is not comp[j]:
+            merged = comp[i] | comp[j]
+            comp.update((q, merged) for q in merged)
+    return sorted({tuple(sorted(c)) for c in comp.values()})
 
 
 def effective_behavior(model: ModelConfig, g: Geometry, target: Behavior) -> Behavior:
@@ -389,9 +377,8 @@ class RunSample:
         count = selected.shape[0]
         if count == 0:
             return 0.0, math.inf, 0
-        # The outcome product of a code is -1 exactly when it has an odd number of set bits.
-        signs = np.array([1.0 - 2.0 * (bin(c).count("1") & 1) for c in range(1 << self.parties)])
-        prods = signs[selected]
+        # Codes enumerate outcome tuples in C order, as outcome_signs does.
+        prods = outcome_signs(self.parties).ravel()[selected]
         mean = float(prods.mean())
         if count < 2:
             return mean, math.inf, count

@@ -24,9 +24,8 @@ from .quantum import Behavior, born_behavior, correlator, make_singlet
 
 Term = tuple[tuple[int, int], int]
 
-# Enumeration stays exact and cheap through the largest chain the
-# threshold scan visits, so both limits sit at 12.
-MAX_ENUM_N = 12
+# Local-bound enumeration stays exact and cheap through the largest chain
+# the threshold scan visits.
 MAX_CHAIN_N = 12
 
 
@@ -117,8 +116,8 @@ def local_bound(spec: ChainSpec) -> float:
     Bob assignment is the sign choice per column, which is exact.
     """
     n = spec.n
-    if n > MAX_ENUM_N:
-        raise ValueError(f"enumeration limited to N <= {MAX_ENUM_N}, got {n}")
+    if n > MAX_CHAIN_N:
+        raise ValueError(f"enumeration limited to N <= {MAX_CHAIN_N}, got {n}")
     m = np.zeros((n, n))
     for (x, y), sign in spec.terms:
         m[x, y] += sign

@@ -196,8 +196,6 @@ def no_signaling_defect(b: Behavior) -> float:
     it.  The value is the max absolute probability difference between
     marginal tables of the same subset at different remote settings.
     """
-    if b.parties == 1:
-        return 0.0
     worst = 0.0
     for r in range(1, b.parties):
         for sub in itertools.combinations(range(b.parties), r):

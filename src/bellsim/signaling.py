@@ -110,11 +110,13 @@ class PolytopeResult:
 
 
 def local_polytope_member(bc: Behavior) -> PolytopeResult:
-    """Decide membership in the local polytope by linear programming.
-
-    Membership returns convex weights over the deterministic vertices;
-    rejection returns a separating inequality found by the dual LP, with
-    the local bound re-computed directly over all vertices.
+    """Decide membership in the local polytope by one separation LP:
+    max h.b - t subject to h.v <= t at every deterministic vertex v and
+    |h| <= 1.  A positive optimum is a separating inequality, its local
+    bound re-computed over all vertices; else the vertex rows' duals,
+    which minimise ||V^T w - b||_1 over convex w, are the weights.  When
+    neither re-checks to RECHECK_TOL, the behavior is within the LP's
+    tolerance of the boundary and RuntimeError is raised.
     """
     if bc.parties != 2:
         raise ValueError(f"need a bipartite behavior, got {bc.parties} parties")
@@ -126,19 +128,9 @@ def local_polytope_member(bc: Behavior) -> PolytopeResult:
     vertices = _local_vertices(ma, mb)
     n_v, dim = vertices.shape
     b_vec = bc.table.reshape(dim)
-    a_eq = np.vstack([vertices.T, np.ones((1, n_v))])
-    b_eq = np.concatenate([b_vec, [1.0]])
-    res = linprog(np.zeros(n_v), A_eq=a_eq, b_eq=b_eq, bounds=(0, 1), method="highs")
-    if res.status == 0:
-        return PolytopeResult(member=True, weights=res.x, certificate=None)
-    if res.status != 2:
-        raise RuntimeError(f"membership LP failed with status {res.status}: {res.message}")
-    # Separation: max h.b - t subject to h.v <= t for all vertices, |h| <= 1.
-    c = np.concatenate([-b_vec, [1.0]])
-    a_ub = np.hstack([vertices, -np.ones((n_v, 1))])
     sep = linprog(
-        c,
-        A_ub=a_ub,
+        np.concatenate([-b_vec, [1.0]]),
+        A_ub=np.hstack([vertices, -np.ones((n_v, 1))]),
         b_ub=np.zeros(n_v),
         bounds=[(-1, 1)] * dim + [(None, None)],
         method="highs",
@@ -147,11 +139,16 @@ def local_polytope_member(bc: Behavior) -> PolytopeResult:
         raise RuntimeError(f"separation LP failed with status {sep.status}: {sep.message}")
     h = sep.x[:dim]
     bound = float(np.max(vertices @ h))
-    value = float(h @ b_vec)
-    cert = SeparatingInequality(h=h.reshape(ma, mb, 2, 2), bound=bound, value=value)
-    if cert.margin <= RECHECK_TOL:
-        raise RuntimeError("separation LP produced no verifiable margin")
-    return PolytopeResult(member=False, weights=None, certificate=cert)
+    cert = SeparatingInequality(h=h.reshape(ma, mb, 2, 2), bound=bound, value=float(h @ b_vec))
+    if cert.margin > RECHECK_TOL:
+        return PolytopeResult(member=False, weights=None, certificate=cert)
+    weights = -sep.ineqlin.marginals
+    if recheck_membership_witness(bc, weights) <= RECHECK_TOL:
+        return PolytopeResult(member=True, weights=weights, certificate=None)
+    raise RuntimeError(
+        "behavior is within the LP's tolerance of the local polytope's boundary: "
+        "neither the weights nor the separating inequality re-check"
+    )
 
 
 def recheck_membership_witness(bc: Behavior, weights: np.ndarray) -> float:
@@ -236,13 +233,13 @@ class FeasibilityResult:
     max_residual: float | None
 
 
-def _pair_marginal_checked(target: Behavior, pair: tuple[int, int], what: str) -> np.ndarray:
-    """The tripartite target's marginal table over ``pair``, checked to be
-    the same at every setting of the remaining party."""
+def _pair_marginal_checked(table: np.ndarray, pair: tuple[int, int], what: str) -> np.ndarray:
+    """The marginal over ``pair`` of a tripartite table, checked to be the
+    same at every setting of the remaining party."""
     (rest,) = set(range(3)) - set(pair)
     # One table per remaining setting, leading; the outcome sum is over
     # a length-2 axis, so its bits do not depend on the axis order.
-    tables = np.moveaxis(target.table.sum(axis=3 + rest), rest, 0)
+    tables = np.moveaxis(table.sum(axis=3 + rest), rest, 0)
     if np.max(np.abs(tables - tables[0])) > RECHECK_TOL:
         raise ValueError(f"target's {what} marginal depends on the remaining party's setting")
     return tables[0]
@@ -346,10 +343,9 @@ def build_feasibility_problem(target: Behavior, off_pair: tuple[int, int]) -> Fe
         )
     table = np.transpose(target.table, perm + tuple(3 + q for q in perm))
     spp = tuple(target.settings_per_party[q] for q in perm)
-    permuted = Behavior(3, spp, np.ascontiguousarray(table))
 
-    t_ab = _pair_marginal_checked(permuted, (0, 1), "spectator-first-partner")
-    t_ac = _pair_marginal_checked(permuted, (0, 2), "spectator-second-partner")
+    t_ab = _pair_marginal_checked(table, (0, 1), "spectator-first-partner")
+    t_ac = _pair_marginal_checked(table, (0, 2), "spectator-second-partner")
 
     system = _lp_system(spp)
     b_eq = np.zeros(system.a_eq.shape[0])

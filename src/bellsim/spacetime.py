@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
-#: Default absolute tolerance for the lightlike boundary of the squared
+#: Absolute tolerance for the lightlike boundary of the squared
 #: interval, intended for c=1 unit systems with O(1..1e3) coordinates.
 LIGHTLIKE_ATOL = 1e-9
 
@@ -108,19 +108,14 @@ def interval_squared(e1: Event, e2: Event, c: float = SPEED_OF_LIGHT) -> float:
     return (c * dt) ** 2 - dx * dx - dy * dy
 
 
-def interval_classify(
-    e1: Event,
-    e2: Event,
-    c: float = SPEED_OF_LIGHT,
-    atol: float = LIGHTLIKE_ATOL,
-) -> str:
+def interval_classify(e1: Event, e2: Event, c: float = SPEED_OF_LIGHT) -> str:
     """Classify the separation of two events.
 
     Returns "timelike", "lightlike" or "spacelike" by the sign of the
-    squared interval.  |s2| within atol of zero counts as lightlike,
-    with atol scaled by the magnitude of the squares being subtracted
-    so that on-cone events classify as lightlike at any coordinate
-    scale despite floating-point cancellation.
+    squared interval.  |s2| within LIGHTLIKE_ATOL of zero counts as
+    lightlike, with the tolerance scaled by the magnitude of the squares
+    being subtracted so that on-cone events classify as lightlike at any
+    coordinate scale despite floating-point cancellation.
     """
     dt = e2.t - e1.t
     dx = e2.x - e1.x
@@ -128,21 +123,16 @@ def interval_classify(
     time_sq = (c * dt) ** 2
     space_sq = dx * dx + dy * dy
     s2 = time_sq - space_sq
-    if abs(s2) <= atol * max(1.0, time_sq, space_sq):
+    if abs(s2) <= LIGHTLIKE_ATOL * max(1.0, time_sq, space_sq):
         return "lightlike"
     return "timelike" if s2 > 0.0 else "spacelike"
 
 
-def in_future_lightcone(
-    source: Event,
-    target: Event,
-    c: float = SPEED_OF_LIGHT,
-    atol: float = LIGHTLIKE_ATOL,
-) -> bool:
+def in_future_lightcone(source: Event, target: Event, c: float = SPEED_OF_LIGHT) -> bool:
     """True iff target lies on or inside the future lightcone of source."""
     if not target.t > source.t:
         return False
-    return interval_classify(source, target, c=c, atol=atol) != "spacelike"
+    return interval_classify(source, target, c=c) != "spacelike"
 
 
 def before_before(s: TimingScenario) -> bool:
@@ -170,21 +160,17 @@ def equivalent_vbb(v: float, c: float = SPEED_OF_LIGHT) -> float:
 
 
 def device_frame_order(
-    local: Event,
-    remote: Event,
-    device_boost: Boost,
-    c: float = SPEED_OF_LIGHT,
-    atol: float = 0.0,
+    local: Event, remote: Event, device_boost: Boost, c: float = SPEED_OF_LIGHT
 ) -> str:
     """Temporal order of ``local`` relative to ``remote`` in the device frame.
 
     Returns "before" if the local event precedes the remote one after
     boosting both events by ``device_boost``, "after" if it follows, and
-    "simultaneous" when the boosted times agree within ``atol`` seconds.
+    "simultaneous" when the boosted times are equal.
     """
     tl = lorentz_boost(local, device_boost, c=c).t
     tr = lorentz_boost(remote, device_boost, c=c).t
-    if abs(tl - tr) <= atol:
+    if tl == tr:
         return "simultaneous"
     return "before" if tl < tr else "after"
 
@@ -205,7 +191,6 @@ def find_point_d(
     b: Event,
     c_ev: Event,
     c: float = SPEED_OF_LIGHT,
-    grid_points: int = 2001,
 ) -> tuple[Event, float] | None:
     """Find a point D inside the future cones of b and c_ev but outside a's.
 
@@ -214,10 +199,11 @@ def find_point_d(
     future cones, and the returned ``advantage`` is the number of seconds
     by which D beats a light signal sent from A to D's location.  The
     spatial midpoint is tried first; failing that, the bisector is
-    scanned over a bounded grid (10x the largest pairwise distance) and
-    its best grid point is returned.  The advantage is therefore that of
-    one point on the bisector, not the largest over the plane, and None
-    means no point D on the bisector, not none anywhere.
+    scanned at 2001 evenly spaced points over a bounded range (10x the
+    largest pairwise distance) and its best point is returned.  The
+    advantage is therefore that of one point on the bisector, not the
+    largest over the plane, and None means no point D on the bisector,
+    not none anywhere.
 
     A degenerate spatially coincident B=C reduces to the two-event case:
     D sits at their common position, halfway through the time window.
@@ -255,8 +241,8 @@ def find_point_d(
         )
         bound = 10.0 * max(dists)
         best = (gap, px, py)
-        for i in range(grid_points):
-            s = -bound + (2.0 * bound) * i / (grid_points - 1)
+        for i in range(2001):
+            s = -bound + (2.0 * bound) * i / 2000
             qx, qy, g = candidate(s)
             if g > best[0]:
                 best = (g, qx, qy)

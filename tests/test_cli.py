@@ -96,6 +96,14 @@ A_FILE = "<file>"
         (["preset", "run", "fig2b", "--seed", "3"], 2),
         (["preset", "run", "fig2b", "--workers", "1"], 2),
         (["preset", "run", "fig2b", "--format", "csv"], 2),
+        (["chsh", "--model", "mixture", "--p", "nan"], 2),
+        (["chsh", "--model", "mixture", "--p", "2", "--trials", "5"], 2),
+        (["chsh", "--model", "mixture", "--p", "-0.5"], 2),
+        (["chsh", "--model", "mixture", "--p", "nan", "--trials", "5"], 2),
+        (["chain", "--n", "3", "--model", "mixture", "--p", "-0.5"], 2),
+        (["chain", "--n", "3", "--model", "mixture", "--p", "inf", "--trials", "5"], 2),
+        (["chain", "--n", "3", "--model", "mixture", "--p", "2"], 2),
+        (["chain", "--n", "3", "--model", "mixture", "--p", "nan", "--trials", "5"], 2),
     ],
 )
 def test_bad_argv_is_json_error_without_traceback(argv, code, tmp_path, capsys):
@@ -169,6 +177,25 @@ def test_chain_p_requires_mixture_model(capsys):
     code, _, err = run_cli(["chain", "--n", "2", "--p", "0.5"], capsys)
     assert code == 2
     assert json.loads(err)["error"]["code"] == "usage"
+
+
+def test_simulate_beyond_the_chain_limit_skips_the_chain_block(tmp_path, capsys):
+    """A bipartite scenario with 13 settings per side is valid; its summary
+    has no chain or CHSH block, since chains stop at MAX_CHAIN_N = 12."""
+
+    def wide(doc):
+        doc["model"] = {"kind": "quantum"}
+        doc["settings"] = [[0.1 * k for k in range(13)], [0.1 * k + 0.05 for k in range(13)]]
+
+    path = write_scenario(tmp_path, wide)
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        ["simulate", "--scenario", str(path), "--trials", "26", "--out", str(out_dir)], capsys
+    )
+    assert code == 0, err
+    assert json.loads(out)["derived"] == {}
+    rows = (out_dir / "runs.csv").read_text().splitlines()
+    assert len(rows) == 1 + 26
 
 
 def test_chsh_exact_numbers(capsys):

@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 from bellsim.hvmodels import (
     CHUNK,
     TIMING_RULES,
+    OFF,
+    ON,
     WRITE_BLOCK,
     Geometry,
     ModelConfig,
     UnsupportedConfigurationError,
+    _components_of_on_graph,
     coordination_map,
     effective_behavior,
     pair_timing,
@@ -631,3 +634,20 @@ def test_sample_codes_match_inverse_cdf_oracle(parties, kind, trials, workers, s
         assert np.array_equal(sample.branch_local, branch)
     else:
         assert sample.branch_local is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(parties=st.integers(2, 4), data=st.data())
+def test_components_match_brute_force_reachability(parties, data):
+    """Each party's component is the set it reaches over ON pairs; the
+    components come out as sorted tuples ordered by their lowest party."""
+    pairs = list(itertools.combinations(range(parties), 2))
+    states = data.draw(st.lists(st.sampled_from((ON, OFF)), min_size=len(pairs), max_size=len(pairs)))
+    cmap = dict(zip(pairs, states))
+    reach = np.eye(parties, dtype=bool)
+    for (i, j), state in cmap.items():
+        reach[i, j] = reach[j, i] = reach[i, j] or state == ON
+    for _ in range(parties):
+        reach = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
+    expected = sorted({tuple(np.flatnonzero(row).tolist()) for row in reach})
+    assert _components_of_on_graph(parties, cmap) == expected

@@ -144,6 +144,51 @@ def test_membership_validates_input():
         local_polytope_member(wide)
 
 
+@pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 0.0, -1e-8])
+def test_membership_near_the_boundary_is_rechecked_or_raises(eps):
+    """(1/2 + eps) PR + (1/2 - eps) white noise has CHSH 2 + 4 eps.  Each
+    answer is a member whose weights re-check, a rejection whose margin
+    re-checks, or RuntimeError; inside the LP's tolerance band (eps of
+    1e-7 and 1e-8) it is never a member."""
+    b = Behavior(2, (2, 2), (0.5 + eps) * pr_box_behavior().table + (0.5 - eps) / 4)
+    try:
+        res = local_polytope_member(b)
+    except RuntimeError as exc:
+        assert "boundary" in str(exc)
+        return
+    if res.member:
+        assert eps not in (1e-7, 1e-8)
+        assert recheck_membership_witness(b, res.weights) <= RECHECK_TOL
+    else:
+        h = res.certificate.h.reshape(-1)
+        margin = h @ b.table.reshape(-1) - np.max(_local_vertices(2, 2) @ h)
+        assert margin > RECHECK_TOL
+
+
+def test_membership_takes_one_lp_per_decision(monkeypatch):
+    """One separation LP decides each behavior: its optimum rejects, its
+    duals are the member's weights, and a boundary case raises after it."""
+    import scipy.optimize
+
+    real = scipy.optimize.linprog
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+    rng = np.random.default_rng(41)
+    boundary = Behavior(2, (2, 2), (0.5 + 1e-7) * pr_box_behavior().table + (0.5 - 1e-7) / 4)
+    for b in (pr_box_behavior(), random_product_behavior(rng, (3, 4)), boundary):
+        calls.clear()
+        try:
+            local_polytope_member(b)
+        except RuntimeError:
+            pass
+        assert len(calls) == 1
+
+
 def test_product_target_feasible():
     rng = np.random.default_rng(23)
     pa = rng.dirichlet(np.ones(2), size=2)
