@@ -12,12 +12,14 @@ layout provides a point D inside both receiver lightcones.
 
 The local-parts program is decided by its Frechet reduction (see
 _Reduction): an empty Frechet interval, or a receiver marginal that the
-spectator's setting shifts, is rejected with no LP; otherwise one small
-LP over the cut pair's strategy weights gives a witness.  Every witness
-or certificate is re-checked directly against the full constraint
-system, so solver tolerances never carry a conclusion on their own.
-LPs use scipy's HiGHS backend; scipy.optimize is imported on the first
-LP, not with this module, so commands that solve none never load it.
+spectator's setting shifts, is rejected with no LP; otherwise the local
+model whose hidden variable is the spectator's own outcome gives the
+witness, and only where it fits at no spectator setting does one small
+LP over the cut pair's strategy weights.  Every witness or certificate
+is re-checked directly against the full constraint system, so solver
+tolerances never carry a conclusion on their own.  LPs use scipy's
+HiGHS backend; scipy.optimize is imported on the first LP, not with
+this module, so commands that solve none never load it.
 """
 
 from __future__ import annotations
@@ -250,10 +252,11 @@ class _LPSystem:
     settings shape, shared by every FeasibilityProblem of that shape.
 
     a_eq is read-only; norm, ab, ac and d hold the row numbers of blocks
-    1, 5, 6 and 7, shaped like their indices.  The centred LP runs over
-    [strategy weights; t]: lp_eq's rows are sum w = 1 and P(+1) at each
-    setting of B, then of C; lp_ub's are -L00 + t and L00 + t per (y, z),
-    where s00 @ w is L00, the weight answering (+1, +1).
+    1, 5, 6 and 7, shaped like their indices; plus[s, k] says whether
+    strategy k answers +1 at setting s (Bob's, then Charlie's).  The
+    centred LP runs over [strategy weights; t]: lp_eq's rows are sum w = 1
+    and P(+1) at each setting of B, then of C; lp_ub's are -L00 + t and
+    L00 + t per (y, z), where s00 @ w is L00, the weight answering (+1, +1).
     A plain class, not a dataclass: defining a dataclass takes about half
     a millisecond, which every command would pay at import.
     """
@@ -263,7 +266,8 @@ class _LPSystem:
         self.n_q = n_q
         self.strategies = strategies
         self.norm, self.ab, self.ac, self.d = rows
-        plus = answers[:, 0].astype(float)  # (setting, strategy): answers +1 there
+        self.plus = answers[:, 0]
+        plus = self.plus.astype(float)
         mb, k = len(strategies[0][0]), plus.shape[1]
         self.s00 = (plus[:mb, None] * plus[None, mb:]).reshape(-1, k)
         eq, ub = np.vstack([np.ones((1, k)), plus]), np.vstack([-self.s00, self.s00])
@@ -463,23 +467,62 @@ class _Reduction:
                 ))
         return max(filter(None, found), key=lambda cert: cert.margin, default=None)
 
-    def witness(self):
-        """(z, residual, certificate or None, t*) from the centred LP.
+    def lift(self, w):
+        """(z, residual) for the local L with strategy weights w: Q puts
+        every a's coupling at the fraction of its interval at which
+        L00 = s00 @ w sits in [lo, hi], at each x, and re-checks."""
+        ma, mb, mc = self.problem.settings
+        width = self.hi - self.lo
+        frac = np.divide((self.s.s00 @ w).reshape(mb, mc) - self.lo, width, where=width > 0,
+                         out=np.zeros_like(width))
+        q = np.empty((ma, mb, mc, 2, 2, 2))
+        q[..., 0, 0] = self.lo_a + np.clip(frac, 0.0, 1.0)[..., None] * (self.hi_a - self.lo_a)
+        q[..., 0, 1] = self.ab0 - q[..., 0, 0]
+        q[..., 1, 0] = self.ac0 - q[..., 0, 0]
+        q[..., 1, 1] = self.t_ab[:, :, None, :, 1] - q[..., 1, 0]
+        z = np.concatenate([q.ravel(), w])
+        return z, recheck_feasibility_witness(self.problem, z)
 
-        It maximizes t subject to sum w = 1, P_B and P_C at x = 0, and
+    def spectator_models(self):
+        """Strategy weights, one row per x*, of the local L that takes the
+        spectator's outcome a at x* as its hidden variable:
+        L(b, c|y, z) = sum_a T_A(a|x*) T(b|a,x*,y) T(c|a,x*,z), with
+        T_A(a|x*) = 0 terms skipped.  Its L00 sums each a's independent
+        coupling, so it lies in [lo, hi] at x* itself."""
+        t_a = self.t_ab[:, 0].sum(axis=-1)[:, None, :, None]  # (x, ., a, .)
+        given_a = np.concatenate([self.t_ab, self.t_ac], axis=1)  # (x, setting, a, outcome)
+        given_a = np.divide(given_a, t_a, where=t_a > 0, out=np.zeros_like(given_a))
+        # (x, a, setting, strategy): T(the strategy's answer|a, x, setting).
+        answer = np.where(self.s.plus[:, None], given_a[..., 0, None], given_a[..., 1, None])
+        return np.einsum("xa,xak->xk", t_a[:, 0, :, 0], answer.swapaxes(1, 2).prod(axis=2))
+
+    def witness(self):
+        """(z, residual, certificate or None, t* or None).
+
+        The first spectator-outcome model whose L00 lies in
+        [max_x lo, min_x hi] at every (y, z) is lifted; if the lift
+        re-checks, no LP runs and t* is None.  Otherwise the centred LP
+        maximizes t subject to sum w = 1, P_B and P_C at x = 0, and
         max_x lo + t <= L00 <= min_x hi - t per (y, z).  Centring keeps L00
         off the interval ends, where the LP's tolerance would push the
-        lift outside them.  The lift puts every a's coupling at the same
-        fraction of its interval at each x.  When t* < 0 no local L fits,
-        and the LP's duals weigh the certificate.
+        lift outside them.  When t* < 0 no local L fits, and the LP's
+        duals weigh the certificate.
         """
-        s, (ma, mb, mc) = self.s, self.problem.settings
+        s, (_, mb, mc) = self.s, self.problem.settings
+        floor, ceiling = self.lo.max(axis=0).ravel(), self.hi.min(axis=0).ravel()
+        models = self.spectator_models()
+        l00 = models @ s.s00.T
+        fits = np.all((floor <= l00) & (l00 <= ceiling), axis=1)
+        if fits.any():
+            z, resid = self.lift(models[np.argmax(fits)])
+            if resid <= RECHECK_TOL:
+                return z, resid, None, None
         c = np.zeros(s.lp_ub.shape[1])
         c[-1] = -1.0
         res = linprog(
             c,
             A_ub=s.lp_ub,
-            b_ub=np.concatenate([-self.lo.max(axis=0).ravel(), self.hi.min(axis=0).ravel()]),
+            b_ub=np.concatenate([-floor, ceiling]),
             A_eq=s.lp_eq,
             b_eq=np.concatenate([[1.0], self.t_b[0], self.t_c[0]]),
             bounds=[(0, None)] * (len(c) - 1) + [(None, None)],
@@ -488,15 +531,7 @@ class _Reduction:
         if res.status != 0:
             raise RuntimeError(f"centred LP failed with status {res.status}: {res.message}")
         w, t_star = np.clip(res.x[:-1], 0.0, None), float(res.x[-1])
-        width = self.hi - self.lo
-        frac = np.divide((s.s00 @ w).reshape(mb, mc) - self.lo, width, where=width > 0,
-                         out=np.zeros_like(width))
-        q = np.empty((ma, mb, mc, 2, 2, 2))
-        q[..., 0, 0] = self.lo_a + np.clip(frac, 0.0, 1.0)[..., None] * (self.hi_a - self.lo_a)
-        q[..., 0, 1] = self.ab0 - q[..., 0, 0]
-        q[..., 1, 0] = self.ac0 - q[..., 0, 0]
-        q[..., 1, 1] = self.t_ab[:, :, None, :, 1] - q[..., 1, 0]
-        z = np.concatenate([q.ravel(), w])
+        z, resid = self.lift(w)
         cert = None
         if t_star < 0:
             # The <= rows' duals are <= 0 and sum to -1.
@@ -511,7 +546,7 @@ class _Reduction:
                 lam_b,
                 lam_c,
             )
-        return z, recheck_feasibility_witness(self.problem, z), cert, t_star
+        return z, resid, cert, t_star
 
 
 def _decide(problem: FeasibilityProblem):
@@ -608,7 +643,7 @@ def signal_report(
     off_pair: tuple[int, int],
     geometry: Geometry,
 ) -> dict:
-    """The cut pair's marginal shift, its LP verdict, and point D.
+    """The cut pair's marginal shift, its local-parts verdict, and point D.
 
     ``observed`` is the behavior whose marginal shift is reported (a
     model's effective behavior, or constructive_off_behavior for the

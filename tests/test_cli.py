@@ -120,7 +120,18 @@ def test_bad_argv_is_json_error_without_traceback(argv, code, tmp_path, capsys):
     assert a_file.read_text() == ""
 
 
-def test_failed_lp_is_json_error_without_traceback(monkeypatch, capsys):
+def write_lp_scenario(tmp_path, target):
+    """fig2b's layout and model with a custom state and settings whose
+    target no spectator-outcome model fits, so ``signal`` solves an LP."""
+    amplitudes, angles = target
+    doc = json.loads(json.dumps(get_preset("fig2b").doc))
+    doc.update(state={"kind": "custom", "amplitudes": amplitudes}, settings=angles)
+    path = tmp_path / "lp.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_failed_lp_is_json_error_without_traceback(monkeypatch, capsys, tmp_path, lp_needing_target):
     import bellsim.signaling
 
     class Failed:
@@ -129,13 +140,23 @@ def test_failed_lp_is_json_error_without_traceback(monkeypatch, capsys):
         x = None
 
     monkeypatch.setattr(bellsim.signaling, "linprog", lambda *a, **k: Failed())
-    code, out, err = run_cli(["signal", "--preset", "fig2b"], capsys)
+    scenario = write_lp_scenario(tmp_path, lp_needing_target)
+    code, out, err = run_cli(["signal", "--scenario", str(scenario)], capsys)
     assert code == 1
     assert out == ""
     assert "Traceback" not in err
     doc = json.loads(err)
     assert doc["error"]["code"] == "internal"
     assert "LP failed with status 4" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("preset", ["fig1-detection", "fig2a", "fig2b"])
+def test_signal_presets_solve_no_lp(preset, no_lp, capsys):
+    """Each signal preset's witness comes from a spectator-outcome model."""
+    code, out, err = run_cli(["signal", "--preset", preset], capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["feasible"] is True and doc["witness_max_residual"] <= 1e-9
 
 
 def test_timing_zero_recession_speed_has_no_equivalent(capsys):
@@ -590,12 +611,14 @@ print(code, "scipy.optimize" in sys.modules, "scipy.sparse" in sys.modules)
         (["point-d", "--a", "0,0", "--b", "0,10", "--c", "0,20", "--c-units"], 0, False),
         (["preset", "list"], 0, False),
         (["preset", "run", "before-before", "--trials", "1000", "--out", "<out>"], 0, False),
-        (["signal", "--preset", "fig2a"], 0, True),
+        (["signal", "--scenario", "<lp>"], 0, True),
+        (["signal", "--preset", "fig2a"], 0, False),
     ],
 )
-def test_only_lp_commands_load_scipy_optimize(argv, code, loaded, tmp_path):
+def test_only_lp_commands_load_scipy_optimize(argv, code, loaded, tmp_path, lp_needing_target):
     """scipy.optimize, which loads scipy.sparse, is imported on the first
-    LP, so a fresh process running any other command loads neither."""
+    LP, so a fresh process loads neither unless it solves one: not for
+    ``signal`` on a target that a spectator-outcome model fits."""
 
     def corrupt(doc):
         doc["trials"] = 0
@@ -605,6 +628,7 @@ def test_only_lp_commands_load_scipy_optimize(argv, code, loaded, tmp_path):
         "<valid>": str(write_scenario(tmp_path)),
         "<invalid>": str(invalid),
         "<out>": str(tmp_path / "out"),
+        "<lp>": str(write_lp_scenario(tmp_path, lp_needing_target)),
     }
     argv = [files.get(arg, arg) for arg in argv]
     proc = subprocess.run(

@@ -444,18 +444,21 @@ def test_infeasibility_slack_signs():
     assert infeasibility_slack(double_pr_target(), (1, 2)) > 0.05
 
 
-def test_lps_reach_scipy_linprog_unchanged(monkeypatch):
+def test_lps_reach_scipy_linprog_unchanged(monkeypatch, lp_needing_target):
     """Every LP goes through scipy.optimize.linprog as looked up at call
     time, with its arguments and result passed on unchanged, so a wrapper
-    installed there (as the benchmark tracer does) sees every LP.  A
-    feasible target takes one centred LP over the cut pair's strategy
-    weights and t, with the shape's cached dense matrices; a target with an
-    empty Frechet interval takes none."""
+    installed there (as the benchmark tracer does) sees every LP.  A target
+    that no spectator-outcome model fits takes one centred LP over the cut
+    pair's strategy weights and t, with the shape's cached dense matrices;
+    the GHZ target, which such a model fits, and a target with an empty
+    Frechet interval take none."""
     import scipy.optimize
 
+    amplitudes, angles = lp_needing_target
+    needy = born_behavior(state_from_amplitudes([complex(*a) for a in amplitudes]), angles)
     ghz = born_behavior(make_ghz3(), [[0.0, math.pi / 2], [0.0], [0.0]])
     dpr = double_pr_target()
-    plain = localparts_feasible(ghz, (1, 2))
+    plain = localparts_feasible(needy, (1, 2))
 
     real = scipy.optimize.linprog
     calls = []
@@ -470,14 +473,17 @@ def test_lps_reach_scipy_linprog_unchanged(monkeypatch):
         return fn(*args), list(calls)
 
     monkeypatch.setattr(scipy.optimize, "linprog", recorder)
-    res, feasible_calls = recorded(localparts_feasible, ghz, (1, 2))
-    ghz_slack, ghz_calls = recorded(infeasibility_slack, ghz, (1, 2))
+    res, feasible_calls = recorded(localparts_feasible, needy, (1, 2))
+    needy_slack, needy_calls = recorded(infeasibility_slack, needy, (1, 2))
+    modelled, ghz_calls = recorded(localparts_feasible, ghz, (1, 2))
+    ghz_slack, ghz_slack_calls = recorded(infeasibility_slack, ghz, (1, 2))
     rejected, dpr_calls = recorded(localparts_feasible, dpr, (1, 2))
     dpr_slack, dpr_slack_calls = recorded(infeasibility_slack, dpr, (1, 2))
 
-    assert dpr_calls == dpr_slack_calls == []
+    assert dpr_calls == dpr_slack_calls == ghz_calls == ghz_slack_calls == []
     assert not rejected.feasible and dpr_slack == rejected.certificate.margin > 0.05
-    assert res.feasible and ghz_slack == 0.0 and len(ghz_calls) == 1
+    assert modelled.feasible and modelled.max_residual <= RECHECK_TOL and ghz_slack == 0.0
+    assert res.feasible and needy_slack == 0.0 and len(needy_calls) == 1
 
     ((c,), kw, result) = feasible_calls[0]
     assert len(feasible_calls) == 1
@@ -491,6 +497,8 @@ def test_lps_reach_scipy_linprog_unchanged(monkeypatch):
     assert c.tobytes() == np.concatenate([np.zeros(k), [-1.0]]).tobytes()
     assert kw["bounds"] == [(0, None)] * k + [(None, None)]
     assert result.status == 0
+    assert result.x[-1] == pytest.approx(0.0158, abs=1e-4)
+    assert res.max_residual <= RECHECK_TOL
     assert res.witness_weights.tobytes() == np.clip(result.x[:-1], 0.0, None).tobytes()
     assert res.witness.table.tobytes() == plain.witness.table.tobytes()
 
@@ -601,6 +609,42 @@ def test_noisy_double_pr_near_the_boundary(lam, margin):
         assert res.certificate.margin > RECHECK_TOL
 
 
+def test_the_model_must_fit_every_spectator_settings_interval(no_lp):
+    """At three spectator settings, the model at x* = 0 of this random
+    state lies in the interval at x = 1 but not at x = 2, and only the
+    model at x* = 2 lies in all three: that one is the witness, with no
+    LP."""
+    amps = [0.2 - 0.01j, -0.78 - 1.45j, 0.36 - 0.46j, 0.34 + 0.74j,
+            2.03 - 0.08j, -1.39 + 0.08j, 0.89 - 0.29j, -0.09 + 1.15j]
+    angles = [[2.37, 2.34, 3.39], [1.35, 1.55], [2.07, 2.87]]
+    target = born_behavior(state_from_amplitudes(np.array(amps) / np.linalg.norm(amps)), angles)
+    reduction = _Reduction(build_feasibility_problem(target, (1, 2)))
+    l00 = (reduction.spectator_models() @ reduction.s.s00.T).reshape(reduction.lo.shape)
+    inside = np.all((reduction.lo[None] <= l00[:, None]) & (l00[:, None] <= reduction.hi[None]),
+                    axis=(2, 3))  # (x*, x)
+    assert inside.tolist() == [[True, True, False], [True, True, False], [True, True, True]]
+    res = localparts_feasible(target, (1, 2))
+    assert res.feasible and res.max_residual <= RECHECK_TOL
+
+
+@pytest.mark.parametrize("shift", [2e-9, 4e-9, 7e-9])
+def test_receiver_shift_below_the_certificate_is_undecided(shift):
+    """Bob's marginal moves with Alice's setting by a few 1e-9: too little
+    for the shift's certificate (margin shift / 8) to re-check, and too
+    much for a lifted witness, the spectator-outcome model's included,
+    whose residual is the shift.  Both functions say so instead of
+    returning a witness that misses by more than RECHECK_TOL."""
+    pa = np.array([[0.5, 0.5], [0.25, 0.75]])
+    pb = np.array([[[0.625, 0.375]] * 2, [[0.625 + shift, 0.375 - shift]] * 2])  # (x, y, b)
+    pc = np.array([[0.5, 0.5], [0.75, 0.25]])
+    target = Behavior(3, (2, 2, 2), np.einsum("xa,xyb,zc->xyzabc", pa, pb, pc))
+    reduction = _Reduction(build_feasibility_problem(target, (1, 2)))
+    assert reduction.rejection() is None
+    for fn in (localparts_feasible, infeasibility_slack):
+        with pytest.raises(RuntimeError, match="within re-check tolerance"):
+            fn(target, (1, 2))
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.2, 0.49])
 def test_centred_lp_duals_certify_when_no_local_behavior_fits(lam):
     """A negative centred-LP margin t* means no local L fits the intervals,
@@ -617,6 +661,57 @@ def test_centred_lp_duals_certify_when_no_local_behavior_fits(lam):
     assert cert.margin == recheck_farkas_certificate(problem, cert.y)
     assert cert.margin == pytest.approx(localparts_feasible(target, (1, 2)).certificate.margin)
     assert cert.margin <= oracle_slack(target, (1, 2)) + 1e-12
+
+
+@pytest.mark.parametrize("shape", list(itertools.product((1, 2, 3), repeat=3)))
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_spectator_models_are_local_and_fit_their_own_intervals(shape, seed):
+    """On every cut pair of a random state: the spectator-outcome model at
+    x* is a probability vector over the strategies whose receiver-pair
+    behavior is sum_a T_AB(a,b|x*,y) T_AC(a,c|x*,z) / T_A(a|x*), so its
+    marginals are T_B and T_C at x*, and its L00 lies in [lo, hi] at x*,
+    as each a's independent coupling lies inside its Frechet bounds."""
+    rng = np.random.default_rng(seed)
+    angles = [rng.uniform(0, 2 * math.pi, m).tolist() for m in shape]
+    target = born_behavior(random_state(rng, 3), angles)
+    for off_pair in ((1, 2), (0, 2), (0, 1)):
+        reduction = _Reduction(build_feasibility_problem(target, off_pair))
+        models = reduction.spectator_models()
+        ma, mb, mc = reduction.problem.settings
+        t_ab, t_ac = reduction.t_ab, reduction.t_ac  # (x, y, a, b), (x, z, a, c)
+        assert models.shape == (ma, len(reduction.problem.strategies))
+        assert models.min() >= 0.0
+        assert np.max(np.abs(models.sum(axis=1) - 1.0)) <= 1e-12
+        for x in range(ma):
+            local = np.zeros((mb, mc, 2, 2))
+            for w, (bits_b, bits_c) in zip(models[x], reduction.problem.strategies):
+                for y, z in itertools.product(range(mb), range(mc)):
+                    local[y, z, bits_b[y], bits_c[z]] += w
+            t_a = t_ab[x, 0].sum(axis=-1)
+            coupled = np.einsum("yab,zac,a->yzbc", t_ab[x], t_ac[x], 1.0 / t_a)
+            assert np.max(np.abs(local - coupled)) <= 1e-12
+            assert np.max(np.abs(local.sum(axis=3) - t_ab[x].sum(axis=1)[:, None])) <= 1e-12
+            assert np.max(np.abs(local.sum(axis=2) - t_ac[x].sum(axis=1)[None])) <= 1e-12
+            l00 = local[..., 0, 0]
+            assert np.all(reduction.lo[x] - 1e-12 <= l00) and np.all(l00 <= reduction.hi[x] + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "amplitudes",
+    [
+        [1, 0, 0, 0, 0, 0, 0, 1],  # GHZ
+        [1, 0, 0, 0, 0, 0, 0, 0],  # |000>: T_A(-1|0) = 0
+    ],
+)
+def test_spectator_outcome_model_decides_without_an_lp(amplitudes, no_lp):
+    """The GHZ target's witness, and a product target's with an outcome of
+    probability zero, come from a spectator-outcome model and re-check."""
+    state = state_from_amplitudes(np.array(amplitudes) / np.linalg.norm(amplitudes))
+    target = born_behavior(state, [[0.0, math.pi / 2], [0.0], [0.0]])
+    res = localparts_feasible(target, (1, 2))
+    assert res.feasible and res.max_residual <= RECHECK_TOL
+    assert infeasibility_slack(target, (1, 2)) == 0.0
 
 
 @pytest.mark.parametrize("shape", list(itertools.product((1, 2, 3), repeat=3)))
