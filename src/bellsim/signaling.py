@@ -506,7 +506,10 @@ class _Reduction:
         max_x lo + t <= L00 <= min_x hi - t per (y, z).  Centring keeps L00
         off the interval ends, where the LP's tolerance would push the
         lift outside them.  When t* < 0 no local L fits, and the LP's
-        duals weigh the certificate.
+        duals weigh the certificate.  At shapes in {1,2}^3 a negative t*
+        cannot follow a rejection() that found nothing (acceptance
+        criterion 8), so there the centred LP only builds witnesses; its
+        certificate serves shapes with a 3.
         """
         s, (_, mb, mc) = self.s, self.problem.settings
         floor, ceiling = self.lo.max(axis=0).ravel(), self.hi.min(axis=0).ravel()
@@ -697,90 +700,3 @@ def signal_report(
             "inequality": feas.certificate.inequality_string(),
         }
     return report
-
-
-@dataclass(frozen=True, eq=False)
-class SearchReport:
-    """Outcome of the infeasibility settings sweep.
-
-    ``state`` and ``settings`` name the instance that ended the sweep (the
-    first rejected or undecided one), else the first instance decided.
-    """
-
-    outcome: str  # "infeasible_found", "undecided" or "all_feasible"
-    instances_checked: int
-    state: str
-    settings: tuple[tuple[float, ...], ...]
-    certificate_margin: float | None
-
-
-def _sweep_instances(grid: int, family_phis: tuple[float, ...]):
-    """The sweep's (label, state, angles) instances, in order, each once."""
-    from .quantum import make_ghz3, state_from_amplitudes
-
-    ghz = make_ghz3()
-    axis = [k * math.pi / grid for k in range(grid)]
-    # Bob and Charlie share angles; swapping Alice's settings is a symmetry.
-    stage1 = [
-        ((a1, a2), (b1, b2), (b1, b2))
-        for a1, a2, b1, b2 in itertools.product(axis, repeat=4)
-        if a1 < a2
-    ]
-    for angles in stage1:
-        yield "ghz3", ghz, angles
-    step = math.pi / (2 * grid)
-    for start in stage1[:4]:
-        for party, k in itertools.product(range(3), range(2)):
-            for delta in (-step, step, -step / 2, step / 2):
-                angles = [list(a) for a in start]
-                angles[party][k] += delta
-                yield "ghz3", ghz, tuple(tuple(a) for a in angles)
-    coarse = [k * math.pi / 4 for k in range(4)]
-    for phi in family_phis:
-        amps = np.zeros(8)
-        amps[0], amps[7] = math.cos(phi), math.sin(phi)
-        state = state_from_amplitudes(amps)
-        for a1, a2, b1 in itertools.product(coarse, repeat=3):
-            if a1 < a2:
-                bc = (b1, b1 + math.pi / 4)
-                yield f"weighted_ghz(phi={phi:.6f})", state, ((a1, a2), bc, bc)
-
-
-def search_infeasible_instance(
-    grid: int = 8,
-    family_phis: tuple[float, ...] = tuple(k * math.pi / 16 for k in (1, 2, 3, 5, 6, 7)),
-) -> SearchReport:
-    """Decide a fixed list of GHZ-type instances, with the pair (1, 2) cut,
-    until one is rejected.
-
-    The list, in order: a symmetric two-setting ansatz on GHZ (Bob and
-    Charlie share angles) over a grid of pi/grid steps; the single-angle
-    neighbours (+-pi/(2 grid), +-pi/(4 grid)) of its first four
-    instances; and a coarse scan of cos(phi)|000> + sin(phi)|111> for
-    each phi in family_phis.  Nothing is scored or ranked: each instance
-    is decided once by localparts_feasible.  The first rejected one ends
-    the sweep as "infeasible_found" with its re-checked certificate's
-    margin; one whose decision raises RuntimeError (no verdict re-checks,
-    or the LP fails) ends it as "undecided", with no margin.  Either
-    instance counts in instances_checked.  "all_feasible" says only that
-    every listed instance has a re-checked witness, nothing about the
-    instances the list leaves out.
-    """
-    from .quantum import born_behavior
-
-    checked = 0
-    first = None
-    for label, state, angles in _sweep_instances(grid, family_phis):
-        checked += 1
-        first = first or (label, angles)
-        target = born_behavior(state, angles)
-        try:
-            result = localparts_feasible(target, (1, 2))
-        except RuntimeError:
-            return SearchReport("undecided", checked, label, angles, None)
-        if not result.feasible:
-            margin = result.certificate.margin
-            return SearchReport("infeasible_found", checked, label, angles, margin)
-    if first is None:
-        raise ValueError("the sweep lists no instance")
-    return SearchReport("all_feasible", checked, *first, None)

@@ -4,13 +4,16 @@ test).  Runtime budgets are asserted alongside the numeric tolerances.
 """
 
 import contextlib
+import functools
 import io
 import itertools
 import json
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from bellsim.cli import main as cli_main
 from bellsim.hvmodels import (
@@ -38,13 +41,11 @@ from bellsim.quantum import (
 )
 from bellsim.signaling import (
     RECHECK_TOL,
+    _Reduction,
+    build_feasibility_problem,
     local_polytope_member,
-    localparts_feasible,
     pr_box_behavior,
-    recheck_farkas_certificate,
-    recheck_feasibility_witness,
     recheck_membership_witness,
-    search_infeasible_instance,
     signaling_distance,
 )
 from bellsim.spacetime import (
@@ -128,16 +129,6 @@ def random_product_behavior(rng):
 def random_state(rng, parties):
     amps = rng.normal(size=2**parties) + 1j * rng.normal(size=2**parties)
     return state_from_amplitudes(amps / np.linalg.norm(amps))
-
-
-def rebuild_search_state(label):
-    if label == "ghz3":
-        return make_ghz3()
-    phi = float(label.split("=")[1].rstrip(")"))
-    amps = np.zeros(8)
-    amps[0] = math.cos(phi)
-    amps[7] = math.sin(phi)
-    return state_from_amplitudes(amps)
 
 
 def test_criterion_01_equivalent_speed_value():
@@ -303,38 +294,295 @@ def test_criterion_07_no_signaling_and_constructive_shift():
     )
 
 
+#: The odd-sign CHSH forms s(y, z) over two settings per receiver.
+CHSH_FORMS = np.array(
+    [s for s in itertools.product((1, -1), repeat=4) if math.prod(s) < 0]
+).reshape(8, 2, 2)
+#: Receiver-pair strategies (b at y = 0, 1; c at z = 0, 1), 0 meaning +1.
+PAIR_PLUS = np.array(list(itertools.product((0, 1), repeat=4))) == 0
+
+
+def chsh_corners_fit(p_b, p_c, lo, hi):
+    """The lemma's test: every odd-sign form sum s E, with L00 at the corner
+    of [lo, hi] that minimises it, is at most 2."""
+    corner = np.where(CHSH_FORMS > 0, lo, hi)
+    e = 1 - 2 * p_b[:, None] - 2 * p_c[None, :] + 4 * corner
+    return (CHSH_FORMS * e).sum(axis=(1, 2)).max() <= 2
+
+
+def strategy_lp_fits(p_b, p_c, lo, hi):
+    """Whether weights on the 16 deterministic strategies give margins
+    P_B, P_C and put L00(y, z) in [lo, hi], by one feasibility LP."""
+    from scipy.optimize import linprog
+
+    l00 = (PAIR_PLUS[:, :2, None] & PAIR_PLUS[:, None, 2:]).reshape(16, 4).T.astype(float)
+    res = linprog(
+        np.zeros(16),
+        A_ub=np.vstack([l00, -l00]),
+        b_ub=np.concatenate([hi.ravel(), -lo.ravel()]),
+        A_eq=np.vstack([np.ones(16), PAIR_PLUS.T]),
+        b_eq=np.concatenate([[1.0], p_b, p_c]),
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.status in (0, 2)
+    return res.status == 0
+
+
+# The set S of criterion 8 at spectator-first shape (2, 2, 2).  Its 64
+# variables, each in [0, 1] and indexed in C order, are T_AB(a, b|x, y),
+# T_AC(a, c|x, z) and, per (x, y, z, a), U >= lo_a and W <= hi_a; outcome
+# index 0 is +1.
+PROOF_AB = np.arange(16).reshape(2, 2, 2, 2)  # (x, y, a, b)
+PROOF_AC = 16 + PROOF_AB  # (x, z, a, c)
+PROOF_U = 32 + PROOF_AB  # (x, y, z, a)
+PROOF_W = 48 + PROOF_AB  # (x, y, z, a)
+#: The form s = (+, +, +, -) over (y, z) in C order, the first of CHSH_FORMS.
+PROOF_FORM = CHSH_FORMS[0]
+#: The receivers' setting pairs (y, z), in C order.
+PROOF_CELLS = list(itertools.product((0, 1), repeat=2))
+#: (swap A's settings, flip A's outcome at x = 0 and at x = 1, swap B with C).
+PROOF_MAPS = list(itertools.product((0, 1), itertools.product((0, 1), repeat=2), (0, 1)))
+#: Per cell of PROOF_CELLS: (x, branch at a = +1, branch at a = -1).
+PROOF_PIECES = list(itertools.product(itertools.product((0, 1), repeat=3), repeat=4))
+
+
+@functools.cache
+def proof_set():
+    """S as integer (a_ub, b_ub, a_eq, b_eq): one T_A(a|x) under both pair
+    marginals, each normalised; P_B and P_C the same at both x;
+    U_a >= T_AC(a,+1|x,z) - T_AB(a,-1|x,y); W_a <= T_AB(a,+1|x,y) and
+    W_a <= T_AC(a,+1|x,z); and sum_a U_a at x <= sum_a W_a at x'."""
+    ab, ac, u, w = PROOF_AB, PROOF_AC, PROOF_U, PROOF_W
+    eq, ub = [], []
+
+    def row(rows, plus, minus=(), rhs=0):
+        r = np.zeros(65, dtype=np.int64)  # coefficients, then the rhs
+        np.add.at(r, np.asarray(plus), 1)
+        np.add.at(r, np.asarray(minus, dtype=int), -1)
+        r[-1] = rhs
+        rows.append(r)
+
+    for x, y in itertools.product((0, 1), repeat=2):
+        row(eq, ab[x, y], rhs=1)
+    for k in (0, 1):
+        row(eq, ab[0, k, :, 0], ab[1, k, :, 0])
+        row(eq, ac[0, k, :, 0], ac[1, k, :, 0])
+    for x, y, z, a in itertools.product((0, 1), repeat=4):
+        row(eq, ab[x, y, a], ac[x, z, a])
+        row(ub, ac[x, z, a, 0], [ab[x, y, a, 1], u[x, y, z, a]])
+        row(ub, w[x, y, z, a], ab[x, y, a, 0])
+        row(ub, w[x, y, z, a], ac[x, z, a, 0])
+    for x, x2, y, z in itertools.product((0, 1), repeat=4):
+        row(ub, u[x, y, z], w[x2, y, z])
+    eq, ub = np.array(eq), np.array(ub)
+    return ub[:, :-1], ub[:, -1], eq[:, :-1], eq[:, -1]
+
+
+def piece_objective(piece):
+    """Integer c with F_s = 2 + c . v on S where this piece is the largest:
+    sum_(y,z) s (1 - 2 P_B(y) - 2 P_C(z)) is 2 - 4 P_B(0) - 4 P_C(0), with P_B
+    and P_C averaged over x, and each cell adds 4 s times its corner of J,
+    on the piece's x and branches."""
+    c = np.zeros(64, dtype=np.int64)
+    c[PROOF_AB[:, 0, :, 0]] -= 2
+    c[PROOF_AC[:, 0, :, 0]] -= 2
+    for (y, z), (x, *branches) in zip(PROOF_CELLS, piece):
+        for a, branch in enumerate(branches):
+            if PROOF_FORM[y, z] < 0:  # -hi_a: AB's (0) or AC's (1) side of the min
+                c[PROOF_AC[x, z, a, 0] if branch else PROOF_AB[x, y, a, 0]] -= 4
+            elif branch:  # lo_a's non-zero branch
+                c[PROOF_AC[x, z, a, 0]] += 4
+                c[PROOF_AB[x, y, a, 1]] -= 4
+    return c
+
+
+def map_variables(g):
+    """perm such that v'[perm] = v is the image of v under the map g."""
+    swap_x, flips, swap_bc = g
+    perm = np.empty(64, dtype=int)
+    ab, ac = (PROOF_AC, PROOF_AB) if swap_bc else (PROOF_AB, PROOF_AC)
+    for x, k, a, o in itertools.product((0, 1), repeat=4):
+        x2, a2 = x ^ swap_x, a ^ flips[x]
+        perm[PROOF_AB[x, k, a, o]] = ab[x2, k, a2, o]
+        perm[PROOF_AC[x, k, a, o]] = ac[x2, k, a2, o]
+        y2, z2 = (o, k) if swap_bc else (k, o)  # (k, o) is (y, z) here
+        perm[PROOF_U[x, k, o, a]] = PROOF_U[x2, y2, z2, a2]
+        perm[PROOF_W[x, k, o, a]] = PROOF_W[x2, y2, z2, a2]
+    return perm
+
+
+def map_piece(g, piece):
+    """The piece whose linear function is this one's composed with g^-1."""
+    swap_x, flips, swap_bc = g
+    image = {}
+    for (y, z), (x, *branches) in zip(PROOF_CELLS, piece):
+        if flips[x]:
+            branches = branches[::-1]
+        if swap_bc and PROOF_FORM[y, z] < 0:
+            branches = [1 - b for b in branches]
+        image[(z, y) if swap_bc else (y, z)] = (x ^ swap_x, *branches)
+    return tuple(image[cell] for cell in PROOF_CELLS)
+
+
+def orbit_representative(piece):
+    return min(map_piece(g, piece) for g in PROOF_MAPS)
+
+
+def solve_piece(piece):
+    """The LP max of the piece's c . v over S (negated, as linprog minimises)."""
+    from scipy.optimize import linprog
+
+    a_ub, b_ub, a_eq, b_eq = proof_set()
+    res = linprog(
+        -piece_objective(piece),
+        A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, 1), method="highs",
+    )
+    assert res.status == 0
+    return res
+
+
+@functools.cache
+def solved_orbits():
+    """{representative: LP result}, one per orbit of the pieces."""
+    return {rep: solve_piece(rep) for rep in sorted(set(map(orbit_representative, PROOF_PIECES)))}
+
+
+def exact_piece_bound(piece, res):
+    """2 + y . b + sum_j max(0, c_j - (A^T y)_j) in Fraction, y being the
+    LP's duals rounded to fractions (those on <= rows clipped at 0).  For
+    v in S with v in [0, 1]^64, c . v <= y . A v + sum_j max(0, c - A^T y)_j
+    <= y . b + sum_j max(0, c - A^T y)_j, so this bounds F_s on the piece
+    whatever the rounding did."""
+    a_ub, b_ub, a_eq, b_eq = proof_set()
+    rows, rhs = np.vstack([a_ub, a_eq]), np.concatenate([b_ub, b_eq])
+    duals = [max(Fraction(0), Fraction(-m).limit_denominator(1000)) for m in res.ineqlin.marginals]
+    duals += [Fraction(-m).limit_denominator(1000) for m in res.eqlin.marginals]
+    bound = 2 + sum(d * int(b) for d, b in zip(duals, rhs))
+    for j, c_j in enumerate(piece_objective(piece)):
+        reduced = int(c_j) - sum(duals[i] * int(rows[i, j]) for i in np.flatnonzero(rows[:, j]))
+        bound += max(Fraction(0), reduced)
+    return bound
+
+
 def test_criterion_08_infeasibility_search_with_rechecking():
+    """At every spectator-first shape in {1,2}^3, the local-parts program
+    accepts a target exactly when _Reduction.rejection() finds nothing: no
+    Frechet interval is empty and the spectator's setting shifts neither
+    receiver marginal.  The local part never binds there, for every target
+    with valid pair marginals, no-signaling or not.
+
+    What remains after no rejection is a local L with margins P_B, P_C and
+    L00(y, z) in J(y, z) = [max_x lo_x, min_x hi_x].  J lies inside the
+    Frechet range of L00 given the margins, since lo_x >= max(0, P_B + P_C
+    - 1) and hi_x <= min(P_B, P_C).
+    - ma = 1: J is one interval, [lo_0, hi_0], and the spectator-outcome
+      model (_Reduction.spectator_models) lies in it.
+    - mb = 1 or mc = 1: every L with these margins is local, so any L00 in
+      J will do.
+    - (2, 2, 2), proved here.  With E(y, z) = 1 - 2 P_B(y) - 2 P_C(z)
+      + 4 L00(y, z), L is local iff sum s E <= 2 for each of the 8
+      odd-sign CHSH forms s (Fine, PRL 48, 291 (1982)).  So a local L with
+      L00 in J exists iff each form is <= 2 at J's corner that minimises
+      it (low end where s > 0, high end where s < 0).  Only if is clear.
+      If: two such forms cannot both exceed 2 in [-1, 1]^4 (they differ in
+      2 or 4 cells), so moving from a point of J toward the corner of its
+      one violated form reaches a point at which that form is 2 and no
+      other exceeds 2.  This test checks the lemma against the 16-strategy
+      LP on boxes with and without a local fit.
+      F_s, the form s = (+, +, +, -) at J's corner, is convex and
+      piecewise linear on the set S of targets that rejection() passes
+      (proof_set); a piece takes, per (y, z), an x and per a a branch of
+      max(0, .) in lo_a (s > 0) or a side of the min in hi_a (s < 0), so
+      max_S F_s is the largest of 4096 LP optima.  Swapping A's settings,
+      flipping A's outcome at either x, and swapping B with C together
+      with y and z fix s and S and permute the pieces; one LP per orbit
+      (454) suffices.  Each optimum's duals, rounded to fractions, bound
+      it in exact arithmetic, and every bound is at most 2.  Flipping B's
+      outcome at one y or C's at one z maps S to S and s to each of the
+      other seven forms, so they are at most 2 too.
+    If some bound exceeded 2, the maximiser of its piece would be a target
+    that the program rejects because of its local part alone.
+    """
     start = time.perf_counter()
-    report = search_infeasible_instance()
-    state = rebuild_search_state(report.state)
-    target = born_behavior(state, report.settings)
-    result = localparts_feasible(target, (1, 2))
-    if report.outcome == "infeasible_found":
-        assert report.certificate_margin is not None
-        assert report.certificate_margin > 1e-9
-        assert not result.feasible
-        margin = recheck_farkas_certificate(result.problem, result.certificate.y)
-        assert margin > 1e-9
-        detail = f"infeasible instance, re-checked margin {margin:.3e}"
-    else:
-        assert report.outcome == "all_feasible"
-        assert result.feasible
-        # The searched off pair is (1, 2), so the witness table is already
-        # in the problem's spectator-first order.
-        flat = np.concatenate(
-            [result.witness.table.ravel(), result.witness_weights]
-        )
-        residual = recheck_feasibility_witness(result.problem, flat)
-        assert residual <= RECHECK_TOL
-        detail = (
-            f"every instance feasible (first instance's witness residual "
-            f"{residual:.2e})"
-        )
+    rng = np.random.default_rng(8)
+    agreements = no_fit = 0
+    for _ in range(600):
+        # Boxes leaning toward the corner that raises one form, so both
+        # verdicts occur.
+        p_b, p_c = rng.uniform(0.25, 0.75, 2), rng.uniform(0.25, 0.75, 2)
+        low = np.maximum(0.0, p_b[:, None] + p_c[None] - 1.0)
+        width = np.minimum(p_b[:, None], p_c[None]) - low
+        u = np.sort(rng.uniform(0.7, 1.0, (2, 2, 2)), axis=0)
+        u = np.where(CHSH_FORMS[rng.integers(8)] > 0, u, 1.0 - u[::-1])
+        lo, hi = low + u[0] * width, low + u[1] * width
+        fits = strategy_lp_fits(p_b, p_c, lo, hi)
+        agreements += chsh_corners_fit(p_b, p_c, lo, hi) == fits
+        no_fit += not fits
+    assert agreements == 600
+    assert no_fit >= 60
+
+    # The proof's F_s is the one the package's intervals give: on random
+    # (2,2,2) states, the largest piece at the target's own point of S.
+    objectives = np.array([piece_objective(p) for p in PROOF_PIECES])
+    a_ub, b_ub, a_eq, b_eq = proof_set()
+    for _ in range(20):
+        angles = rng.uniform(0.0, 2 * math.pi, (3, 2)).tolist()
+        target = born_behavior(random_state(rng, 3), angles)
+        reduction = _Reduction(build_feasibility_problem(target, (1, 2)))
+        assert reduction.rejection() is None
+        v = np.zeros(64)
+        v[PROOF_AB], v[PROOF_AC] = reduction.t_ab, reduction.t_ac
+        v[PROOF_U], v[PROOF_W] = reduction.lo_a, reduction.hi_a
+        assert np.all(a_ub @ v <= b_ub + 1e-12)
+        assert np.max(np.abs(a_eq @ v - b_eq)) <= 1e-12
+        corner = np.where(CHSH_FORMS > 0, reduction.lo.max(axis=0), reduction.hi.min(axis=0))
+        p_b, p_c = reduction.t_b.mean(axis=0), reduction.t_c.mean(axis=0)
+        forms = (CHSH_FORMS * (1 - 2 * p_b[:, None] - 2 * p_c[None] + 4 * corner)).sum(axis=(1, 2))
+        assert forms[0] == pytest.approx(2 + (objectives @ v).max(), abs=1e-12)
+        assert forms.max() <= 2 + 1e-12
+
+    bounds = [exact_piece_bound(rep, res) for rep, res in solved_orbits().items()]
+    worst = max(bounds)
+    assert len(bounds) == 454
+    assert worst <= 2
     elapsed = time.perf_counter() - start
-    assert elapsed < 300.0
+    assert elapsed < 120.0
     print(
-        f"[criterion 8] PASS: swept {report.instances_checked} instances; "
-        f"{detail} ({elapsed:.2f}s)"
+        f"[criterion 8] PASS: CHSH-box lemma agrees with the strategy LP on "
+        f"600 boxes ({no_fit} with no local fit); {len(PROOF_PIECES)} pieces in "
+        f"{len(bounds)} orbits, worst exact bound on F_s {worst} <= 2, so no "
+        f"local part binds at shapes in {{1,2}}^3 ({elapsed:.2f}s)"
+    )
+
+
+def test_criterion_08_maps_fix_s_and_the_piece_values():
+    """The 16 maps that criterion 8's orbits rest on send points of S to S
+    and a piece's value at v to its image's value at the image of v: checked
+    at 40 LP vertices, every constraint re-checked.  And 50 seeded pieces
+    that are not representatives reach their representative's LP optimum."""
+    a_ub, b_ub, a_eq, b_eq = proof_set()
+    solved = solved_orbits()
+    reps = list(solved)
+    for rep in reps[:: len(reps) // 40][:40]:
+        v = solved[rep].x
+        value = piece_objective(rep) @ v
+        for g in PROOF_MAPS:
+            image = np.empty(64)
+            image[map_variables(g)] = v
+            assert np.all(a_ub @ image <= b_ub + 1e-9)
+            assert np.max(np.abs(a_eq @ image - b_eq)) <= 1e-9
+            assert image.min() >= -1e-9 and image.max() <= 1 + 1e-9
+            assert piece_objective(map_piece(g, rep)) @ image == pytest.approx(value, abs=1e-9)
+    rng = np.random.default_rng(88)
+    others = [p for p in PROOF_PIECES if p not in solved]
+    for k in rng.choice(len(others), 50, replace=False):
+        piece = others[k]
+        rep = orbit_representative(piece)
+        assert solve_piece(piece).fun == pytest.approx(solved[rep].fun, abs=1e-9)
+    print(
+        f"[criterion 8] PASS: {len(PROOF_MAPS)} maps keep S and the piece values "
+        f"at 40 vertices; 50 other pieces match their representatives"
     )
 
 

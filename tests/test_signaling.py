@@ -35,7 +35,6 @@ from bellsim.signaling import (
     recheck_farkas_certificate,
     recheck_feasibility_witness,
     recheck_membership_witness,
-    search_infeasible_instance,
     signal_report,
     signaling_distance,
 )
@@ -528,7 +527,8 @@ def test_slack_equals_the_slack_lp_alone():
     """infeasibility_slack is exactly 0.0 on a feasible verdict and else the
     certificate's margin (||y||_1 = 1), which the slack LP on the full
     system bounds from above: random states at (2,2,2) and (3,3,3), noisy
-    double PRs and a slice of the sweep's stage-1 GHZ grid."""
+    double PRs, and GHZ with Alice at 0 and pi/2 and Bob and Charlie
+    sharing angles on a grid of pi/8 steps."""
     rng = np.random.default_rng(29)
     targets = [
         born_behavior(random_state(rng, 3), rng.uniform(0, 2 * math.pi, (3, m)).tolist())
@@ -650,7 +650,10 @@ def test_centred_lp_duals_certify_when_no_local_behavior_fits(lam):
     """A negative centred-LP margin t* means no local L fits the intervals,
     and the LP's duals, mapped to rows of the full system, make a
     certificate that re-checks.  The noisy double PR reaches this path
-    only when the interval test is skipped, as here."""
+    only when the interval test is skipped, as here: at shapes in {1,2}^3
+    a negative t* cannot follow a rejection() that found nothing
+    (acceptance criterion 8), so the dual certificate serves shapes with
+    a 3."""
     target = Behavior(3, (2, 2, 2), (1 - lam) * double_pr_target().table + lam / 8.0)
     problem = build_feasibility_problem(target, (1, 2))
     _, resid, cert, t_star = _Reduction(problem).witness()
@@ -725,9 +728,11 @@ def test_decision_agrees_with_the_full_lp(shape, kind, seed, noise):
     """On every cut pair: a feasible verdict's witness re-checks against
     the row-by-row reference system; a rejection's margin is positive and
     at most the slack LP's optimum on that system; and an undecided target
-    lies within the LP's tolerance of the boundary.  Targets are random
-    quantum states, noisy double PRs and products in which party 0's
-    setting shifts party 1's marginal."""
+    lies within the LP's tolerance of the boundary.  At shapes in {1,2}^3
+    the verdict is feasible exactly when rejection() finds nothing
+    (acceptance criterion 8).  Targets are random quantum states, noisy
+    double PRs and products in which party 0's setting shifts party 1's
+    marginal."""
     rng = np.random.default_rng(seed)
     if kind == "born":
         angles = [rng.uniform(0, 2 * math.pi, m).tolist() for m in shape]
@@ -750,6 +755,8 @@ def test_decision_agrees_with_the_full_lp(shape, kind, seed, noise):
         except RuntimeError:
             assert oracle_slack(target, off_pair) <= 1e-7
             continue
+        if max(shape) <= 2:
+            assert res.feasible == (_Reduction(res.problem).rejection() is None)
         if res.feasible:
             perm = spectator_first(off_pair)
             q = np.transpose(res.witness.table, perm + tuple(3 + p for p in perm))
@@ -921,87 +928,3 @@ def test_signal_report_carries_rechecked_certificate():
     assert margin == pytest.approx(cert["margin"], abs=1e-12)
     assert margin > 1e-9
     json.dumps(report)
-
-
-def test_small_search_reports_honestly():
-    report = search_infeasible_instance(grid=2, family_phis=(0.4,))
-    assert report.outcome in ("all_feasible", "infeasible_found")
-    if report.outcome == "all_feasible":
-        # 4 grid instances, 24 neighbours of each, 24 weighted-family ones.
-        assert report.instances_checked == 4 + 4 * 24 + 24
-        assert report.certificate_margin is None
-        assert report.state == "ghz3"
-        assert report.settings == ((0.0, math.pi / 2), (0.0, 0.0), (0.0, 0.0))
-    else:
-        assert report.certificate_margin is not None
-        assert report.certificate_margin > 1e-9
-
-
-def _record_decisions(monkeypatch, flagged=None):
-    """Record every target the sweep decides.  ``flagged``, if given,
-    decides the targets whose Alice marginal is biased: the weighted
-    family's, since GHZ marginals are uniform."""
-    import bellsim.signaling
-
-    real_feasible = bellsim.signaling.localparts_feasible
-    decided = []
-
-    def decide(target, off_pair):
-        decided.append(target)
-        biased = abs(target.table[0, 0, 0].sum(axis=(1, 2))[0] - 0.5) > 1e-6
-        if flagged is not None and biased:
-            return flagged()
-        return real_feasible(target, off_pair)
-
-    monkeypatch.setattr(bellsim.signaling, "localparts_feasible", decide)
-    return decided
-
-
-def _first_family_target(settings):
-    amps = np.zeros(8)
-    amps[0], amps[7] = math.cos(0.4), math.sin(0.4)
-    return born_behavior(state_from_amplitudes(amps), settings)
-
-
-def test_search_decides_each_instance_once(monkeypatch):
-    # Instances are compared by (state, angles), not by Born table: flipping
-    # the sign of one angle can leave a GHZ table unchanged.
-    import bellsim.quantum
-
-    real_born = bellsim.quantum.born_behavior
-    instances = []
-
-    def born(state, settings):
-        instances.append((state.amps.tobytes(), settings))
-        return real_born(state, settings)
-
-    monkeypatch.setattr(bellsim.quantum, "born_behavior", born)
-    decided = _record_decisions(monkeypatch)
-    report = search_infeasible_instance(grid=2, family_phis=(0.4,))
-    assert len(decided) == len(instances) == report.instances_checked
-    assert len(set(instances)) == len(instances)
-
-
-def test_search_concludes_on_the_flagged_state(monkeypatch):
-    # The report carries the rejecting decision, made once.
-    rejected = localparts_feasible(double_pr_target(), (1, 2))
-    decided = _record_decisions(monkeypatch, lambda: rejected)
-    report = search_infeasible_instance(grid=2, family_phis=(0.4,))
-    assert report.outcome == "infeasible_found"
-    assert report.state == "weighted_ghz(phi=0.400000)"
-    assert report.certificate_margin == rejected.certificate.margin
-    assert len(decided) == report.instances_checked
-    assert np.array_equal(decided[-1].table, _first_family_target(report.settings).table)
-
-
-def test_search_ends_undecided_on_a_boundary_error(monkeypatch):
-    def boundary():
-        raise RuntimeError("target is within re-check tolerance of the boundary")
-
-    decided = _record_decisions(monkeypatch, boundary)
-    report = search_infeasible_instance(grid=2, family_phis=(0.4,))
-    assert report.outcome == "undecided"
-    assert report.certificate_margin is None
-    assert report.state == "weighted_ghz(phi=0.400000)"
-    assert len(decided) == report.instances_checked == 4 + 4 * 24 + 1
-    assert np.array_equal(decided[-1].table, _first_family_target(report.settings).table)
