@@ -7,6 +7,9 @@ result is a JSON document on stdout (and optionally files under --out);
 failures put a machine-readable JSON object on stderr.  Exit codes:
 0 success, 2 malformed scenario or usage, 1 other errors.  Outputs are
 deterministic for a given scenario and seed, independent of --workers.
+Each subcommand loads only the modules it computes with: timing,
+point-d, validate and preset list start without numpy, and scipy is
+loaded only when a linear program is solved.
 """
 
 from __future__ import annotations
@@ -18,32 +21,22 @@ import math
 import os
 import sys
 
-from . import inequality
-from .hvmodels import (
-    TIMING_RULES,
-    ModelConfig,
-    coordination_map,
-    effective_behavior,
-    pair_key,
-    pair_timing,
-    sample_runs,
-    spectator_first,
-    write_run_csv,
-    write_run_json,
-)
 from .presets import PRESETS, get_preset
-from .quantum import born_behavior, correlator
 from .scenario import ScenarioError, load_scenario, parse_speed, scenario_from_doc
-from .signaling import signal_report
 from .spacetime import (
     SPEED_OF_LIGHT,
+    TIMING_RULES,
     Event,
+    ModelConfig,
     TimingScenario,
     before_before,
+    coordination_map,
     equivalent_vbb,
     find_point_d,
     finite_speed_cut,
     in_future_lightcone,
+    pair_timing,
+    spectator_first,
 )
 
 EXIT_OK = 0
@@ -150,6 +143,9 @@ def cmd_timing(args) -> int:
 
 
 def _empirical_summary(sc, schedule, workers: int) -> tuple:
+    from .hvmodels import sample_runs
+    from .quantum import born_behavior, correlator
+
     target = born_behavior(sc.state, sc.settings)
     sample = sample_runs(
         sc.model, sc.geometry, target, schedule, sc.trials, sc.seed, workers=workers
@@ -172,6 +168,8 @@ def _empirical_summary(sc, schedule, workers: int) -> tuple:
 def _derived_block(sc, eff, correlators) -> dict:
     """Chain/CHSH values from the summary's correlators, plus mixture
     analysis, for a bipartite scenario with 2..MAX_CHAIN_N settings per side."""
+    from . import inequality
+
     if sc.parties != 2:
         return {}
     n_a, n_b = len(sc.settings[0]), len(sc.settings[1])
@@ -212,6 +210,8 @@ def _derived_block(sc, eff, correlators) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    from .hvmodels import pair_key, write_run_csv, write_run_json
+
     sc = _resolve_scenario(args)
     schedule = [
         list(combo)
@@ -249,6 +249,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_signal(args) -> int:
+    from .hvmodels import effective_behavior, pair_key
+    from .quantum import born_behavior
+    from .signaling import signal_report
+
     sc = _resolve_scenario(args)
     off = args.off_pair
     if sc.parties != 3:
@@ -320,6 +324,8 @@ def _sample_at_optimum(name: str, opt, args) -> tuple | None:
 
 
 def cmd_chsh(args) -> int:
+    from . import inequality
+
     opt = inequality.quantum_chain_optimum(2)
     out = {
         "schema": "bellsim-chsh-1",
@@ -337,6 +343,8 @@ def cmd_chsh(args) -> int:
 
 
 def cmd_chain(args) -> int:
+    from . import inequality
+
     if args.n < 2 or args.n > inequality.MAX_CHAIN_N:
         raise _usage_error(f"--n must be in 2..{inequality.MAX_CHAIN_N}")
     spec = inequality.chain_spec(args.n)

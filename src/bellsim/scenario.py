@@ -11,19 +11,28 @@ suffix ("100000c" means 1e5 times the speed of light, using the
 scenario's own c so c=1 geometries stay consistent).  Angles are always
 radians.  Custom state amplitudes are normalized on load; entries may be
 real numbers or [re, im] pairs.
+
+Validation and construction are pure Python: only a custom state's norm
+is computed with numpy, and the StateVector is built from the document
+when a command first reads Scenario.state, so validating a file with a
+shipped state never loads numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .spacetime import MODEL_KINDS, SPEED_OF_LIGHT, Boost, Event, Geometry, ModelConfig
 
-from .hvmodels import MODEL_KINDS, Geometry, ModelConfig
-from .quantum import StateVector, make_ghz3, make_singlet, state_from_amplitudes
-from .spacetime import SPEED_OF_LIGHT, Boost, Event
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .quantum import StateVector
 
 SCHEMA_VERSION = "bellsim-scenario-1"
 
@@ -80,17 +89,26 @@ def _is_number(value) -> bool:
 
 
 def _finite_number(value) -> bool:
-    return _is_number(value) and math.isfinite(value)
+    """A JSON number that converts to a finite float (an int too large
+    for a float does not)."""
+    if not _is_number(value):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def parse_speed(value, c: float = SPEED_OF_LIGHT) -> float:
     """Speed in m/s from a number or a "<multiple>c" string.
 
-    Raises ValueError for anything else, including a text that parses
-    to a non-finite speed; range checks belong to the consuming type
-    (model or timing scenario).
+    Raises ValueError for anything else, including a number too large
+    for a float and a text that parses to a non-finite speed; range
+    checks belong to the consuming type (model or timing scenario).
     """
-    if _finite_number(value):
+    if _is_number(value):
+        if not _finite_number(value):
+            raise ValueError("speed must be a finite number")
         return float(value)
     if not isinstance(value, str):
         raise ValueError(f"speed must be a number or a 'c'-suffixed string, got {value!r}")
@@ -109,12 +127,11 @@ def parse_speed(value, c: float = SPEED_OF_LIGHT) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A validated, fully constructed experiment description."""
+    """A validated experiment description; its state is built on first use."""
 
     name: str
     geometry: Geometry
     model: ModelConfig
-    state: StateVector
     settings: tuple[tuple[float, ...], ...]
     trials: int
     seed: int
@@ -124,6 +141,11 @@ class Scenario:
     @property
     def parties(self) -> int:
         return self.geometry.parties
+
+    @functools.cached_property
+    def state(self) -> StateVector:
+        """The quantum state, built from the document on first use."""
+        return _build_state(self.doc["state"])
 
 
 def _check_unknown(obj: dict, allowed: set, base: str, errors: list[SchemaError]) -> None:
@@ -228,9 +250,16 @@ def _validate_model(doc, c: float, errors: list[SchemaError]) -> None:
                 errors.append(SchemaError(f"/model/{field}", f"{kind} takes no {field}"))
 
 
+#: The smallest norm whose square is a normal double; below it the sum
+#: of squares loses precision and the normalized state misses norm 1.
+_MIN_NORM = math.sqrt(sys.float_info.min)
+
+
 def _amplitudes(entries: list) -> tuple[np.ndarray, np.float64]:
     """Custom amplitudes as a complex array, with the norm that normalizes
     them: inf when it overflows, 0.0 when it underflows."""
+    import numpy as np
+
     amps = np.asarray(
         [complex(a, 0.0) if _is_number(a) else complex(a[0], a[1]) for a in entries],
         dtype=np.complex128,
@@ -278,8 +307,8 @@ def _validate_state(doc, parties: int | None, errors: list[SchemaError]) -> None
             )
         if ok:
             norm = _amplitudes(amps)[1]
-            if not 0.0 < norm < math.inf:
-                why = "overflows" if norm else "is zero or underflows"
+            if not _MIN_NORM <= norm < math.inf:
+                why = "overflows" if norm == math.inf else "is zero or underflows"
                 message = f"norm {why} in double precision; it must be positive and finite"
                 errors.append(SchemaError("/state/amplitudes", message))
     elif "amplitudes" in doc:
@@ -355,6 +384,8 @@ def validate_scenario(doc) -> list[SchemaError]:
 
 
 def _build_state(doc: dict) -> StateVector:
+    from .quantum import make_ghz3, make_singlet, state_from_amplitudes
+
     kind = doc["kind"]
     if kind == "singlet":
         return make_singlet()
@@ -391,7 +422,6 @@ def scenario_from_doc(doc: dict) -> Scenario:
         name=doc["name"],
         geometry=geometry,
         model=model,
-        state=_build_state(doc["state"]),
         settings=tuple(tuple(float(t) for t in row) for row in doc["settings"]),
         trials=doc["trials"],
         seed=doc["seed"],
@@ -405,6 +435,8 @@ def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # ValueError: bad JSON, bad UTF-8 or an int past the digit limit;
+        # RecursionError: arrays or objects nested too deep to decode.
+        except (ValueError, RecursionError) as exc:
             raise ScenarioError([SchemaError("/", f"not valid JSON: {exc}")]) from None
     return scenario_from_doc(doc)

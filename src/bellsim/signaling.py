@@ -31,9 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hvmodels import Geometry, spectator_first
 from .quantum import Behavior, behavior_to_json, marginal
-from .spacetime import find_point_d
+from .spacetime import Geometry, find_point_d, spectator_first
 
 #: Residual tolerance for re-checking witnesses and certificates.
 RECHECK_TOL = 1e-9

@@ -1,4 +1,5 @@
-"""Special-relativity primitives in 2+1 dimensions.
+"""Special-relativity primitives in 2+1 dimensions, and the timing rules
+of the hidden-influence models.
 
 Events live in a flat (t, x, y) spacetime; boosts are restricted to the
 x axis, which covers collinear device-motion layouts.  The module also
@@ -13,12 +14,20 @@ model switches its nonlocal coordination off:
 Both criteria are strict inequalities; ties count as coordination ON.
 All functions are pure and accept an explicit speed of light ``c`` so
 that c=1 unit systems work alongside SI.
+
+The per-pair layer on top of them lives here too: a Geometry of device
+events and boosts, the ModelConfig that names a model, pair_timing (the
+one evaluation of the timing rules on a geometry) and the ON/OFF
+coordination_map read from it.  The module is pure Python, so commands
+that only need timing (timing, point-d, validate) start without numpy.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -255,3 +264,160 @@ def find_point_d(
         c_ev.t + math.hypot(px - c_ev.x, py - c_ev.y) / c,
     )
     return Event(t=t_d, x=px, y=py), gap
+
+
+MODEL_KINDS = ("quantum", "local", "finite_speed", "multisim", "mixture")
+
+ON = "ON"
+OFF = "OFF"
+
+
+@dataclass(frozen=True)
+class Geometry:
+    """Device arrival events and rest-frame boosts, one per party."""
+
+    events: tuple[Event, ...]
+    boosts: tuple[Boost, ...]
+    c: float = SPEED_OF_LIGHT
+
+    def __post_init__(self) -> None:
+        events = tuple(self.events)
+        boosts = tuple(self.boosts)
+        if len(events) < 2:
+            raise ValueError("geometry needs at least two devices")
+        if len(events) != len(boosts):
+            raise ValueError(
+                f"{len(events)} events but {len(boosts)} boosts; counts must match"
+            )
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "boosts", boosts)
+
+    @property
+    def parties(self) -> int:
+        return len(self.events)
+
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(itertools.combinations(range(self.parties), 2))
+
+    def distance(self, i: int, j: int) -> float:
+        return math.hypot(
+            self.events[j].x - self.events[i].x, self.events[j].y - self.events[i].y
+        )
+
+    def arrival_dt(self, i: int, j: int) -> float:
+        return abs(self.events[j].t - self.events[i].t)
+
+    def recession_speed(self, i: int, j: int) -> float:
+        """Pair recession speed feeding the before-before criterion.
+
+        Each device's speed away from the other is its x velocity
+        projected on the line of sight; the pair value is the smaller of
+        the two, floored at zero, so a pair counts as receding only when
+        both members are.  With this projection the criterion matches
+        the device-frame time ordering exactly, y offsets included.
+        """
+        dist = self.distance(i, j)
+        if dist == 0.0:
+            return 0.0
+        toward_j = (self.events[j].x - self.events[i].x) / dist
+        w_i = -self.boosts[i].beta * self.c * toward_j
+        w_j = self.boosts[j].beta * self.c * toward_j
+        return min(max(0.0, w_i), max(0.0, w_j))
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    """Tagged hidden-influence model description.
+
+    kind "finite_speed" needs v (influence speed in the preferred frame,
+    taken to be the lab frame); "mixture" needs p plus a switching
+    schedule ("coin" per-trial or "block" with block_length).  Other
+    kinds take no parameters.
+    """
+
+    kind: str
+    v: float | None = None
+    p: float | None = None
+    schedule: str = "coin"
+    block_length: int = 1
+
+    def __post_init__(self) -> None:
+        if self.kind not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}")
+        if self.kind == "finite_speed":
+            if self.v is None or not self.v > 0:
+                raise ValueError(f"finite_speed needs v > 0, got {self.v!r}")
+        elif self.v is not None:
+            raise ValueError(f"model kind {self.kind!r} takes no v")
+        if self.kind == "mixture":
+            if self.p is None or not 0.0 <= self.p <= 1.0:
+                raise ValueError(f"mixture needs p in [0, 1], got {self.p!r}")
+            if self.schedule not in ("coin", "block"):
+                raise ValueError(f"schedule must be 'coin' or 'block', got {self.schedule!r}")
+            if self.schedule == "block" and self.block_length < 1:
+                raise ValueError(f"block_length must be >= 1, got {self.block_length}")
+        elif self.p is not None:
+            raise ValueError(f"model kind {self.kind!r} takes no p")
+
+
+#: Timed model kinds and the name of the verdict their timing rule gives.
+TIMING_RULES = {"finite_speed": "finite_speed_cut", "multisim": "before_before"}
+
+
+def pair_timing(model: ModelConfig, g: Geometry) -> dict[tuple[int, int], dict]:
+    """Timing quantities and the model's timing verdict, per device pair.
+
+    Every pair carries its separation L, arrival gap dt and recession
+    speed.  Under a timed model (see TIMING_RULES), a pair at nonzero
+    separation also carries the verdict of the model's rule, True when
+    the rule cuts coordination; finite-speed pairs add v and the
+    equivalent before-before speed c**2/v.  Coincident devices get no
+    verdict: timing can never separate them.
+    """
+    result: dict[tuple[int, int], dict] = {}
+    for i, j in g.pairs():
+        entry = {
+            "L": g.distance(i, j),
+            "dt": g.arrival_dt(i, j),
+            "recession_speed": g.recession_speed(i, j),
+        }
+        if entry["L"] > 0 and model.kind == "finite_speed":
+            s = TimingScenario(L=entry["L"], dt=entry["dt"], v_bb=0.0, v=model.v, c=g.c)
+            entry["v"] = model.v
+            entry["v_bb_equivalent"] = equivalent_vbb(model.v, g.c)
+            entry["finite_speed_cut"] = finite_speed_cut(s)
+        elif entry["L"] > 0 and model.kind == "multisim":
+            # v is unused by the criterion; any positive value works.
+            s = TimingScenario(
+                L=entry["L"], dt=entry["dt"], v_bb=entry["recession_speed"], v=g.c, c=g.c
+            )
+            entry["before_before"] = before_before(s)
+        result[(i, j)] = entry
+    return result
+
+
+def coordination_map(model: ModelConfig, g: Geometry) -> dict[tuple[int, int], str]:
+    """ON/OFF state per device pair under the model's rule.
+
+    Timed models cut exactly the pairs whose pair_timing verdict is
+    True.  A mixture has no static map (hvmodels.sample_runs switches
+    between the all-ON and all-OFF maps per trial) and raises ValueError.
+    """
+    if model.kind == "mixture":
+        raise ValueError("a mixture has no static coordination map")
+    if model.kind in TIMING_RULES:
+        verdict = TIMING_RULES[model.kind]
+        return {
+            pair: OFF if entry.get(verdict) else ON
+            for pair, entry in pair_timing(model, g).items()
+        }
+    state = ON if model.kind == "quantum" else OFF
+    return {pair: state for pair in g.pairs()}
+
+
+def spectator_first(off_pair: Sequence[int]) -> tuple[int, int, int]:
+    """Tripartite party order (spectator, i, j) for the cut pair i < j."""
+    off = sorted(int(q) for q in off_pair)
+    if len(off) != 2 or off[0] == off[1] or not set(off) <= {0, 1, 2}:
+        raise ValueError(f"off_pair must be two distinct parties, got {off_pair!r}")
+    return (3 - off[0] - off[1], off[0], off[1])

@@ -16,13 +16,7 @@ import numpy as np
 import pytest
 
 from bellsim.cli import main as cli_main
-from bellsim.hvmodels import (
-    Geometry,
-    ModelConfig,
-    constructive_off_behavior,
-    effective_behavior,
-    sample_runs,
-)
+from bellsim.hvmodels import constructive_off_behavior, effective_behavior, sample_runs
 from bellsim.inequality import (
     chain_spec,
     chain_value,
@@ -52,6 +46,8 @@ from bellsim.spacetime import (
     SPEED_OF_LIGHT,
     Boost,
     Event,
+    Geometry,
+    ModelConfig,
     TimingScenario,
     before_before,
     equivalent_vbb,

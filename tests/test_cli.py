@@ -267,22 +267,67 @@ def test_validate_collects_all_pointer_paths(tmp_path, capsys):
     assert "/geometry/boosts/1/beta" in paths
 
 
+#: An integer too large for a float, where the schema wants a number.
+HUGE = 10**400
+
+
+def _set(*path_and_value):
+    """A mutation that sets the field at path (under the document) to value."""
+    *path, key, value = path_and_value
+
+    def mutate(doc):
+        for part in path:
+            doc = doc[part]
+        doc[key] = value
+
+    return mutate
+
+
 @pytest.mark.parametrize(
-    "mutate",
+    "mutate, pointer, message",
     [
-        lambda doc: doc["geometry"].pop("boosts"),
-        lambda doc: doc["geometry"].update(boosts=None),
+        (lambda doc: doc["geometry"].pop("boosts"), "/geometry/boosts", "required"),
+        (_set("geometry", "boosts", None), "/geometry/boosts", "required"),
+        (_set("settings", 0, 1, HUGE), "/settings/0/1", "must be a finite number"),
+        (_set("geometry", "events", 0, "t", HUGE), "/geometry/events/0/t", "must be a finite number"),
+        (_set("geometry", "events", 1, "x", -HUGE), "/geometry/events/1/x", "must be a finite number"),
+        (_set("geometry", "events", 0, "y", HUGE), "/geometry/events/0/y", "must be a finite number"),
+        (
+            _set("geometry", "boosts", 1, "beta", HUGE),
+            "/geometry/boosts/1/beta",
+            "must satisfy |beta| < 1",
+        ),
+        (
+            _set("geometry", "critical_distance", HUGE),
+            "/geometry/critical_distance",
+            "must be a positive number",
+        ),
+        (_set("geometry", "c", HUGE), "/geometry/c", "must be a positive number"),
+        (
+            _set("model", {"kind": "finite_speed", "v": HUGE}),
+            "/model/v",
+            "speed must be a finite number",
+        ),
+        (_set("model", {"kind": "mixture", "p": HUGE}), "/model/p", "must be a number in [0, 1]"),
+        (
+            _set("state", {"kind": "custom", "amplitudes": [0, [HUGE, 0], 0, 0]}),
+            "/state/amplitudes/1",
+            "must be a number or an [re, im] pair",
+        ),
     ],
-    ids=["missing", "null"],
+    ids=[
+        "boosts-missing", "boosts-null", "huge-angle", "huge-t", "huge-x", "huge-y",
+        "huge-beta", "huge-critical-distance", "huge-c", "huge-v", "huge-p", "huge-amplitude",
+    ],
 )
-def test_geometry_without_boosts_is_a_schema_error(mutate, tmp_path, capsys):
+def test_one_bad_field_is_one_schema_error(mutate, pointer, message, tmp_path, capsys):
+    """validate reports the field alone, at its JSON pointer, and simulate
+    refuses the file as a schema error too (exit 2)."""
     path = write_scenario(tmp_path, mutate)
     code, out, err = run_cli(["validate", str(path)], capsys)
     assert code == 2
     assert out == ""
-    assert json.loads(err)["errors"] == [
-        {"path": "/geometry/boosts", "message": "required"}
-    ]
+    assert json.loads(err)["errors"] == [{"path": pointer, "message": message}]
     code, out, err = run_cli(
         ["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")], capsys
     )
@@ -310,11 +355,15 @@ def test_non_finite_speed_is_a_schema_error(tmp_path, capsys):
 
 
 def test_validate_rejects_broken_json(tmp_path, capsys):
+    # Python's json refuses an integer of more than 4300 digits, and
+    # nesting deeper than the recursion limit.
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    code, _, err = run_cli(["validate", str(path)], capsys)
-    assert code == 2
-    assert json.loads(err)["ok"] is False
+    for text in ("{not json", '{"trials": ' + "9" * 5000 + "}", "[" * 10**5 + "]" * 10**5):
+        path.write_text(text)
+        code, _, err = run_cli(["validate", str(path)], capsys)
+        assert code == 2
+        (error,) = json.loads(err)["errors"]
+        assert error["path"] == "/" and error["message"].startswith("not valid JSON")
 
 
 def test_non_utf8_scenario_is_a_schema_error(tmp_path, capsys):
@@ -347,6 +396,7 @@ def test_non_utf8_scenario_is_a_schema_error(tmp_path, capsys):
         ([[0, 1e200], 0, 0, 0], "overflows"),
         ([1e-200, 1e-200, 0, 0], "is zero or underflows"),
         ([0, 0, 0, 0], "is zero or underflows"),
+        ([1e-160, 1e-160, 0, 0], "is zero or underflows"),
     ],
 )
 def test_amplitude_norm_out_of_range_is_a_schema_error(tmp_path, capsys, amplitudes, why):
@@ -589,53 +639,64 @@ def test_module_entry_point():
 
 
 #: Runs main(argv) with its output discarded, then prints the exit code
-#: and whether scipy.optimize was loaded.
-SCIPY_PROBE = """
+#: and whether scipy.optimize, scipy.sparse and numpy were loaded.
+IMPORT_PROBE = """
 import contextlib, io, sys
 from bellsim.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, "scipy.optimize" in sys.modules, "scipy.sparse" in sys.modules)
+print(code, *(name in sys.modules for name in ("scipy.optimize", "scipy.sparse", "numpy")))
 """
 
 
 @pytest.mark.parametrize(
-    "argv, code, loaded",
+    "argv, code, scipy, numpy",
     [
-        (["timing", "--v", "100000c", "--L", "30000"], 0, False),
-        (["validate", "<valid>"], 0, False),
-        (["validate", "<invalid>"], 2, False),
-        (["chsh"], 0, False),
-        (["chsh", "--trials", "1000"], 0, False),
-        (["chain", "--n", "4"], 0, False),
-        (["point-d", "--a", "0,0", "--b", "0,10", "--c", "0,20", "--c-units"], 0, False),
-        (["preset", "list"], 0, False),
-        (["preset", "run", "before-before", "--trials", "1000", "--out", "<out>"], 0, False),
-        (["signal", "--scenario", "<lp>"], 0, True),
-        (["signal", "--preset", "fig2a"], 0, False),
+        (["timing", "--v", "100000c", "--L", "30000"], 0, False, False),
+        (["validate", "<valid>"], 0, False, False),
+        (["validate", "<invalid>"], 2, False, False),
+        (["chsh"], 0, False, True),
+        (["chsh", "--trials", "1000"], 0, False, True),
+        (["chain", "--n", "4"], 0, False, True),
+        (["point-d", "--a", "0,0", "--b", "0,10", "--c", "0,20", "--c-units"], 0, False, False),
+        (["preset", "list"], 0, False, False),
+        (["preset", "run", "before-before", "--trials", "1000", "--out", "<out>"], 0, False, True),
+        (["signal", "--scenario", "<lp>"], 0, True, True),
+        (["signal", "--preset", "fig2a"], 0, False, True),
+        (["validate", "<custom>"], 0, False, True),
     ],
 )
-def test_only_lp_commands_load_scipy_optimize(argv, code, loaded, tmp_path, lp_needing_target):
+def test_each_command_loads_only_the_libraries_it_computes_with(
+    argv, code, scipy, numpy, tmp_path, lp_needing_target
+):
     """scipy.optimize, which loads scipy.sparse, is imported on the first
     LP, so a fresh process loads neither unless it solves one: not for
-    ``signal`` on a target that a spectator-outcome model fits."""
+    ``signal`` on a target that a spectator-outcome model fits.  numpy
+    is loaded only by the commands that compute with it: not for the
+    timing rules, point D, the preset list, or validating a file whose
+    state is a shipped one (a custom state's norm needs numpy)."""
 
     def corrupt(doc):
         doc["trials"] = 0
 
+    def custom_state(doc):
+        doc["state"] = {"kind": "custom", "amplitudes": [0, 1, [0, -1], 0]}
+
     invalid = write_scenario(tmp_path, corrupt).rename(tmp_path / "invalid.json")
+    custom = write_scenario(tmp_path, custom_state).rename(tmp_path / "custom.json")
     files = {
         "<valid>": str(write_scenario(tmp_path)),
         "<invalid>": str(invalid),
+        "<custom>": str(custom),
         "<out>": str(tmp_path / "out"),
         "<lp>": str(write_lp_scenario(tmp_path, lp_needing_target)),
     }
     argv = [files.get(arg, arg) for arg in argv]
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, *argv],
+        [sys.executable, "-c", IMPORT_PROBE, *argv],
         capture_output=True,
         text=True,
         env=child_env(),
     )
     assert proc.stderr == ""
-    assert proc.stdout.split() == [str(code), str(loaded), str(loaded)]
+    assert proc.stdout.split() == [str(code), str(scipy), str(scipy), str(numpy)]

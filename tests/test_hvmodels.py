@@ -11,17 +11,10 @@ from hypothesis import strategies as st
 
 from bellsim.hvmodels import (
     CHUNK,
-    TIMING_RULES,
-    OFF,
-    ON,
     WRITE_BLOCK,
-    Geometry,
-    ModelConfig,
     UnsupportedConfigurationError,
     _components_of_on_graph,
-    coordination_map,
     effective_behavior,
-    pair_timing,
     sample_runs,
     write_run_csv,
     write_run_json,
@@ -36,7 +29,18 @@ from bellsim.quantum import (
     marginal,
     state_from_amplitudes,
 )
-from bellsim.spacetime import SPEED_OF_LIGHT as C, Boost, Event
+from bellsim.spacetime import (
+    OFF,
+    ON,
+    SPEED_OF_LIGHT as C,
+    TIMING_RULES,
+    Boost,
+    Event,
+    Geometry,
+    ModelConfig,
+    coordination_map,
+    pair_timing,
+)
 
 CHSH_SCHEDULE = [(0, 0), (0, 1), (1, 0), (1, 1)]
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellsim.hvmodels import Geometry, constructive_off_behavior, spectator_first
+from bellsim.hvmodels import constructive_off_behavior
 from bellsim.inequality import chsh_value
 from bellsim.quantum import (
     Behavior,
@@ -38,7 +38,7 @@ from bellsim.signaling import (
     signal_report,
     signaling_distance,
 )
-from bellsim.spacetime import Boost, Event
+from bellsim.spacetime import Boost, Event, Geometry, spectator_first
 
 
 def random_state(rng, qubits):
