@@ -283,11 +283,36 @@ def _set(*path_and_value):
     return mutate
 
 
+def assert_one_schema_error(path, pointer, message, tmp_path, capsys):
+    """validate reports the field alone, at its JSON pointer, and simulate
+    refuses the file as a schema error too (exit 2)."""
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["errors"] == [{"path": pointer, "message": message}]
+    code, out, err = run_cli(
+        ["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")], capsys
+    )
+    assert code == 2
+    assert json.loads(err)["error"]["code"] == "schema"
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc["geometry"].pop("boosts"),
+        _set("geometry", "boosts", None),
+    ],
+    ids=["missing", "null"],
+)
+def test_geometry_without_boosts_is_a_schema_error(mutate, tmp_path, capsys):
+    path = write_scenario(tmp_path, mutate)
+    assert_one_schema_error(path, "/geometry/boosts", "required", tmp_path, capsys)
+
+
 @pytest.mark.parametrize(
     "mutate, pointer, message",
     [
-        (lambda doc: doc["geometry"].pop("boosts"), "/geometry/boosts", "required"),
-        (_set("geometry", "boosts", None), "/geometry/boosts", "required"),
         (_set("settings", 0, 1, HUGE), "/settings/0/1", "must be a finite number"),
         (_set("geometry", "events", 0, "t", HUGE), "/geometry/events/0/t", "must be a finite number"),
         (_set("geometry", "events", 1, "x", -HUGE), "/geometry/events/1/x", "must be a finite number"),
@@ -315,24 +340,11 @@ def _set(*path_and_value):
             "must be a number or an [re, im] pair",
         ),
     ],
-    ids=[
-        "boosts-missing", "boosts-null", "huge-angle", "huge-t", "huge-x", "huge-y",
-        "huge-beta", "huge-critical-distance", "huge-c", "huge-v", "huge-p", "huge-amplitude",
-    ],
+    ids=["angle", "t", "x", "y", "beta", "critical-distance", "c", "v", "p", "amplitude"],
 )
-def test_one_bad_field_is_one_schema_error(mutate, pointer, message, tmp_path, capsys):
-    """validate reports the field alone, at its JSON pointer, and simulate
-    refuses the file as a schema error too (exit 2)."""
+def test_oversized_integer_is_one_schema_error(mutate, pointer, message, tmp_path, capsys):
     path = write_scenario(tmp_path, mutate)
-    code, out, err = run_cli(["validate", str(path)], capsys)
-    assert code == 2
-    assert out == ""
-    assert json.loads(err)["errors"] == [{"path": pointer, "message": message}]
-    code, out, err = run_cli(
-        ["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")], capsys
-    )
-    assert code == 2
-    assert json.loads(err)["error"]["code"] == "schema"
+    assert_one_schema_error(path, pointer, message, tmp_path, capsys)
 
 
 def test_non_finite_speed_is_a_schema_error(tmp_path, capsys):
@@ -649,32 +661,9 @@ print(code, *(name in sys.modules for name in ("scipy.optimize", "scipy.sparse",
 """
 
 
-@pytest.mark.parametrize(
-    "argv, code, scipy, numpy",
-    [
-        (["timing", "--v", "100000c", "--L", "30000"], 0, False, False),
-        (["validate", "<valid>"], 0, False, False),
-        (["validate", "<invalid>"], 2, False, False),
-        (["chsh"], 0, False, True),
-        (["chsh", "--trials", "1000"], 0, False, True),
-        (["chain", "--n", "4"], 0, False, True),
-        (["point-d", "--a", "0,0", "--b", "0,10", "--c", "0,20", "--c-units"], 0, False, False),
-        (["preset", "list"], 0, False, False),
-        (["preset", "run", "before-before", "--trials", "1000", "--out", "<out>"], 0, False, True),
-        (["signal", "--scenario", "<lp>"], 0, True, True),
-        (["signal", "--preset", "fig2a"], 0, False, True),
-        (["validate", "<custom>"], 0, False, True),
-    ],
-)
-def test_each_command_loads_only_the_libraries_it_computes_with(
-    argv, code, scipy, numpy, tmp_path, lp_needing_target
-):
-    """scipy.optimize, which loads scipy.sparse, is imported on the first
-    LP, so a fresh process loads neither unless it solves one: not for
-    ``signal`` on a target that a spectator-outcome model fits.  numpy
-    is loaded only by the commands that compute with it: not for the
-    timing rules, point D, the preset list, or validating a file whose
-    state is a shipped one (a custom state's norm needs numpy)."""
+def probe_imports(argv, tmp_path, lp_needing_target):
+    """Runs IMPORT_PROBE on argv in a fresh process; placeholders in argv
+    name scenario files written under tmp_path."""
 
     def corrupt(doc):
         doc["trials"] = 0
@@ -699,4 +688,51 @@ def test_each_command_loads_only_the_libraries_it_computes_with(
         env=child_env(),
     )
     assert proc.stderr == ""
-    assert proc.stdout.split() == [str(code), str(scipy), str(scipy), str(numpy)]
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize(
+    "argv, code, loaded",
+    [
+        (["timing", "--v", "100000c", "--L", "30000"], 0, False),
+        (["validate", "<valid>"], 0, False),
+        (["validate", "<invalid>"], 2, False),
+        (["chsh"], 0, False),
+        (["chsh", "--trials", "1000"], 0, False),
+        (["chain", "--n", "4"], 0, False),
+        (["point-d", "--a", "0,0", "--b", "0,10", "--c", "0,20", "--c-units"], 0, False),
+        (["preset", "list"], 0, False),
+        (["preset", "run", "before-before", "--trials", "1000", "--out", "<out>"], 0, False),
+        (["signal", "--scenario", "<lp>"], 0, True),
+        (["signal", "--preset", "fig2a"], 0, False),
+    ],
+)
+def test_only_lp_commands_load_scipy_optimize(argv, code, loaded, tmp_path, lp_needing_target):
+    """scipy.optimize, which loads scipy.sparse, is imported on the first
+    LP, so a fresh process loads neither unless it solves one: not for
+    ``signal`` on a target that a spectator-outcome model fits."""
+    out = probe_imports(argv, tmp_path, lp_needing_target)
+    assert out[:3] == [str(code), str(loaded), str(loaded)]
+
+
+@pytest.mark.parametrize(
+    "argv, code, loaded",
+    [
+        (["timing", "--v", "100000c", "--L", "30000"], 0, False),
+        (["validate", "<valid>"], 0, False),
+        (["validate", "<invalid>"], 2, False),
+        (["point-d", "--a", "0,0", "--b", "0,10", "--c", "0,20", "--c-units"], 0, False),
+        (["preset", "list"], 0, False),
+        (["validate", "<custom>"], 0, True),
+        (["chsh"], 0, True),
+        (["chain", "--n", "4"], 0, True),
+        (["preset", "run", "before-before", "--trials", "1000", "--out", "<out>"], 0, True),
+        (["signal", "--preset", "fig2a"], 0, True),
+    ],
+)
+def test_only_numeric_commands_load_numpy(argv, code, loaded, tmp_path, lp_needing_target):
+    """numpy is loaded only by the commands that compute with it: not for
+    the timing rules, point D, the preset list, or validating a file
+    whose state is a shipped one (a custom state's norm needs numpy)."""
+    out = probe_imports(argv, tmp_path, lp_needing_target)
+    assert [out[0], out[3]] == [str(code), str(loaded)]
