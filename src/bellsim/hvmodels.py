@@ -21,6 +21,7 @@ import concurrent.futures
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -271,6 +272,8 @@ def sample_runs(
     partitioned into fixed chunks of 2**16, chunk j draws from a child
     generator spawned as SeedSequence(seed, spawn_key=(j,)), and inside
     a chunk the branch coins are drawn before the outcome variates.
+    ``workers`` caps the sampling threads, which never outnumber the
+    chunks or the CPUs.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -295,37 +298,50 @@ def sample_runs(
         map_nl = map_loc = tuple(cmap[p] for p in pairs)
 
     # One cumulative row per (branch, flat setting index), the local rows
-    # after the quantum ones.  The tables are nonnegative, so each row is
-    # nondecreasing and the number of its entries <= u is
-    # searchsorted(row, u, side="right").  The last column is left out: a
+    # after the quantum ones, stored by column: cum[k, g] sums the first
+    # k + 1 entries of row g.  The tables are nonnegative, so each row is
+    # nondecreasing and a trial's code is the number of its row's entries
+    # <= u, counted one column at a time.  The last column is left out: a
     # u at or past it takes the last code.
     n_settings = int(np.prod(target.settings_per_party))
-    cum = np.concatenate(
-        [b.table.reshape(n_settings, -1).cumsum(axis=1)[:, :-1] for b in branches]
+    cum = np.ascontiguousarray(
+        np.concatenate(
+            [b.table.reshape(n_settings, -1).cumsum(axis=1)[:, :-1] for b in branches]
+        ).T
     )
+    # Trial t's row is flat_sched[t % rows]; each chunk slices its rows
+    # out of one cycle of them, long enough for the longest chunk.
+    n_rows = sched.shape[0]
     flat_sched = np.ravel_multi_index(tuple(sched.T), target.settings_per_party)
+    cycle = flat_sched[np.arange(n_rows + min(trials, CHUNK) - 1) % n_rows]
 
     def sample_chunk(j: int) -> tuple[np.ndarray, np.ndarray | None]:
         lo = j * CHUNK
-        hi = min(trials, lo + CHUNK)
-        idx = np.arange(lo, hi, dtype=np.int64)
+        n = min(trials, lo + CHUNK) - lo
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,)))
         local_mask: np.ndarray | None = None
         if model.kind == "mixture":
             if model.schedule == "coin":
-                local_mask = rng.random(idx.size) < model.p
+                local_mask = rng.random(n) < model.p
             else:
-                local_mask = _block_local_mask(idx, model.p, model.block_length)
-        u = rng.random(idx.size)
-        groups = flat_sched[idx % sched.shape[0]]
+                local_mask = _block_local_mask(
+                    np.arange(lo, lo + n, dtype=np.int64), model.p, model.block_length
+                )
+        u = rng.random(n)
+        start = lo % n_rows
+        groups = cycle[start : start + n]
         if local_mask is not None:
             groups = groups + local_mask * n_settings
-        codes = (cum[groups] <= u[:, None]).sum(axis=1, dtype=np.uint8)
+        codes = np.zeros(n, dtype=np.uint8)
+        for column in cum:
+            codes += column.take(groups) <= u
         return codes, local_mask
 
     n_chunks = (trials + CHUNK - 1) // CHUNK
-    if workers > 1 and n_chunks > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+    # One thread per chunk at most, and no more than the machine runs.
+    threads = min(workers, n_chunks, os.cpu_count() or 1)
+    if threads > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(sample_chunk, range(n_chunks)))
     else:
         results = [sample_chunk(j) for j in range(n_chunks)]

@@ -8,7 +8,10 @@ two-worker and block-schedule runs, at trial counts off the write-block
 and sampling-chunk boundaries, were recorded before the run writers
 became columnar.  The sampled ``chsh`` and ``chain`` runs, one of them
 past a sampling-chunk boundary on two workers, were recorded before the
-two commands shared one sampling helper.  Signal reports drop ``witness``,
+two commands shared one sampling helper.  The 9-row ``simulate`` and
+``chain`` runs past two sampling-chunk boundaries on two workers, whose
+later chunks start mid-schedule, were recorded before the sampler
+sliced each chunk's rows from one schedule cycle.  Signal reports drop ``witness``,
 ``witness_max_residual`` and ``certificate`` before hashing: which valid
 witness the LP solver returns is not part of the contract, and
 tests/test_signaling.py re-checks those fields directly.
@@ -73,6 +76,8 @@ COMMANDS = {
     "simulate-block-csv": ["simulate", "--scenario", SCENARIO, "--out"],
     "simulate-block-json": ["simulate", "--scenario", SCENARIO, "--trials", "8191",
                             "--format", "json", "--out"],
+    "simulate-block-131079-workers-2": ["simulate", "--scenario", SCENARIO,
+                                        "--trials", "131079", "--workers", "2", "--out"],
     "timing": ["timing", "--v", "100000c", "--L", "30000"],
     "timing-late": ["timing", "--v", "100000c", "--L", "30000", "--dt", "1e-6"],
     "point-d": ["point-d", "--a", "0,0", "--b", "0,10", "--c", "0,20", "--c-units"],
@@ -88,6 +93,9 @@ COMMANDS = {
                       "--model", "local"],
     "chain-4-mixture": ["chain", "--n", "4", "--trials", "5000", "--seed", "4",
                         "--model", "mixture", "--p", "0.25", "--out"],
+    "chain-3-mixture-131075-workers-2": ["chain", "--n", "3", "--trials", "131075",
+                                         "--model", "mixture", "--p", "0.3",
+                                         "--workers", "2"],
     "preset-list": ["preset", "list"],
 }
 
@@ -240,6 +248,15 @@ GOLDEN = {
             "summary.json": "15122ab2347098d5b417ab4b3062109738b4745185f06bb223335bee73087f42",
         },
     },
+    "simulate-block-131079-workers-2": {
+        "code": 0,
+        "stdout": "bbd4f2af16cd123c7ec9c479af7d42b7974104d76e323be34751b80499f1fe80",
+        "stderr": EMPTY,
+        "files": {
+            "runs.csv": "62c8f676db3e9605fa7776b5e6ad58cc1af0436fadfb7fea8031c2fae4c13afe",
+            "summary.json": "bbd4f2af16cd123c7ec9c479af7d42b7974104d76e323be34751b80499f1fe80",
+        },
+    },
     "timing": {
         "code": 0,
         "stdout": "e12ec4ea11091d8240b4874ef109e7070e7645c41f000444d5f6522708a56726",
@@ -303,6 +320,12 @@ GOLDEN = {
         "files": {
             "chain.json": "a0f7f04ceadf1c96ab4df5b63f9f09887cdb9d7d3840d3a13026df1a9e0478a9",
         },
+    },
+    "chain-3-mixture-131075-workers-2": {
+        "code": 0,
+        "stdout": "836bc2ccbe3f101cd131ca9cc9db32b6347fbb434c1374c68fa87b42d38474e6",
+        "stderr": EMPTY,
+        "files": {},
     },
     "preset-list": {
         "code": 0,

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bellsim import hvmodels
 from bellsim.hvmodels import (
     CHUNK,
     WRITE_BLOCK,
@@ -638,6 +639,76 @@ def test_sample_codes_match_inverse_cdf_oracle(parties, kind, trials, workers, s
         assert np.array_equal(sample.branch_local, branch)
     else:
         assert sample.branch_local is None
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        ModelConfig(kind="quantum"),
+        ModelConfig(kind="mixture", p=0.3),
+        ModelConfig(kind="mixture", p=0.4, schedule="block", block_length=7),
+    ],
+    ids=("quantum", "coin", "block"),
+)
+@pytest.mark.parametrize("trials", (2 * CHUNK + 5, 3 * CHUNK + 7))
+@pytest.mark.parametrize(
+    "schedule",
+    [[(0, 0), (1, 2), (2, 1)], list(itertools.product(range(3), repeat=2))],
+    ids=("3-rows", "9-rows"),
+)
+def test_sample_codes_past_chunk_boundaries_match_oracle(model, trials, schedule):
+    """Neither schedule length divides CHUNK, so later chunks start
+    mid-schedule (lo % rows != 0); every worker count gives the oracle's
+    codes and branches."""
+    opt = quantum_chain_optimum(3)
+    target = born_behavior(make_singlet(), [list(opt.angles_a), list(opt.angles_b)])
+    g = pair_geometry(c=1.0)
+    codes, branch = oracle_codes(model, g, target, schedule, trials, seed=21)
+    for workers in (1, 2, 3):
+        sample = sample_runs(model, g, target, schedule, trials, seed=21, workers=workers)
+        assert np.array_equal(sample.codes, codes)
+        if model.kind == "mixture":
+            assert np.array_equal(sample.branch_local, branch)
+        else:
+            assert sample.branch_local is None
+
+
+@pytest.mark.parametrize(
+    ("workers", "trials", "cpus", "threads"),
+    [
+        (100_000, 4 * CHUNK, 64, 4),
+        (100_000, 4 * CHUNK, 3, 3),
+        (2, 4 * CHUNK, 64, 2),
+        (100_000, 3 * CHUNK + 1, None, None),
+        (100_000, CHUNK, 64, None),
+    ],
+)
+def test_sampling_pool_is_bounded_by_chunks_and_cpus(monkeypatch, workers, trials, cpus, threads):
+    """The pool has min(workers, chunks, cpus) threads, and none when that
+    is 1; the executor is replaced, so no thread is started."""
+    sizes = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(hvmodels.concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(hvmodels.os, "cpu_count", lambda: cpus)
+    b = singlet_behavior()
+    sample = sample_runs(ModelConfig(kind="quantum"), pair_geometry(), b, CHSH_SCHEDULE,
+                         trials, seed=2, workers=workers)
+    assert sizes == ([] if threads is None else [threads])
+    assert np.array_equal(sample.codes, sample_runs(ModelConfig(kind="quantum"), pair_geometry(),
+                                                    b, CHSH_SCHEDULE, trials, seed=2).codes)
 
 
 @settings(max_examples=100, deadline=None)
