@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .quantum import Behavior, marginal, no_signaling_defect, outcome_signs
+from .quantum import Behavior, _setting_index, marginal, no_signaling_defect, outcome_signs
 from .spacetime import OFF, ON, Geometry, ModelConfig, coordination_map, spectator_first
 
 #: Trials per sampling chunk; part of the determinism contract.
@@ -42,13 +42,6 @@ _SETTING_LETTERS = "STUV"
 _OUTCOME_LETTERS = "abcd"
 
 
-def _marginal_table(b: Behavior, subset: tuple[int, ...]) -> np.ndarray:
-    """Subset marginal at remote settings fixed to 0 (b must be no-signaling)."""
-    family = marginal(b, subset)
-    key = (0,) * (b.parties - len(subset))
-    return family[key].table
-
-
 def _subscript(subset: tuple[int, ...]) -> str:
     return "".join(_SETTING_LETTERS[q] for q in subset) + "".join(
         _OUTCOME_LETTERS[q] for q in subset
@@ -56,7 +49,8 @@ def _subscript(subset: tuple[int, ...]) -> str:
 
 
 def _product_of_components(target: Behavior, components: list[tuple[int, ...]]) -> np.ndarray:
-    tables = [_marginal_table(target, comp) for comp in components]
+    # The target is no-signaling: each marginal is read at remote settings 0.
+    tables = [marginal(target, comp)[(0,) * (target.parties - len(comp))] for comp in components]
     out = _subscript(tuple(range(target.parties)))
     expr = ",".join(_subscript(comp) for comp in components) + "->" + out
     return np.einsum(expr, *tables)
@@ -75,9 +69,9 @@ def _one_off_pair_tripartite(target: Behavior, order: tuple[int, int, int]) -> n
     k, partner, other = order
     kp = tuple(sorted((k, partner)))
     ko = tuple(sorted((k, other)))
-    joint_kp = _marginal_table(target, kp)
-    joint_ko = _marginal_table(target, ko)
-    p_k = _marginal_table(target, (k,))
+    joint_kp = marginal(target, kp)[0]
+    joint_ko = marginal(target, ko)[0]
+    p_k = marginal(target, (k,))[0, 0]
     # Broadcast P(a_k | x_k) into joint_ko's axes to divide it out.
     pos = ko.index(k)
     shape = [1, 1, 1, 1]
@@ -200,9 +194,10 @@ class RunSample:
         """Mean outcome product, its standard error, and the trial count.
 
         The trials of a setting are those of the schedule rows equal to
-        it, in trial order (a strided slice when one row matches).
+        it, in trial order (a strided slice when one row matches).  The
+        settings are checked as quantum.correlator checks them.
         """
-        want = np.asarray(settings, dtype=self.schedule.dtype)
+        want = np.asarray(_setting_index(self.behavior, settings), dtype=self.schedule.dtype)
         rows = np.flatnonzero(np.all(self.schedule == want, axis=1))
         n_rows = self.schedule.shape[0]
         if rows.size == 1:

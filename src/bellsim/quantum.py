@@ -31,7 +31,7 @@ class StateVector:
         if amps.shape != (2**self.n,):
             raise ValueError(f"expected {2**self.n} amplitudes, got shape {amps.shape}")
         norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"state not normalized: |amps|^2 sums to {norm!r}")
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
@@ -43,8 +43,8 @@ class Behavior:
 
     table has one leading axis per party for the setting index, then one
     trailing length-2 axis per party for the outcome (index 0 is +1,
-    index 1 is -1).  Every conditional distribution must be non-negative
-    and sum to 1 within 1e-12.
+    index 1 is -1).  Every entry must be finite, and every conditional
+    distribution non-negative and sum to 1 within 1e-12.
     """
 
     parties: int
@@ -61,6 +61,8 @@ class Behavior:
         expected = spp + (2,) * self.parties
         if table.shape != expected:
             raise ValueError(f"table shape {table.shape} != {expected}")
+        if not np.isfinite(table).all():
+            raise ValueError("table has non-finite entries")
         if float(table.min()) < -1e-12:
             raise ValueError(f"negative probability {float(table.min())!r}")
         sums = table.sum(axis=tuple(range(self.parties, 2 * self.parties)))
@@ -158,11 +160,13 @@ def _setting_index(b: Behavior, settings: Sequence[int]) -> tuple[int, ...]:
     return idx
 
 
-def marginal(b: Behavior, subset: Sequence[int]) -> dict[tuple[int, ...], Behavior]:
-    """Marginal behaviors over ``subset``, one per complementary setting tuple.
+def marginal(b: Behavior, subset: Sequence[int]) -> np.ndarray:
+    """Marginal tables over ``subset``, one per complementary setting tuple.
 
-    The family is returned unaveraged, keyed by the complement's setting
-    indices in party order, so dependence on remote settings stays visible.
+    The family is returned unaveraged, so dependence on remote settings
+    stays visible: one array whose axes are the complement's setting axes
+    in party order, then the subset's setting and outcome axes, so
+    ``marginal(b, subset)[k]`` is the subset's table at remote settings k.
     """
     sub = tuple(sorted(set(int(i) for i in subset)))
     if len(sub) != len(tuple(subset)):
@@ -172,20 +176,8 @@ def marginal(b: Behavior, subset: Sequence[int]) -> dict[tuple[int, ...], Behavi
     if sub[0] < 0 or sub[-1] >= b.parties:
         raise ValueError(f"subset {sub!r} out of range for {b.parties} parties")
     comp = tuple(i for i in range(b.parties) if i not in sub)
-    sum_axes = tuple(len(sub) + j for j in comp)
-    family: dict[tuple[int, ...], Behavior] = {}
-    for comp_settings in itertools.product(*(range(b.settings_per_party[i]) for i in comp)):
-        fixed = dict(zip(comp, comp_settings))
-        indexer = tuple(fixed.get(i, slice(None)) for i in range(b.parties))
-        # After fixing complement setting axes the remaining axes are the
-        # subset's setting axes then all outcome axes in party order.
-        sliced = b.table[indexer].sum(axis=sum_axes)
-        family[comp_settings] = Behavior(
-            parties=len(sub),
-            settings_per_party=tuple(b.settings_per_party[i] for i in sub),
-            table=sliced,
-        )
-    return family
+    summed = b.table.sum(axis=tuple(b.parties + i for i in comp))
+    return np.moveaxis(summed, comp, tuple(range(len(comp))))
 
 
 def no_signaling_defect(b: Behavior) -> float:
@@ -199,10 +191,8 @@ def no_signaling_defect(b: Behavior) -> float:
     worst = 0.0
     for r in range(1, b.parties):
         for sub in itertools.combinations(range(b.parties), r):
-            family = list(marginal(b, sub).values())
-            base = family[0].table
-            for other in family[1:]:
-                worst = max(worst, float(np.max(np.abs(other.table - base))))
+            family = marginal(b, sub)
+            worst = max(worst, float(np.max(np.abs(family - family[(0,) * (b.parties - r)]))))
     return worst
 
 

@@ -55,16 +55,13 @@ def signaling_distance(b: Behavior, receivers: tuple[int, ...] | list[int]) -> f
     receivers' own settings (per-setting maximum, not average); zero
     means the receivers cannot detect remote settings at all.
     """
-    family = marginal(b, tuple(receivers))
-    keys = sorted(family.keys())
     n_rec = len(tuple(receivers))
-    outcome_axes = tuple(range(n_rec, 2 * n_rec))
-    worst = 0.0
-    for k1, k2 in itertools.combinations(keys, 2):
-        diff = np.abs(family[k1].table - family[k2].table)
-        tv = 0.5 * diff.sum(axis=outcome_axes)
-        worst = max(worst, float(tv.max()))
-    return worst
+    family = marginal(b, tuple(receivers))
+    family = family.reshape((-1,) + family.shape[-2 * n_rec :])
+    # Every pair of remote setting tuples at once; the diagonal adds zeros.
+    diff = np.abs(family[:, None] - family[None])
+    tv = 0.5 * diff.sum(axis=tuple(range(2 + n_rec, 2 + 2 * n_rec)))
+    return float(tv.max())
 
 
 def _local_vertices(ma: int, mb: int) -> np.ndarray:
@@ -234,13 +231,12 @@ class FeasibilityResult:
     max_residual: float | None
 
 
-def _pair_marginal_checked(table: np.ndarray, pair: tuple[int, int], what: str) -> np.ndarray:
-    """The marginal over ``pair`` of a tripartite table, checked to be the
-    same at every setting of the remaining party."""
-    (rest,) = set(range(3)) - set(pair)
-    # One table per remaining setting, leading; the outcome sum is over
-    # a length-2 axis, so its bits do not depend on the axis order.
-    tables = np.moveaxis(table.sum(axis=3 + rest), rest, 0)
+def _pair_marginal_checked(target: Behavior, spectator: int, partner: int, what: str) -> np.ndarray:
+    """The target's (spectator, partner) marginal, axes in that order,
+    checked to be the same at every setting of the remaining party."""
+    tables = marginal(target, (spectator, partner))
+    if partner < spectator:
+        tables = tables.transpose(0, 2, 1, 4, 3)
     if np.max(np.abs(tables - tables[0])) > RECHECK_TOL:
         raise ValueError(f"target's {what} marginal depends on the remaining party's setting")
     return tables[0]
@@ -344,11 +340,10 @@ def build_feasibility_problem(target: Behavior, off_pair: tuple[int, int]) -> Fe
         raise ValueError(
             f"feasibility limited to {MAX_FEASIBILITY_SETTINGS} settings per party"
         )
-    table = np.transpose(target.table, perm + tuple(3 + q for q in perm))
     spp = tuple(target.settings_per_party[q] for q in perm)
 
-    t_ab = _pair_marginal_checked(table, (0, 1), "spectator-first-partner")
-    t_ac = _pair_marginal_checked(table, (0, 2), "spectator-second-partner")
+    t_ab = _pair_marginal_checked(target, perm[0], perm[1], "spectator-first-partner")
+    t_ac = _pair_marginal_checked(target, perm[0], perm[2], "spectator-second-partner")
 
     system = _lp_system(spp)
     b_eq = np.zeros(system.a_eq.shape[0])
@@ -649,8 +644,9 @@ def signal_report(
 
     ``observed`` is the behavior whose marginal shift is reported (a
     model's effective behavior, or constructive_off_behavior for the
-    explicit spectator-mediated model); the local-parts verdict, with
-    its re-checked witness or certificate, is decided on ``target``.
+    explicit spectator-mediated model), and ``marginal_tables`` its
+    cut-pair marginal at each spectator setting; the local-parts verdict,
+    with its re-checked witness or certificate, is decided on ``target``.
     The timing advantage comes from the point-D construction on the
     geometry with the spectator device as A; ``point_d`` and
     ``advantage_seconds`` are None when the geometry admits no point D.
@@ -663,7 +659,6 @@ def signal_report(
     off = (i, j)
     sd = signaling_distance(observed, off)
     feas = localparts_feasible(target, off)
-    family = marginal(observed, off)
     events = geometry.events
     point = find_point_d(events[spect], events[i], events[j], c=geometry.c)
     report: dict = {
@@ -674,8 +669,8 @@ def signal_report(
         "bias": sd / 2.0,
         "channel": "binary" if sd > RECHECK_TOL else "none",
         "marginal_tables": {
-            f"spectator_setting={key[0]}": family[key].table.tolist()
-            for key in sorted(family)
+            f"spectator_setting={x}": table.tolist()
+            for x, table in enumerate(marginal(observed, off))
         },
         "receiver_alone_distances": {
             str(q): signaling_distance(observed, (q,)) for q in off

@@ -310,15 +310,12 @@ def test_effective_behavior_tripartite_one_off():
     assert coordination_map(model, g) == {(0, 1): "ON", (0, 2): "ON", (1, 2): "OFF"}
     eff = effective_behavior(model, g, target)
     for pair in ((0, 1), (0, 2)):
-        fam_eff = marginal(eff, pair)
-        fam_tgt = marginal(target, pair)
-        for key in fam_eff:
-            assert np.max(np.abs(fam_eff[key].table - fam_tgt[key].table)) < 1e-12
+        assert np.max(np.abs(marginal(eff, pair) - marginal(target, pair))) < 1e-12
     # The BC marginal now depends on Alice's setting: quantum GHZ gives
     # perfectly correlated z outcomes at x=0 but the surrogate loses the
     # correlation once Alice measures along x.
     fam_bc = marginal(eff, (1, 2))
-    diff = np.max(np.abs(fam_bc[(0,)].table - fam_bc[(1,)].table))
+    diff = np.max(np.abs(fam_bc[0] - fam_bc[1]))
     assert diff == pytest.approx(0.25, abs=1e-12)
 
 
@@ -336,9 +333,9 @@ def test_effective_behavior_two_off_pairs():
     eff = effective_behavior(model, g, target)
     fam_bc = marginal(eff, (1, 2))
     fam_bc_t = marginal(target, (1, 2))
-    assert np.max(np.abs(fam_bc[(0,)].table - fam_bc_t[(0,)].table)) < 1e-12
+    assert np.max(np.abs(fam_bc[0] - fam_bc_t[0])) < 1e-12
     fam_a = marginal(eff, (0,))
-    assert np.allclose(fam_a[(0, 0)].table, 0.5, atol=1e-12)
+    assert np.allclose(fam_a[0, 0], 0.5, atol=1e-12)
 
 
 def test_effective_behavior_unsupported_pattern():
@@ -529,6 +526,26 @@ def test_empirical_correlator_missing_settings():
     sample = sample_runs(ModelConfig(kind="quantum"), g, b, [(0, 0)], trials=50, seed=1)
     mean, se, count = sample.empirical_correlator((1, 1))
     assert count == 0 and se == math.inf
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ((0,), "need 2 setting indices, got 1"),
+        ((0, 0, 0), "need 2 setting indices, got 3"),
+        ((0, 9), r"setting 9 out of range for party 1 \(has 2\)"),
+    ],
+)
+def test_empirical_correlator_checks_settings_as_correlator_does(settings, message):
+    """A settings tuple of the wrong length or out of range is the same
+    IndexError as quantum.correlator's, not a broadcast match or an empty
+    count."""
+    b = singlet_behavior()
+    sample = sample_runs(ModelConfig(kind="quantum"), pair_geometry(c=1.0), b, [(0, 0)], 50, 1)
+    with pytest.raises(IndexError, match=message):
+        correlator(b, settings)
+    with pytest.raises(IndexError, match=message):
+        sample.empirical_correlator(settings)
 
 
 def oracle_codes(model, g, target, schedule, trials, seed):

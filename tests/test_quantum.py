@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellsim.quantum import (
@@ -21,6 +21,7 @@ from bellsim.quantum import (
     no_signaling_defect,
     state_from_amplitudes,
 )
+from bellsim.signaling import signaling_distance
 
 
 def random_state(rng, n):
@@ -125,23 +126,21 @@ def test_marginal_of_product_behavior():
     joint = np.einsum("xa,yb->xyab", b.table, other.table)
     prod = Behavior(2, (2, 3), joint)
     fam = marginal(prod, [0])
-    for key, m in fam.items():
-        assert np.allclose(m.table, b.table, atol=1e-15)
-    assert set(fam.keys()) == {(0,), (1,), (2,)}
+    assert fam.shape == (3, 2, 2)
+    for table in fam:
+        assert np.allclose(table, b.table, atol=1e-15)
 
 
 def test_ghz_bc_marginal_independent_of_alice():
     b = born_behavior(make_ghz3(), [[0.0, 1.1, 2.3], [0.2, 0.9], [0.5, 1.7]])
     fam = marginal(b, [1, 2])
-    tables = [m.table for m in fam.values()]
-    for t in tables[1:]:
-        assert np.max(np.abs(t - tables[0])) < 1e-12
+    assert fam.shape == (3, 2, 2, 2, 2)
+    assert np.max(np.abs(fam - fam[0])) < 1e-12
 
 
 def test_singlet_alice_marginal_uniform():
     b = born_behavior(make_singlet(), [[0.0, 0.8], [0.3, 1.4, 2.2]])
-    for m in marginal(b, [0]).values():
-        assert np.allclose(m.table, 0.5, atol=1e-12)
+    assert np.allclose(marginal(b, [0]), 0.5, atol=1e-12)
 
 
 def test_quantum_no_signaling_random_suite():
@@ -151,6 +150,75 @@ def test_quantum_no_signaling_random_suite():
         settings = [list(rng.uniform(0, 2 * math.pi, size=rng.integers(1, 3))) for _ in range(n)]
         b = born_behavior(random_state(rng, n), settings)
         assert no_signaling_defect(b) <= 1e-10
+
+
+def reference_marginal(b, subset):
+    """Subset marginals keyed by the complement's setting tuple in party
+    order, one sliced sum per key."""
+    sub = tuple(sorted(subset))
+    comp = tuple(i for i in range(b.parties) if i not in sub)
+    sum_axes = tuple(len(sub) + j for j in comp)
+    family = {}
+    for key in itertools.product(*(range(b.settings_per_party[i]) for i in comp)):
+        fixed = dict(zip(comp, key))
+        indexer = tuple(fixed.get(i, slice(None)) for i in range(b.parties))
+        # Fixing the complement's settings leaves the subset's setting
+        # axes, then every outcome axis in party order.
+        family[key] = b.table[indexer].sum(axis=sum_axes)
+    return family
+
+
+def reference_no_signaling_defect(b):
+    """Largest difference of any subset's table from the first of its family."""
+    worst = 0.0
+    for r in range(1, b.parties):
+        for sub in itertools.combinations(range(b.parties), r):
+            tables = list(reference_marginal(b, sub).values())
+            for other in tables[1:]:
+                worst = max(worst, float(np.max(np.abs(other - tables[0]))))
+    return worst
+
+
+def reference_signaling_distance(b, receivers):
+    """Largest total-variation shift over every pair of remote setting tuples."""
+    family = reference_marginal(b, receivers)
+    outcome_axes = tuple(range(len(receivers), 2 * len(receivers)))
+    worst = 0.0
+    for k1, k2 in itertools.combinations(sorted(family), 2):
+        tv = 0.5 * np.abs(family[k1] - family[k2]).sum(axis=outcome_axes)
+        worst = max(worst, float(tv.max()))
+    return worst
+
+
+def random_signaling_behavior(rng, spp):
+    """A random table whose marginals move with remote settings; cubing
+    puts some entries near zero."""
+    parties = len(spp)
+    raw = rng.random(spp + (2**parties,)) ** 3
+    table = raw / raw.sum(axis=-1, keepdims=True)
+    return Behavior(parties, spp, table.reshape(spp + (2,) * parties))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spp=st.lists(st.integers(1, 3), min_size=2, max_size=5).map(tuple),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(spp=(3, 3, 3, 3, 3), seed=0)
+@example(spp=(2, 1, 3, 1, 2), seed=1)
+def test_marginal_family_matches_per_key_reference(spp, seed):
+    """One array holds every family member bit for bit, and both readers
+    of it give exactly the per-key loops' values."""
+    b = random_signaling_behavior(np.random.default_rng(seed), spp)
+    for r in range(1, b.parties):
+        for sub in itertools.combinations(range(b.parties), r):
+            fam = marginal(b, sub)
+            comp = tuple(m for q, m in enumerate(spp) if q not in sub)
+            assert fam.shape == comp + tuple(spp[q] for q in sub) + (2,) * r
+            for key, table in reference_marginal(b, sub).items():
+                assert fam[key].tobytes() == table.tobytes()
+            assert signaling_distance(b, sub) == reference_signaling_distance(b, sub)
+    assert no_signaling_defect(b) == reference_no_signaling_defect(b)
 
 
 def reference_born_table(state, angles):
@@ -194,6 +262,23 @@ def test_behavior_validation():
     bad[0, 0, 1, 1] = -0.5
     with pytest.raises(ValueError):
         Behavior(2, (1, 1), bad)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: StateVector(1, np.array([math.nan, 0.0])),
+        lambda: Behavior(1, (1,), [[math.nan, math.nan]]),
+        lambda: Behavior(2, (1, 1), [[[[math.nan, 0.5], [0.25, 0.25]]]]),
+        lambda: born_behavior(make_singlet(), [[math.nan], [0.0]]),
+    ],
+    ids=["state", "behavior", "one-entry", "born"],
+)
+def test_nan_is_rejected(build):
+    """Every comparison with NaN is false, so the checks are written to
+    fail on it."""
+    with pytest.raises(ValueError, match="not normalized|non-finite"):
+        build()
 
 
 def test_behavior_json_round_trip():

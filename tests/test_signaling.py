@@ -208,16 +208,11 @@ def test_ghz_instance_feasible_with_verified_witness():
     witness = res.witness
     assert no_signaling_defect(witness) <= 1e-9
     # AB and AC marginals of the witness reproduce the target's exactly.
-    from bellsim.quantum import marginal
-
     for pair in ((0, 1), (0, 2)):
-        fam_w = marginal(witness, pair)
-        fam_t = marginal(target, pair)
-        for key in fam_t:
-            assert np.max(np.abs(fam_w[key].table - fam_t[key].table)) <= 1e-9
+        assert np.max(np.abs(marginal(witness, pair) - marginal(target, pair))) <= 1e-9
     # The witness' BC marginal ignores Alice's setting and is local.
     assert signaling_distance(witness, (1, 2)) <= 1e-9
-    bc = marginal(witness, (1, 2))[(0,)]
+    bc = Behavior(2, witness.settings_per_party[1:], marginal(witness, (1, 2))[0])
     assert local_polytope_member(bc).member
 
 
@@ -323,10 +318,9 @@ def reference_local_vertices(ma, mb):
 
 
 def reference_pair_marginal(permuted, pair, what):
-    """The pair's marginal through quantum.marginal, one Behavior per
-    remaining setting, each compared with the first."""
-    family = marginal(permuted, pair)
-    tables = [family[k].table for k in sorted(family)]
+    """The pair's marginal through quantum.marginal of the spectator-first
+    table, each remaining setting's table compared with the first."""
+    tables = marginal(permuted, pair)
     for t in tables[1:]:
         if np.max(np.abs(t - tables[0])) > 1e-9:
             raise ValueError(f"target's {what} marginal depends on the remaining party's setting")
@@ -870,9 +864,7 @@ def test_signal_report_for_ghz_collinear_layout():
     # The reported witness keeps both spectator marginals of the target.
     witness = behavior_from_json(report["witness"])
     for pair in ((0, 1), (0, 2)):
-        fam_w, fam_t = marginal(witness, pair), marginal(target, pair)
-        for key in fam_t:
-            assert np.max(np.abs(fam_w[key].table - fam_t[key].table)) <= 1e-9
+        assert np.max(np.abs(marginal(witness, pair) - marginal(target, pair))) <= 1e-9
     assert report["signaling_distance"] == pytest.approx(0.5)
     assert report["bias"] == pytest.approx(0.25)
     assert report["channel"] == "binary"
