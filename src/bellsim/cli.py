@@ -21,7 +21,7 @@ import math
 import os
 import sys
 
-from .presets import PRESETS, get_preset
+from .presets import PRESETS, get_preset, scenario_doc
 from .scenario import ScenarioError, load_scenario, parse_speed, scenario_from_doc
 from .spacetime import (
     SPEED_OF_LIGHT,
@@ -71,6 +71,14 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def seed_int(text: str) -> int:
+    """argparse type for a seed, an integer in [0, 2**64)."""
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
     return value
 
 
@@ -299,24 +307,10 @@ def _sample_at_optimum(name: str, opt, args) -> tuple | None:
     if args.trials is None:
         return None
     n = len(opt.angles_a)
-    model: dict = {"kind": args.model}
-    if args.p is not None:
-        model["p"] = args.p
-    sc = scenario_from_doc(
-        {
-            "schema": "bellsim-scenario-1",
-            "name": name,
-            "geometry": {
-                "events": [{"t": 0.0, "x": -1.0}, {"t": 0.0, "x": 1.0}],
-                "boosts": [{"beta": 0.0}, {"beta": 0.0}],
-            },
-            "model": model,
-            "state": {"kind": "singlet"},
-            "settings": [list(opt.angles_a), list(opt.angles_b)],
-            "trials": args.trials,
-            "seed": args.seed,
-        }
-    )
+    model = {"kind": args.model} if args.p is None else {"kind": args.model, "p": args.p}
+    events, settings = [(0.0, -1.0), (0.0, 1.0)], [opt.angles_a, opt.angles_b]
+    doc = scenario_doc(name, events, model, {"kind": "singlet"}, settings, args.trials, args.seed)
+    sc = scenario_from_doc(doc)
     schedule = [[x, y] for x in range(n) for y in range(n)]
     sample, correlators = _empirical_summary(sc, schedule, args.workers)
     derived = _derived_block(sc, sample.behavior, correlators)
@@ -485,7 +479,7 @@ def build_parser() -> _Parser:
             source.add_argument("--preset", default=None, help="shipped preset name")
         if sampling or model:
             p.add_argument("--trials", type=positive_int, default=None)
-            p.add_argument("--seed", type=int, default=0 if model else None)
+            p.add_argument("--seed", type=seed_int, default=0 if model else None)
             p.add_argument("--workers", type=positive_int, default=1)
         if sampling:
             p.add_argument("--format", choices=("csv", "json"), default="csv")

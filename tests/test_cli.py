@@ -4,6 +4,8 @@ Most tests drive bellsim.cli.main in process and capture stdout and
 stderr with capsys; one subprocess test covers the module entry point.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,10 +13,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import bellsim
 from bellsim.cli import main
-from bellsim.presets import get_preset
+from bellsim.presets import PRESETS, get_preset
 
 
 def run_cli(argv, capsys):
@@ -104,6 +108,11 @@ A_FILE = "<file>"
         (["chain", "--n", "3", "--model", "mixture", "--p", "inf", "--trials", "5"], 2),
         (["chain", "--n", "3", "--model", "mixture", "--p", "2"], 2),
         (["chain", "--n", "3", "--model", "mixture", "--p", "nan", "--trials", "5"], 2),
+        (["chsh", "--trials", "3", "--seed", "-1"], 2),
+        (["chsh", "--trials", "3", "--seed", "18446744073709551616"], 2),
+        (["chain", "--n", "3", "--trials", "3", "--seed", "-1"], 2),
+        (["simulate", "--preset", "before-before", "--trials", "3", "--seed", "18446744073709551616"], 2),
+        (["preset", "run", "mixture-chain", "--trials", "3", "--seed", "-1"], 2),
     ],
 )
 def test_bad_argv_is_json_error_without_traceback(argv, code, tmp_path, capsys):
@@ -117,6 +126,122 @@ def test_bad_argv_is_json_error_without_traceback(argv, code, tmp_path, capsys):
     assert out == ""
     assert "Traceback" not in err
     assert json.loads(err)["error"]["code"] == error
+    assert a_file.read_text() == ""
+
+
+#: Values that no flag may turn into a traceback or an internal error.
+HOSTILE = ["nan", "inf", "-inf", "1e400", "infc", "-1", "0", "18446744073709551616", "2**64", "0,0", ""]
+
+
+def values(*good):
+    """A good value half the time, else a hostile one."""
+    return st.sampled_from(good) | st.sampled_from(HOSTILE)
+
+
+#: Every --trials value is at most 1000 or refused, so no draw samples more.
+TRIALS = st.sampled_from(["1", "7", "1000"]) | st.sampled_from(
+    ["0", "-1", "nan", "inf", "1e400", "2**64", "0,0", ""]
+)
+#: Placeholders for paths under tmp_path, substituted in the test body.
+OUT = {"--out": st.sampled_from(["<out>", A_FILE, A_FILE + "/sub"])}
+SOURCE = {
+    "--scenario": values("<bipartite>", "<tripartite>", A_FILE, "<missing>"),
+    "--preset": values(*PRESETS),
+}
+SAMPLED = {
+    "--trials": TRIALS,
+    "--seed": values("5", "18446744073709551615"),
+    "--workers": values("1", "2"),
+}
+MODEL = {"--model": values("quantum", "local", "mixture"), "--p": values("0.25", "1")}
+FORMAT = {"--format": values("csv", "json")}
+#: Each subcommand's flags: a flag's value strategy, or None for a switch.
+FLAGS = {
+    "timing": {
+        "--L": values("30000"),
+        "--dt": values("1e-6"),
+        "--v": values("100000c", "3e8", "100c"),
+        "--v-bb": values("2997.9"),
+        "--c-units": None,
+        **OUT,
+    },
+    "chsh": {**OUT, **SAMPLED, **MODEL},
+    "chain": {
+        "--n": values("2", "4", "12", "13"),
+        "--local-bound": None,
+        "--quantum": None,
+        **OUT,
+        **SAMPLED,
+        **MODEL,
+    },
+    "simulate": {**OUT, **SOURCE, **SAMPLED, **FORMAT},
+    "signal": {**OUT, **SOURCE, "--off-pair": values("1,2", "0,2", "0,1")},
+    "point-d": {
+        "--a": values("0,0"),
+        "--b": values("0,10", "0,10,0"),
+        "--c": values("0,20"),
+        "--c-units": None,
+        **OUT,
+        **SOURCE,
+    },
+    "preset": {**OUT, **SAMPLED, **FORMAT},
+    "validate": {},
+}
+#: Flags a subcommand needs, drawn first and each left out one time in four.
+REQUIRED = {"timing": ["--L", "--v"], "chain": ["--n"]}
+POSITIONALS = {
+    "preset": [values("list", "run"), values(*PRESETS)],
+    "validate": [values("<bipartite>", "<tripartite>", A_FILE, "<missing>")],
+}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, some of its positionals, then some of its flags.  A
+    command that samples a scenario ends with a --trials draw, which wins,
+    and with --out unless one was drawn, since runs go to the working
+    directory by default."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    positionals = POSITIONALS.get(command, [])
+    argv = [command] + [draw(s) for s in positionals[: draw(st.integers(0, len(positionals)))]]
+    flags = FLAGS[command]
+    names = [flag for flag in REQUIRED.get(command, []) if draw(st.integers(0, 3))]
+    names += draw(st.lists(st.sampled_from(sorted(flags)), max_size=4)) if flags else []
+    for flag in names:
+        argv += [flag] if flags[flag] is None else [flag, draw(flags[flag])]
+    samples_preset = command == "preset" and len(argv) > 2 and argv[2] in PRESETS
+    if command == "simulate" or samples_preset and PRESETS[argv[2]].pipeline == "simulate":
+        argv += ["--trials", draw(TRIALS)] + ([] if "--out" in argv else ["--out", "<out>"])
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=argvs())
+def test_fuzzed_argv_exits_with_json(argv, tmp_path):
+    """Any argv built from the subcommands' flags, the preset names and
+    hostile values exits 0 with JSON on stdout, or 1 or 2 with one JSON
+    error on stderr that is not an internal one."""
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    files = {"<out>": tmp_path / "out", "<missing>": tmp_path / "missing.json"}
+    for name, preset in (("<bipartite>", "before-before"), ("<tripartite>", "fig2b")):
+        doc = {**get_preset(preset).doc, "trials": 100}
+        files[name] = tmp_path / f"{preset}.json"
+        files[name].write_text(json.dumps(doc))
+    argv = [str(files.get(arg, arg)).replace(A_FILE, str(a_file)) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        json.loads(out.getvalue())
+        assert err.getvalue() == ""
+    else:
+        assert code in (1, 2)
+        report = json.loads(err.getvalue())
+        if "error" in report:
+            assert report["error"]["code"] in ("usage", "schema", "invalid", "io"), report
+        else:
+            assert argv[0] == "validate" and report["ok"] is False
     assert a_file.read_text() == ""
 
 
