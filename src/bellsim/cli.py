@@ -15,7 +15,6 @@ loaded only when a linear program is solved.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -96,12 +95,13 @@ def _json_text(obj) -> str:
 
 
 def _emit(obj, out_dir: str | None, filename: str) -> None:
+    """Write out_dir/filename, if given, before stdout: a failed write prints nothing."""
     text = _json_text(obj)
-    sys.stdout.write(text)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, filename), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def _finite_or_none(value: float) -> float | None:
@@ -150,20 +150,18 @@ def cmd_timing(args) -> int:
     return EXIT_OK
 
 
-def _empirical_summary(sc, schedule, workers: int) -> tuple:
+def _empirical_summary(sc, workers: int) -> tuple:
     from .hvmodels import sample_runs
     from .quantum import born_behavior, correlator
 
     target = born_behavior(sc.state, sc.settings)
-    sample = sample_runs(
-        sc.model, sc.geometry, target, schedule, sc.trials, sc.seed, workers=workers
-    )
+    sample = sample_runs(sc.model, sc.geometry, target, sc.trials, sc.seed, workers=workers)
     correlators = []
-    for combo in schedule:
+    for combo in sample.schedule.tolist():
         mean, se, count = sample.empirical_correlator(combo)
         correlators.append(
             {
-                "settings": list(combo),
+                "settings": combo,
                 "mean": float(mean),
                 "se": _finite_or_none(se),
                 "count": count,
@@ -221,11 +219,7 @@ def cmd_simulate(args) -> int:
     from .hvmodels import pair_key, write_run_csv, write_run_json
 
     sc = _resolve_scenario(args)
-    schedule = [
-        list(combo)
-        for combo in itertools.product(*(range(len(s)) for s in sc.settings))
-    ]
-    sample, correlators = _empirical_summary(sc, schedule, args.workers)
+    sample, correlators = _empirical_summary(sc, args.workers)
     coordination = {
         branch: {pair_key(p): s for p, s in zip(sample.pairs, states)}
         for branch, states in (("nonlocal", sample.map_nonlocal), ("local", sample.map_local))
@@ -306,13 +300,11 @@ def _sample_at_optimum(name: str, opt, args) -> tuple | None:
             raise _usage_error(f"--model mixture needs --p: {exc}") from None
     if args.trials is None:
         return None
-    n = len(opt.angles_a)
     model = {"kind": args.model} if args.p is None else {"kind": args.model, "p": args.p}
     events, settings = [(0.0, -1.0), (0.0, 1.0)], [opt.angles_a, opt.angles_b]
     doc = scenario_doc(name, events, model, {"kind": "singlet"}, settings, args.trials, args.seed)
     sc = scenario_from_doc(doc)
-    schedule = [[x, y] for x in range(n) for y in range(n)]
-    sample, correlators = _empirical_summary(sc, schedule, args.workers)
+    sample, correlators = _empirical_summary(sc, args.workers)
     derived = _derived_block(sc, sample.behavior, correlators)
     return correlators, derived, {"kind": sc.model.kind, "p": sc.model.p}
 

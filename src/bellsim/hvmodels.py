@@ -170,7 +170,9 @@ def _validated(target: Behavior) -> Behavior:
 
 @dataclass(frozen=True, eq=False)
 class RunSample:
-    """Columnar sample: trial t used setting row schedule[t % len(schedule)].
+    """Columnar sample: trial t used setting row schedule[t % len(schedule)],
+    the schedule being every setting tuple of ``behavior`` in C order, so
+    the trials of one setting tuple are one strided slice of ``codes``.
 
     ``behavior`` is the model's effective behavior, which the sample's
     predictions come from: for a mixture the p-weighted one, otherwise
@@ -193,17 +195,13 @@ class RunSample:
     def empirical_correlator(self, settings: Sequence[int]) -> tuple[float, float, int]:
         """Mean outcome product, its standard error, and the trial count.
 
-        The trials of a setting are those of the schedule rows equal to
-        it, in trial order (a strided slice when one row matches).  The
+        The trials of a setting are one strided slice: every
+        len(schedule)-th trial from the setting's flat index.  The
         settings are checked as quantum.correlator checks them.
         """
-        want = np.asarray(_setting_index(self.behavior, settings), dtype=self.schedule.dtype)
-        rows = np.flatnonzero(np.all(self.schedule == want, axis=1))
-        n_rows = self.schedule.shape[0]
-        if rows.size == 1:
-            selected = self.codes[rows[0] :: n_rows]
-        else:
-            selected = self.codes[np.isin(np.arange(len(self)) % n_rows, rows)]
+        spp = self.behavior.settings_per_party
+        row = np.ravel_multi_index(_setting_index(self.behavior, settings), spp)
+        selected = self.codes[row :: self.schedule.shape[0]]
         count = selected.shape[0]
         if count == 0:
             return 0.0, math.inf, 0
@@ -253,31 +251,24 @@ def sample_runs(
     model: ModelConfig,
     g: Geometry,
     target: Behavior,
-    schedule: Sequence[Sequence[int]],
     trials: int,
     seed: int,
     workers: int = 1,
 ) -> RunSample:
     """Draw i.i.d. trials from the model's effective behavior.
 
-    Trial t uses schedule[t % len(schedule)] as its setting tuple.  For
-    mixtures, each trial is local with probability p (or per the block
-    schedule) and quantum otherwise.  Output is deterministic given
-    (seed, trials, schedule) and independent of ``workers``: trials are
-    partitioned into fixed chunks of 2**16, chunk j draws from a child
-    generator spawned as SeedSequence(seed, spawn_key=(j,)), and inside
-    a chunk the branch coins are drawn before the outcome variates.
-    ``workers`` caps the sampling threads, which never outnumber the
-    chunks or the CPUs.
+    The schedule is derived from the target: trial t uses the setting
+    tuple of flat index t % n_settings in C order.  For mixtures, each
+    trial is local with probability p (or per the block schedule) and
+    quantum otherwise.  Output is deterministic given (target, seed,
+    trials) and independent of ``workers``: trials are partitioned into
+    fixed chunks of 2**16, chunk j draws from a child generator spawned
+    as SeedSequence(seed, spawn_key=(j,)), and inside a chunk the branch
+    coins are drawn before the outcome variates.  ``workers`` caps the
+    sampling threads, which never outnumber the chunks or the CPUs.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    sched = np.asarray([[int(s) for s in row] for row in schedule], dtype=np.int16)
-    if sched.ndim != 2 or sched.shape[0] == 0 or sched.shape[1] != target.parties:
-        raise ValueError("schedule must be a non-empty list of full setting tuples")
-    for q in range(target.parties):
-        if sched[:, q].min() < 0 or sched[:, q].max() >= target.settings_per_party[q]:
-            raise ValueError(f"schedule settings out of range for party {q}")
 
     pairs = g.pairs()
     if model.kind == "mixture":
@@ -304,11 +295,9 @@ def sample_runs(
             [b.table.reshape(n_settings, -1).cumsum(axis=1)[:, :-1] for b in branches]
         ).T
     )
-    # Trial t's row is flat_sched[t % rows]; each chunk slices its rows
-    # out of one cycle of them, long enough for the longest chunk.
-    n_rows = sched.shape[0]
-    flat_sched = np.ravel_multi_index(tuple(sched.T), target.settings_per_party)
-    cycle = flat_sched[np.arange(n_rows + min(trials, CHUNK) - 1) % n_rows]
+    # Trial t's row is t % n_settings; each chunk slices its rows out of
+    # one cycle of them, long enough for the longest chunk.
+    cycle = np.arange(n_settings + min(trials, CHUNK) - 1) % n_settings
 
     def sample_chunk(j: int) -> tuple[np.ndarray, np.ndarray | None]:
         lo = j * CHUNK
@@ -323,7 +312,7 @@ def sample_runs(
                     np.arange(lo, lo + n, dtype=np.int64), model.p, model.block_length
                 )
         u = rng.random(n)
-        start = lo % n_rows
+        start = lo % n_settings
         groups = cycle[start : start + n]
         if local_mask is not None:
             groups = groups + local_mask * n_settings
@@ -345,10 +334,11 @@ def sample_runs(
     branch_local = (
         np.concatenate([r[1] for r in results]) if model.kind == "mixture" else None
     )
+    schedule = np.indices(target.settings_per_party, dtype=np.int16).reshape(target.parties, -1)
     return RunSample(
         parties=target.parties,
         pairs=pairs,
-        schedule=sched,
+        schedule=schedule.T,
         codes=codes,
         behavior=behavior,
         map_nonlocal=map_nl,

@@ -71,15 +71,10 @@ def chain_spec(n: int) -> ChainSpec:
     return ChainSpec(n=n, terms=tuple(terms))
 
 
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Local weight p of a local/nonlocal mixture model."""
-
-    p: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"weight p must be in [0, 1], got {self.p!r}")
+def _check_weight(p: float) -> None:
+    """The local weight p of a mixture lies in [0, 1]."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"weight p must be in [0, 1], got {p!r}")
 
 
 def _require_bipartite(b: Behavior) -> None:
@@ -207,7 +202,7 @@ def quantum_chain_optimum(n: int) -> ChainOptimum:
 
 def mixture_max_value(p: float, n: int) -> float:
     """(1-p) Q_N + p L_N with the local part saturating the local bound."""
-    MixtureSpec(p)
+    _check_weight(p)
     q = quantum_chain_optimum(n).value
     lb = local_bound(chain_spec(n))
     return (1.0 - p) * q + p * lb
@@ -215,7 +210,7 @@ def mixture_max_value(p: float, n: int) -> float:
 
 def mixture_deviation(p: float, n: int) -> float:
     """Guaranteed shortfall from the quantum optimum: p (Q_N - L_N)."""
-    MixtureSpec(p)
+    _check_weight(p)
     q = quantum_chain_optimum(n).value
     lb = local_bound(chain_spec(n))
     return p * (q - lb)
@@ -236,7 +231,7 @@ def detection_threshold_N(p: float, epsilon: float) -> DetectionReport:
     inspected rather than assumed.  p = 0 never reaches any positive
     epsilon and reports n = None.
     """
-    MixtureSpec(p)
+    _check_weight(p)
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
     deviations = tuple((n, mixture_deviation(p, n)) for n in range(2, MAX_CHAIN_N + 1))

@@ -502,8 +502,9 @@ class _Reduction:
         lift outside them.  When t* < 0 no local L fits, and the LP's
         duals weigh the certificate.  At shapes in {1,2}^3 a negative t*
         cannot follow a rejection() that found nothing (acceptance
-        criterion 8), so there the centred LP only builds witnesses; its
-        certificate serves shapes with a 3.
+        criterion 8).  At (3,3,3) this program rejects some no-signaling
+        targets through this certificate alone, with t* = -eps/16 on the
+        example of test_local_part_binds_at_three_settings.
         """
         s, (_, mb, mc) = self.s, self.problem.settings
         floor, ceiling = self.lo.max(axis=0).ravel(), self.hi.min(axis=0).ravel()

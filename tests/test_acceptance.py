@@ -73,11 +73,7 @@ def run_cli_json(argv):
 def sampled_chain(model, spec, settings, trials, seed):
     """Empirical chain value, its standard error, and the prediction."""
     target = born_behavior(make_singlet(), settings)
-    n = len(settings[0])
-    schedule = [(x, y) for x in range(n) for y in range(n)]
-    sample = sample_runs(
-        model, TWO_DEVICE_GEOMETRY, target, schedule, trials, seed
-    )
+    sample = sample_runs(model, TWO_DEVICE_GEOMETRY, target, trials, seed)
     value = var = 0.0
     for (ia, ib), sign in spec.terms:
         mean, se, count = sample.empirical_correlator((ia, ib))
@@ -499,6 +495,13 @@ def test_criterion_08_infeasibility_search_with_rechecking():
       other seven forms, so they are at most 2 too.
     If some bound exceeded 2, the maximiser of its piece would be a target
     that the program rejects because of its local part alone.
+
+    The shapes are limited to {1,2}^3 because the statement fails at
+    (3,3,3): there this program rejects some no-signaling targets through
+    the centred LP's certificate while rejection() finds nothing
+    (test_signaling.py::test_local_part_binds_at_three_settings, whose
+    intervals force a BC box that passes every 2x2 CHSH form yet is not
+    local).
     """
     start = time.perf_counter()
     rng = np.random.default_rng(8)

@@ -113,10 +113,19 @@ A_FILE = "<file>"
         (["chain", "--n", "3", "--trials", "3", "--seed", "-1"], 2),
         (["simulate", "--preset", "before-before", "--trials", "3", "--seed", "18446744073709551616"], 2),
         (["preset", "run", "mixture-chain", "--trials", "3", "--seed", "-1"], 2),
+        (["timing", "--v", "100c", "--L", "5", "--out", A_FILE + "/sub"], 1),
+        (["chsh", "--out", A_FILE + "/sub"], 1),
+        (["chsh", "--trials", "10", "--out", A_FILE + "/sub"], 1),
+        (["chain", "--n", "3", "--out", A_FILE + "/sub"], 1),
+        (["signal", "--preset", "fig2b", "--out", A_FILE + "/sub"], 1),
+        (["point-d", "--preset", "fig2b", "--out", A_FILE + "/sub"], 1),
+        (["point-d", "--a", "0,0", "--b", "1,10", "--c", "1,20", "--out", A_FILE], 1),
     ],
 )
 def test_bad_argv_is_json_error_without_traceback(argv, code, tmp_path, capsys):
-    """Usage errors exit 2; bad values (invalid) and unusable --out paths (io) exit 1."""
+    """Usage errors exit 2; bad values (invalid) and unusable --out paths (io)
+    exit 1.  A failed run prints nothing on stdout, not even a result it
+    computed before its --out write failed."""
     a_file = tmp_path / "a_file"
     a_file.write_text("")
     error = "usage" if code == 2 else "io" if "--out" in argv else "invalid"
@@ -219,8 +228,8 @@ def argvs(draw):
 @given(argv=argvs())
 def test_fuzzed_argv_exits_with_json(argv, tmp_path):
     """Any argv built from the subcommands' flags, the preset names and
-    hostile values exits 0 with JSON on stdout, or 1 or 2 with one JSON
-    error on stderr that is not an internal one."""
+    hostile values exits 0 with JSON on stdout, or 1 or 2 with nothing on
+    stdout and one JSON error on stderr that is not an internal one."""
     a_file = tmp_path / "a_file"
     a_file.write_text("")
     files = {"<out>": tmp_path / "out", "<missing>": tmp_path / "missing.json"}
@@ -237,6 +246,7 @@ def test_fuzzed_argv_exits_with_json(argv, tmp_path):
         assert err.getvalue() == ""
     else:
         assert code in (1, 2)
+        assert out.getvalue() == ""
         report = json.loads(err.getvalue())
         if "error" in report:
             assert report["error"]["code"] in ("usage", "schema", "invalid", "io"), report

@@ -43,7 +43,7 @@ from bellsim.spacetime import (
     pair_timing,
 )
 
-CHSH_SCHEDULE = [(0, 0), (0, 1), (1, 0), (1, 1)]
+CHSH_SETTINGS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def pair_geometry(L=1000.0, dt=0.0, beta=0.0, c=1.0):
@@ -83,9 +83,15 @@ def outcomes_of(sample):
     return 1 - 2 * np.stack(bits, axis=1)
 
 
+def every_setting(behavior):
+    """Every setting tuple of the behavior in C order, as lists."""
+    return [list(combo) for combo in itertools.product(*map(range, behavior.settings_per_party))]
+
+
 def trial_rows(sample):
-    """(trial, settings, outcomes, coordination) per trial, one at a time."""
-    rows = len(sample.schedule)
+    """(trial, settings, outcomes, coordination) per trial, one at a time;
+    trial t's settings are the (t % n_settings)-th tuple in C order."""
+    combos = every_setting(sample.behavior)
     outcomes = outcomes_of(sample)
     for t in range(len(sample)):
         states = sample.map_nonlocal
@@ -93,7 +99,7 @@ def trial_rows(sample):
             states = sample.map_local
         yield (
             t,
-            [int(s) for s in sample.schedule[t % rows]],
+            combos[t % len(combos)],
             [int(o) for o in outcomes[t]],
             dict(zip(sample.pairs, states)),
         )
@@ -127,8 +133,9 @@ def reference_json(sample):
 
 def reference_correlator(sample, settings):
     """Mean, se and count from a mask over every trial's settings."""
-    per_trial = sample.schedule[np.arange(len(sample)) % len(sample.schedule)]
-    mask = np.all(per_trial == np.asarray(settings, dtype=per_trial.dtype), axis=1)
+    combos = np.array(every_setting(sample.behavior))
+    per_trial = combos[np.arange(len(sample)) % len(combos)]
+    mask = np.all(per_trial == np.asarray(settings), axis=1)
     count = int(mask.sum())
     if count == 0:
         return 0.0, math.inf, 0
@@ -364,16 +371,16 @@ def test_sample_runs_deterministic():
     b = singlet_behavior()
     g = pair_geometry(c=1.0)
     model = ModelConfig(kind="mixture", p=0.3)
-    s1 = sample_runs(model, g, b, CHSH_SCHEDULE, trials=200_000, seed=99)
-    s2 = sample_runs(model, g, b, CHSH_SCHEDULE, trials=200_000, seed=99)
+    s1 = sample_runs(model, g, b, trials=200_000, seed=99)
+    s2 = sample_runs(model, g, b, trials=200_000, seed=99)
     assert np.array_equal(s1.codes, s2.codes)
     files = (written(write_run_csv, s1), written(write_run_json, s1))
     for workers in (2, 4):
-        sw = sample_runs(model, g, b, CHSH_SCHEDULE, trials=200_000, seed=99, workers=workers)
+        sw = sample_runs(model, g, b, trials=200_000, seed=99, workers=workers)
         assert np.array_equal(s1.codes, sw.codes)
         assert np.array_equal(s1.branch_local, sw.branch_local)
         assert (written(write_run_csv, sw), written(write_run_json, sw)) == files
-    s3 = sample_runs(model, g, b, CHSH_SCHEDULE, trials=200_000, seed=100)
+    s3 = sample_runs(model, g, b, trials=200_000, seed=100)
     assert not np.array_equal(s1.codes, s3.codes)
 
 
@@ -386,7 +393,7 @@ def test_sample_carries_effective_behavior_and_maps(model):
     coordination_map give; a mixture has the all-ON and all-OFF maps."""
     target = born_behavior(make_ghz3(), [[0.0, math.pi / 2], [0.0], [0.0]])
     g = tripartite_bc_off_geometry()
-    sample = sample_runs(model, g, target, [(0, 0, 0), (1, 0, 0)], trials=10, seed=1)
+    sample = sample_runs(model, g, target, trials=10, seed=1)
     assert np.array_equal(sample.behavior.table, effective_behavior(model, g, target).table)
     if model.kind == "mixture":
         assert sample.map_nonlocal == ("ON",) * 3
@@ -400,18 +407,14 @@ def test_sample_runs_rejects_bad_input():
     b = singlet_behavior()
     g = pair_geometry(c=1.0)
     with pytest.raises(ValueError):
-        sample_runs(ModelConfig(kind="quantum"), g, b, CHSH_SCHEDULE, trials=0, seed=1)
-    with pytest.raises(ValueError):
-        sample_runs(ModelConfig(kind="quantum"), g, b, [], trials=10, seed=1)
-    with pytest.raises(ValueError):
-        sample_runs(ModelConfig(kind="quantum"), g, b, [(0, 5)], trials=10, seed=1)
+        sample_runs(ModelConfig(kind="quantum"), g, b, trials=0, seed=1)
 
 
 def test_sample_runs_quantum_converges():
     b = singlet_behavior()
     g = pair_geometry(c=1.0)
-    sample = sample_runs(ModelConfig(kind="mixture", p=0.0), g, b, CHSH_SCHEDULE, 100_000, seed=7)
-    for settings in CHSH_SCHEDULE:
+    sample = sample_runs(ModelConfig(kind="mixture", p=0.0), g, b, 100_000, seed=7)
+    for settings in CHSH_SETTINGS:
         mean, se, count = sample.empirical_correlator(settings)
         assert count == 25_000
         assert abs(mean - correlator(b, settings)) <= 5 * se
@@ -420,9 +423,9 @@ def test_sample_runs_quantum_converges():
 def test_sample_runs_pure_local_respects_chsh():
     b = singlet_behavior()
     g = pair_geometry(c=1.0)
-    sample = sample_runs(ModelConfig(kind="mixture", p=1.0), g, b, CHSH_SCHEDULE, 100_000, seed=13)
+    sample = sample_runs(ModelConfig(kind="mixture", p=1.0), g, b, 100_000, seed=13)
     total, var = 0.0, 0.0
-    for k, settings in enumerate(CHSH_SCHEDULE):
+    for k, settings in enumerate(CHSH_SETTINGS):
         mean, se, _ = sample.empirical_correlator(settings)
         total += (-1.0 if k == 3 else 1.0) * mean
         var += se * se
@@ -433,7 +436,7 @@ def test_mixture_block_schedule():
     b = singlet_behavior()
     g = pair_geometry(c=1.0)
     model = ModelConfig(kind="mixture", p=0.25, schedule="block", block_length=10)
-    sample = sample_runs(model, g, b, CHSH_SCHEDULE, trials=12_000, seed=3)
+    sample = sample_runs(model, g, b, trials=12_000, seed=3)
     frac = float(sample.branch_local.mean())
     assert frac == pytest.approx(0.25, abs=1e-12)
     # Blocks are contiguous runs of identical branch.
@@ -444,7 +447,7 @@ def test_mixture_block_schedule():
 def test_run_records_and_csv():
     b = singlet_behavior()
     g = pair_geometry(c=1.0)
-    sample = sample_runs(ModelConfig(kind="local"), g, b, CHSH_SCHEDULE, trials=8, seed=5)
+    sample = sample_runs(ModelConfig(kind="local"), g, b, trials=8, seed=5)
     lines = written(write_run_csv, sample).splitlines()
     assert len(lines) == 9
     assert lines[0] == "trial,x,y,z,a,b,c,coord_ab,coord_ac,coord_bc"
@@ -469,7 +472,7 @@ def test_run_csv_tripartite_columns():
     target = born_behavior(make_ghz3(), [[0.0, math.pi / 2], [0.0], [0.0]])
     g = tripartite_bc_off_geometry()
     model = ModelConfig(kind="finite_speed", v=2.0)
-    sample = sample_runs(model, g, target, [(0, 0, 0), (1, 0, 0)], trials=4, seed=2)
+    sample = sample_runs(model, g, target, trials=4, seed=2)
     lines = written(write_run_csv, sample).splitlines()
     assert len(lines) == 5
     for t, line in enumerate(lines[1:]):
@@ -504,16 +507,14 @@ def _writer_case(parties, kind):
     trials=st.one_of(st.integers(1, 20), st.integers(1, 3 * WRITE_BLOCK)),
     workers=st.sampled_from((1, 2)),
     seed=st.integers(0, 2**32 - 1),
-    picks=st.lists(st.integers(0, 3), min_size=1, max_size=6),
 )
 # Trial indices reach six digits at 10**5, inside a write block.
-@example(parties=2, kind="finite_speed", trials=100_003, workers=2, seed=5, picks=[0, 3, 1])
-@example(parties=3, kind="coin", trials=100_001, workers=1, seed=11, picks=[2, 0, 3, 1])
-def test_writers_match_row_by_row_references(parties, kind, trials, workers, seed, picks):
+@example(parties=2, kind="finite_speed", trials=100_003, workers=2, seed=5)
+@example(parties=3, kind="coin", trials=100_001, workers=1, seed=11)
+def test_writers_match_row_by_row_references(parties, kind, trials, workers, seed):
     model, g, target, combos = _writer_case(parties, kind)
-    # Both cases have four setting tuples; picks index them.
-    schedule = [combos[i] for i in picks]
-    sample = sample_runs(model, g, target, schedule, trials, seed, workers=workers)
+    sample = sample_runs(model, g, target, trials, seed, workers=workers)
+    assert sample.schedule.tolist() == every_setting(target)
     assert_same_text(written(write_run_csv, sample), reference_csv(sample))
     assert_same_text(written(write_run_json, sample), reference_json(sample))
     for combo in combos:
@@ -521,11 +522,13 @@ def test_writers_match_row_by_row_references(parties, kind, trials, workers, see
 
 
 def test_empirical_correlator_missing_settings():
+    """With fewer trials than setting tuples, the last tuples have none."""
     b = singlet_behavior()
     g = pair_geometry(c=1.0)
-    sample = sample_runs(ModelConfig(kind="quantum"), g, b, [(0, 0)], trials=50, seed=1)
+    sample = sample_runs(ModelConfig(kind="quantum"), g, b, trials=3, seed=1)
     mean, se, count = sample.empirical_correlator((1, 1))
-    assert count == 0 and se == math.inf
+    assert (mean, se, count) == (0.0, math.inf, 0)
+    assert sample.empirical_correlator((1, 0))[1:] == (math.inf, 1)
 
 
 @pytest.mark.parametrize(
@@ -541,19 +544,21 @@ def test_empirical_correlator_checks_settings_as_correlator_does(settings, messa
     IndexError as quantum.correlator's, not a broadcast match or an empty
     count."""
     b = singlet_behavior()
-    sample = sample_runs(ModelConfig(kind="quantum"), pair_geometry(c=1.0), b, [(0, 0)], 50, 1)
+    sample = sample_runs(ModelConfig(kind="quantum"), pair_geometry(c=1.0), b, 50, 1)
     with pytest.raises(IndexError, match=message):
         correlator(b, settings)
     with pytest.raises(IndexError, match=message):
         sample.empirical_correlator(settings)
 
 
-def oracle_codes(model, g, target, schedule, trials, seed):
+def oracle_codes(model, g, target, trials, seed):
     """Every trial's code and local-branch flag, rebuilt from the chunk
     protocol: chunk j draws from default_rng(SeedSequence(seed,
     spawn_key=(j,))), coin mixtures draw their coins before the outcome
-    variates u, block mixtures follow the block formula, and a trial's
-    code is the inverse CDF of its branch's row at its settings."""
+    variates u, block mixtures follow the block formula, trial t takes
+    the (t % n_settings)-th setting tuple in C order, and its code is the
+    inverse CDF of its branch's row at those settings."""
+    schedule = every_setting(target)
     quantum = target if model.kind == "mixture" else effective_behavior(model, g, target)
     local = None
     if model.kind == "mixture":
@@ -623,7 +628,6 @@ def test_sample_codes_match_inverse_cdf_oracle(parties, kind, trials, workers, s
     g = pair_geometry(c=1.0) if parties == 2 else tripartite_bc_off_geometry()
     spp = tuple(data.draw(st.integers(1, 3 if parties == 2 else 2)) for _ in range(parties))
     combos = list(itertools.product(*(range(n) for n in spp)))
-    schedule = data.draw(st.lists(st.sampled_from(combos), min_size=1, max_size=4))
     prob = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
 
     def draw_plus():
@@ -633,7 +637,7 @@ def test_sample_codes_match_inverse_cdf_oracle(parties, kind, trials, workers, s
         t0 = data.draw(st.integers(0, min(trials, CHUNK) - 1))
         u0 = float(first_variates(model, trials, seed)[t0])
         plus = draw_plus()
-        for q, x in enumerate(schedule[t0 % len(schedule)]):
+        for q, x in enumerate(combos[t0 % len(combos)]):
             plus[q][x] = u0 if q == 0 else 1.0
         table = product_table(plus)
     elif kind == "quantum":
@@ -648,8 +652,8 @@ def test_sample_codes_match_inverse_cdf_oracle(parties, kind, trials, workers, s
         table = w * product_table(draw_plus()) + (1.0 - w) * product_table(draw_plus())
     target = Behavior(parties, spp, table)
 
-    sample = sample_runs(model, g, target, schedule, trials, seed, workers=workers)
-    codes, branch = oracle_codes(model, g, target, schedule, trials, seed)
+    sample = sample_runs(model, g, target, trials, seed, workers=workers)
+    codes, branch = oracle_codes(model, g, target, trials, seed)
     assert sample.codes.dtype == np.uint8
     assert np.array_equal(sample.codes, codes)
     if model.kind == "mixture":
@@ -668,21 +672,17 @@ def test_sample_codes_match_inverse_cdf_oracle(parties, kind, trials, workers, s
     ids=("quantum", "coin", "block"),
 )
 @pytest.mark.parametrize("trials", (2 * CHUNK + 5, 3 * CHUNK + 7))
-@pytest.mark.parametrize(
-    "schedule",
-    [[(0, 0), (1, 2), (2, 1)], list(itertools.product(range(3), repeat=2))],
-    ids=("3-rows", "9-rows"),
-)
-def test_sample_codes_past_chunk_boundaries_match_oracle(model, trials, schedule):
-    """Neither schedule length divides CHUNK, so later chunks start
-    mid-schedule (lo % rows != 0); every worker count gives the oracle's
-    codes and branches."""
+@pytest.mark.parametrize("b_settings", (1, 3), ids=("3-rows", "9-rows"))
+def test_sample_codes_past_chunk_boundaries_match_oracle(model, trials, b_settings):
+    """Neither target's number of setting tuples (3 by 1 or 3 by 3)
+    divides CHUNK, so later chunks start mid-schedule (lo % rows != 0);
+    every worker count gives the oracle's codes and branches."""
     opt = quantum_chain_optimum(3)
-    target = born_behavior(make_singlet(), [list(opt.angles_a), list(opt.angles_b)])
+    target = born_behavior(make_singlet(), [list(opt.angles_a), list(opt.angles_b[:b_settings])])
     g = pair_geometry(c=1.0)
-    codes, branch = oracle_codes(model, g, target, schedule, trials, seed=21)
+    codes, branch = oracle_codes(model, g, target, trials, seed=21)
     for workers in (1, 2, 3):
-        sample = sample_runs(model, g, target, schedule, trials, seed=21, workers=workers)
+        sample = sample_runs(model, g, target, trials, seed=21, workers=workers)
         assert np.array_equal(sample.codes, codes)
         if model.kind == "mixture":
             assert np.array_equal(sample.branch_local, branch)
@@ -721,11 +721,11 @@ def test_sampling_pool_is_bounded_by_chunks_and_cpus(monkeypatch, workers, trial
     monkeypatch.setattr(hvmodels.concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(hvmodels.os, "cpu_count", lambda: cpus)
     b = singlet_behavior()
-    sample = sample_runs(ModelConfig(kind="quantum"), pair_geometry(), b, CHSH_SCHEDULE,
+    sample = sample_runs(ModelConfig(kind="quantum"), pair_geometry(), b,
                          trials, seed=2, workers=workers)
     assert sizes == ([] if threads is None else [threads])
     assert np.array_equal(sample.codes, sample_runs(ModelConfig(kind="quantum"), pair_geometry(),
-                                                    b, CHSH_SCHEDULE, trials, seed=2).codes)
+                                                    b, trials, seed=2).codes)
 
 
 @settings(max_examples=100, deadline=None)

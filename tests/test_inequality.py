@@ -5,7 +5,6 @@ import pytest
 
 from bellsim.inequality import (
     ChainSpec,
-    MixtureSpec,
     chain_spec,
     chain_value,
     chsh_value,
@@ -126,9 +125,11 @@ def test_quantum_chain_optimum_range():
 
 
 def test_mixture_values():
-    assert MixtureSpec(0.5).p == 0.5
-    with pytest.raises(ValueError):
-        MixtureSpec(1.5)
+    for bad in (1.5, -0.1, math.nan):
+        with pytest.raises(ValueError, match=r"weight p must be in \[0, 1\]"):
+            mixture_deviation(bad, 4)
+        with pytest.raises(ValueError, match=r"weight p must be in \[0, 1\]"):
+            mixture_max_value(bad, 4)
     q4 = quantum_chain_optimum(4).value
     l4 = local_bound(chain_spec(4))
     assert mixture_deviation(0.0, 4) == 0.0

@@ -235,9 +235,10 @@ def test_double_pr_target_infeasible_with_verified_certificate():
 
 def exact_margin(problem, y):
     """y.b - sum_j max(0, (A^T y)_j) in exact rational arithmetic from the
-    float y and b: every float is a dyadic rational, so nothing rounds."""
+    float b and y, floats or Fractions: every float is a dyadic rational,
+    so nothing rounds."""
     support = np.nonzero(y)[0]
-    ys = [Fraction(float(y[i])) for i in support]
+    ys = [Fraction(y[i]) for i in support]
     value = sum(w * Fraction(float(problem.b_eq[i])) for w, i in zip(ys, support))
     aty = [
         sum(w * int(problem.a_eq[i, j]) for w, i in zip(ys, support))
@@ -658,6 +659,113 @@ def test_centred_lp_duals_certify_when_no_local_behavior_fits(lam):
     assert cert.margin == recheck_farkas_certificate(problem, cert.y)
     assert cert.margin == pytest.approx(localparts_feasible(target, (1, 2)).certificate.margin)
     assert cert.margin <= oracle_slack(target, (1, 2)) + 1e-12
+
+
+#: V1 of the (3,3,3) counterexample, an NS vertex of the pair-marginal
+#: polytope: [P++, P+-, P-+, P--] per (x, y) for AB and per (x, z) for AC.
+_H = Fraction(1, 2)
+V1_AB = [
+    [(0, 0, _H, _H), (0, 0, _H, _H), (0, 0, 1, 0)],
+    [(_H, 0, 0, _H), (_H, 0, 0, _H), (_H, 0, _H, 0)],
+    [(0, _H, _H, 0), (0, _H, _H, 0), (_H, 0, _H, 0)],
+]
+V1_AC = [
+    [(0, 0, 1, 0), (0, 0, _H, _H), (0, 0, _H, _H)],
+    [(_H, 0, _H, 0), (0, _H, _H, 0), (0, _H, _H, 0)],
+    [(_H, 0, _H, 0), (_H, 0, 0, _H), (0, _H, _H, 0)],
+]
+
+
+def counterexample_target(eps):
+    """Q = T_AB T_AC / T_A of the pair marginals (1 - eps) V0 + eps V1,
+    computed in Fractions and rounded once.  V0 is deterministic: A
+    answers +1 at every x, B +1 at y = 0 and -1 at y = 1, 2, C -1 at
+    z = 0 and +1 at z = 1, 2 (outcome index 0 is +1).  Q's AB and AC
+    marginals are T_AB and T_AC at every remaining setting, which is all
+    the local-parts program reads; its BC marginal moves with x."""
+    v0_ab, v0_ac = np.zeros((2, 3, 3, 2, 2), dtype=int)
+    v0_ab[:, range(3), 0, [0, 1, 1]] = 1
+    v0_ac[:, range(3), 0, [1, 0, 0]] = 1
+    t_ab = (1 - eps) * v0_ab + eps * np.array(V1_AB, dtype=object).reshape(3, 3, 2, 2)
+    t_ac = (1 - eps) * v0_ac + eps * np.array(V1_AC, dtype=object).reshape(3, 3, 2, 2)
+    t_a = t_ab[:, 0].sum(axis=-1)  # (x, a), positive for 0 < eps < 1
+    q = t_ab[:, :, None, :, :, None] * t_ac[:, None, :, :, None, :] / t_a[:, None, None, :, None, None]
+    return Behavior(3, (3, 3, 3), q.astype(float))
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(1, 16), Fraction(1, 2**10)])
+def test_local_part_binds_at_three_settings(eps):
+    """The (3,3,3) counterexample: no Frechet interval is empty and no
+    receiver marginal shifts, so rejection() finds nothing, yet the
+    centred LP's t* is -eps/16 and its duals prove infeasibility with
+    margin eps/84.  Rounded to the multiples of 1/42 they approximate,
+    the certificate's weights keep ||y||_1 = 1 and prove the margin
+    eps/84 exactly."""
+    target = counterexample_target(eps)
+    problem = build_feasibility_problem(target, (1, 2))
+    reduction = _Reduction(problem)
+    assert reduction.rejection() is None
+    _, resid, cert, t_star = reduction.witness()
+    assert t_star == pytest.approx(float(-eps / 16), abs=1e-12)
+    assert resid > RECHECK_TOL
+    assert cert.inequality_string().startswith("no local receiver-pair behavior fits")
+    exact = exact_margin(problem, cert.y)
+    assert exact > 0
+    assert abs(exact - eps / 84) <= 1e-15
+    rounded = np.array([Fraction(float(v)).limit_denominator(42) for v in cert.y], dtype=object)
+    assert sum(abs(v) for v in rounded) == 1
+    assert exact_margin(problem, rounded) == eps / 84
+    assert cert.margin <= oracle_slack(target, (1, 2)) + 1e-12
+    res = localparts_feasible(target, (1, 2))
+    assert not res.feasible
+    assert res.certificate.margin == cert.margin
+
+
+def test_local_part_binds_through_a_forced_3322_type_box():
+    """At eps = 1/2 every Frechet interval has zero width, so the
+    intervals force the BC box.  It passes every CHSH form on its 2x2
+    sub-blocks, yet lies outside the (3,3) local polytope.  Every
+    restriction of the target to two settings at one or more parties has
+    a local part.  A no-signaling target with the same AB and AC
+    marginals, a vertex of blocks 1-6 of the row-by-row system, is
+    rejected as well."""
+    target = counterexample_target(Fraction(1, 2))
+    reduction = _Reduction(build_feasibility_problem(target, (1, 2)))
+    l00 = reduction.lo.max(axis=0)
+    assert np.array_equal(l00, reduction.hi.min(axis=0))
+    assert l00.tolist() == [[0.25, 0.5, 0.5], [0.25, 0.0, 0.25], [0.5, 0.25, 0.25]]
+    p_b, p_c = reduction.t_b[0], reduction.t_c[0]
+    assert (p_b.tolist(), p_c.tolist()) == ([0.75, 0.25, 0.5], [0.5, 0.75, 0.75])
+    box = np.empty((3, 3, 2, 2))
+    box[..., 0, 0] = l00
+    box[..., 0, 1] = p_b[:, None] - l00
+    box[..., 1, 0] = p_c[None, :] - l00
+    box[..., 1, 1] = 1 - p_b[:, None] - p_c[None, :] + l00
+    bc = Behavior(2, (3, 3), box)
+    for (y, y2), (z, z2) in itertools.product(itertools.permutations(range(3), 2), repeat=2):
+        assert abs(chsh_value(bc, y, y2, z, z2)) <= 2.0
+    member = local_polytope_member(bc)
+    assert not member.member and member.certificate.margin > 1e-9
+
+    for keep in itertools.product(((0, 1, 2), (0, 1), (0, 2), (1, 2)), repeat=3):
+        if min(map(len, keep)) == 2:
+            table = np.ascontiguousarray(target.table[np.ix_(*keep)])
+            assert localparts_feasible(Behavior(3, tuple(map(len, keep)), table), (1, 2)).feasible
+
+    import scipy.optimize
+
+    a_eq, b_eq, n_q, *_ = reference_feasibility_problem(target, (1, 2))
+    rows = len(b_eq) - 27 * 4  # block 7 has one row per (x, y, z, b, c)
+    found = scipy.optimize.linprog(np.zeros(n_q), A_eq=a_eq[:rows, :n_q], b_eq=b_eq[:rows],
+                                   bounds=(0, None), method="highs")
+    assert found.status == 0
+    ns = Behavior(3, (3, 3, 3), np.clip(found.x, 0.0, None).reshape(target.table.shape))
+    assert no_signaling_defect(ns) <= 1e-12
+    assert np.max(np.abs(marginal(ns, (0, 1)) - marginal(target, (0, 1)))) <= 1e-12
+    assert np.max(np.abs(marginal(ns, (0, 2)) - marginal(target, (0, 2)))) <= 1e-12
+    res = localparts_feasible(ns, (1, 2))
+    assert not res.feasible
+    assert res.certificate.margin == pytest.approx(1 / 168, abs=1e-12)
 
 
 @pytest.mark.parametrize("shape", list(itertools.product((1, 2, 3), repeat=3)))
