@@ -162,7 +162,7 @@ def _empirical_summary(sc, workers: int) -> tuple:
         correlators.append(
             {
                 "settings": combo,
-                "mean": float(mean),
+                "mean": float(mean) if count else None,
                 "se": _finite_or_none(se),
                 "count": count,
                 "predicted": correlator(sample.behavior, combo),
@@ -186,12 +186,12 @@ def _derived_block(sc, eff, correlators) -> dict:
     value = se2 = 0.0
     for (ia, ib), sign in spec.terms:
         entry = by_settings[(ia, ib)]
-        value += sign * entry["mean"]
-        se = entry["se"]
+        mean, se = entry["mean"], entry["se"]
+        value += sign * mean if mean is not None else math.nan
         se2 += se * se if se is not None else math.inf
     block = {
         "n": n_a,
-        "empirical_value": float(value),
+        "empirical_value": _finite_or_none(value),
         "se": _finite_or_none(math.sqrt(se2) if math.isfinite(se2) else math.inf),
         "predicted_value": inequality.chain_value(eff, spec),
         "local_bound": inequality.local_bound(spec),

@@ -114,25 +114,19 @@ def born_behavior(state: StateVector, settings: Sequence[Sequence[float]]) -> Be
     angles = [tuple(float(t) for t in s) for s in settings]
     if any(len(a) == 0 for a in angles):
         raise ValueError("every party needs at least one setting")
-    spp = tuple(len(a) for a in angles)
-    # Party by party: the state after parties 0..i have measured depends
-    # only on their settings, so each setting prefix is contracted once and
-    # shared by every combo that extends it.
-    level = {(): state.amps.reshape((2,) * n)}
-    for i in range(n):
-        bases = [measurement_basis(t) for t in angles[i]]
-        level = {
-            prefix + (s,): np.moveaxis(np.tensordot(u, phi, axes=(1, i)), 0, i)
-            for prefix, phi in level.items()
-            for s, u in enumerate(bases)
-        }
-    table = np.empty(spp + (2,) * n)
-    for combo, phi in level.items():
-        table[combo] = np.abs(phi) ** 2
+    # One contraction per party with its stacked (setting, outcome, qubit)
+    # bases; after party i the axes are the settings of parties 0..i, their
+    # outcomes, then the qubits not yet measured.
+    amp = state.amps.reshape((2,) * n)
+    for i, party in enumerate(angles):
+        bases = np.stack([measurement_basis(t) for t in party])
+        amp = np.moveaxis(np.tensordot(bases, amp, axes=(2, 2 * i)), (0, 1), (i, 2 * i + 1))
+    # Contiguous, so the renormalising sum adds in C order.
+    table = np.ascontiguousarray(np.abs(amp) ** 2)
     # Rounding can leave sums a few ulp off 1; renormalize exactly.
     sums = table.sum(axis=tuple(range(n, 2 * n)), keepdims=True)
     table /= sums
-    return Behavior(parties=n, settings_per_party=spp, table=table)
+    return Behavior(parties=n, settings_per_party=table.shape[:n], table=table)
 
 
 def outcome_signs(parties: int) -> np.ndarray:

@@ -371,6 +371,24 @@ def test_chsh_sampled_tracks_prediction(capsys):
     assert abs(emp["empirical_value"] - emp["predicted_value"]) <= 5.0 * emp["se"]
 
 
+def test_setting_tuples_without_trials_report_no_mean(capsys):
+    """With fewer trials than setting tuples the last tuples are never
+    sampled: their mean is null, not 0.0, and so is any value built on them."""
+    code, out, _ = run_cli(["chsh", "--trials", "1"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert [(c["count"], c["mean"]) for c in doc["correlators"]][1:] == [(0, None)] * 3
+    assert doc["correlators"][0]["mean"] in (1.0, -1.0)
+    assert doc["empirical"]["empirical_value"] is None
+    assert doc["empirical"]["se"] is None
+    code, out, _ = run_cli(["chain", "--n", "3", "--trials", "5"], capsys)
+    assert code == 0
+    emp = json.loads(out)["empirical"]
+    assert emp["empirical_value"] is None
+    assert emp["se"] is None
+    assert emp["predicted_value"] > emp["local_bound"]
+
+
 def test_usage_error_is_json_on_stderr(capsys):
     code, out, err = run_cli(["timing", "--L", "5"], capsys)
     assert code == 2

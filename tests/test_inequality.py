@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bellsim.inequality import (
+    MAX_CHAIN_N,
     ChainSpec,
     chain_spec,
     chain_value,
@@ -98,7 +99,7 @@ def test_chain_deterministic_behavior():
 
 
 def test_local_bounds_by_enumeration():
-    for n in range(2, 7):
+    for n in range(2, MAX_CHAIN_N + 1):
         assert local_bound(chain_spec(n)) == pytest.approx(2 * n - 2, abs=1e-12)
     with pytest.raises(ValueError):
         local_bound(chain_spec(13))

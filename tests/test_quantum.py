@@ -243,11 +243,29 @@ def reference_born_table(state, angles):
     spp=st.lists(st.integers(1, 3), min_size=4, max_size=4),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(n=4, spp=[3, 3, 3, 3], seed=0)
+@example(n=1, spp=[1, 1, 1, 1], seed=0)
 def test_born_behavior_matches_per_combo_reference(n, spp, seed):
-    """Sharing setting prefixes changes no bit of the table."""
+    """Contracting each party's stacked bases once, for all its settings,
+    gives the bits of a loop that contracts every setting tuple alone."""
     rng = np.random.default_rng(seed)
     angles = [rng.uniform(0, 2 * math.pi, m).tolist() for m in spp[:n]]
     state = random_state(rng, n)
+    got = born_behavior(state, angles).table
+    want = reference_born_table(state, angles)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "state, angles",
+    [
+        (make_ghz3(), [[0.0, math.pi / 2, 1.1], [0.3, math.pi / 2, 2.5], [-0.7, 0.0, math.pi]]),
+        (make_singlet(), [[0.0, math.pi / 4, 2.0], [math.pi / 8, -1.3]]),
+    ],
+)
+def test_born_behavior_of_real_states_matches_per_combo_reference(state, angles):
+    """The property test draws complex amplitudes; GHZ and the singlet are real."""
     got = born_behavior(state, angles).table
     want = reference_born_table(state, angles)
     assert got.shape == want.shape
