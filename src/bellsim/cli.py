@@ -21,7 +21,7 @@ import os
 import sys
 
 from .presets import PRESETS, get_preset, scenario_doc
-from .scenario import ScenarioError, load_scenario, parse_speed, scenario_from_doc
+from .scenario import ScenarioError, create_output, load_scenario, parse_speed, scenario_from_doc
 from .spacetime import (
     SPEED_OF_LIGHT,
     TIMING_RULES,
@@ -99,8 +99,8 @@ def _emit(obj, out_dir: str | None, filename: str) -> None:
     text = _json_text(obj)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, filename), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with create_output(os.path.join(out_dir, filename)) as fh:
+            fh.write(text.encode())
     sys.stdout.write(text)
 
 
@@ -236,17 +236,13 @@ def cmd_simulate(args) -> int:
             pair_key(p): entry for p, entry in pair_timing(sc.model, sc.geometry).items()
         }
     out_dir = args.out if args.out is not None else "."
-    runs_name = sc.outputs.get(
-        "runs_csv" if args.format == "csv" else "runs_json",
-        "runs.csv" if args.format == "csv" else "runs.json",
-    )
     os.makedirs(out_dir, exist_ok=True)
-    runs_path = os.path.join(out_dir, runs_name)
+    runs_path = os.path.join(out_dir, sc.outputs[f"runs_{args.format}"])
     if args.format == "csv":
         write_run_csv(sample, runs_path)
     else:
         write_run_json(sample, runs_path)
-    _emit(summary, out_dir, sc.outputs.get("summary_json", "summary.json"))
+    _emit(summary, out_dir, sc.outputs["summary_json"])
     return EXIT_OK
 
 
@@ -279,7 +275,7 @@ def cmd_signal(args) -> int:
         coordination={pair_key(p): state for p, state in cmap.items()},
         settings=[list(row) for row in sc.settings],
     )
-    _emit(report, args.out, sc.outputs.get("report_json", "report.json"))
+    _emit(report, args.out, sc.outputs["report_json"])
     return EXIT_OK
 
 

@@ -28,6 +28,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .quantum import Behavior, _setting_index, marginal, no_signaling_defect, outcome_signs
+from .scenario import create_output
 from .spacetime import OFF, ON, Geometry, ModelConfig, coordination_map, spectator_first
 
 #: Trials per sampling chunk; part of the determinism contract.
@@ -351,8 +352,8 @@ RUN_CSV_HEADER = "trial,x,y,z,a,b,c,coord_ab,coord_ac,coord_bc\n"
 
 _PAIR_COLUMNS = ((0, 1), (0, 2), (1, 2))
 
-#: Rows formatted and written per block; bounds the writers' memory.
-WRITE_BLOCK = 8192
+#: Padded row bytes gathered per block; bounds the writers' memory.
+WRITE_BUDGET = 1 << 18
 
 
 def pair_key(pair: tuple[int, int]) -> str:
@@ -370,7 +371,7 @@ def _digit_columns() -> np.ndarray:
 
 
 def _row_blocks(sample: RunSample, template: Callable[[int], str]) -> Iterator[np.ndarray]:
-    """The bytes of every row, at most WRITE_BLOCK rows at a time.
+    """The bytes of every row, at most WRITE_BUDGET padded bytes at a time.
 
     A row is template(key) % trial, the template holding one %d for the
     trial index.  Once per run, each distinct template is split around
@@ -380,8 +381,9 @@ def _row_blocks(sample: RunSample, template: Callable[[int], str]) -> Iterator[n
     widest.  A block gathers its rows' lines by key, writes the trial
     digits into the slot, three at a time from a 000-999 lookup, and
     drops the padding with one boolean compress (no template holds a
-    NUL).  Blocks also end at powers of ten, so all trials of a block
-    have the same number of digits.
+    NUL).  A block holds as many rows as fit in WRITE_BUDGET bytes of the
+    padded table (at least one), and blocks also end at powers of ten, so
+    all trials of a block have the same number of digits.
     """
     n_keys = len(sample.schedule) << (sample.parties + 1)
     # A key's last bit picks its branch's coordination map; when both
@@ -398,7 +400,8 @@ def _row_blocks(sample: RunSample, template: Callable[[int], str]) -> Iterator[n
         table = table.repeat(step, axis=0)
     digits = _digit_columns()
     powers = (10**k for k in range(1, tail_start - slot_start))
-    bounds = sorted({*range(0, len(sample), WRITE_BLOCK), *powers, len(sample)})
+    block = max(1, WRITE_BUDGET // table.shape[1])
+    bounds = sorted({*range(0, len(sample), block), *powers, len(sample)})
     for lo, hi, keys in zip(bounds, bounds[1:], sample._row_keys(bounds)):
         rows = table.take(keys, axis=0)
         trials = np.arange(lo, hi)
@@ -431,7 +434,7 @@ def write_run_csv(sample: RunSample, path: str) -> None:
         cells += [coordination.get(pair, "") for pair in _PAIR_COLUMNS]
         return ",".join(cells) + "\n"
 
-    with open(path, "wb") as fh:
+    with create_output(path) as fh:
         fh.write(RUN_CSV_HEADER.encode())
         fh.writelines(_row_blocks(sample, template))
 
@@ -459,7 +462,7 @@ def write_run_json(sample: RunSample, path: str) -> None:
         return ",\n    " + text.replace("\n", "\n    ")
 
     blocks = _row_blocks(sample, template)
-    with open(path, "wb") as fh:
+    with create_output(path) as fh:
         fh.write(b'{\n  "records": [\n')
         fh.write(next(blocks)[2:])
         fh.writelines(blocks)

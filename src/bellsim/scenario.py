@@ -15,7 +15,8 @@ real numbers or [re, im] pairs.
 Validation and construction are pure Python: only a custom state's norm
 is computed with numpy, and the StateVector is built from the document
 when a command first reads Scenario.state, so validating a file with a
-shipped state never loads numpy.
+shipped state never loads numpy.  ``create_output`` opens every file the
+command line writes, also without numpy.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, BinaryIO
 
 from .spacetime import MODEL_KINDS, SPEED_OF_LIGHT, Boost, Event, Geometry, ModelConfig
 
@@ -51,7 +54,13 @@ _GEOMETRY_KEYS = {"events", "boosts", "critical_distance", "c"}
 _EVENT_KEYS = {"t", "x", "y"}
 _MODEL_KEYS = {"kind", "v", "p", "schedule", "block_length"}
 _STATE_KEYS = {"kind", "amplitudes"}
-_OUTPUT_KEYS = {"runs_csv", "runs_json", "summary_json", "report_json"}
+#: Output file names by key; a scenario's ``outputs`` overrides them.
+DEFAULT_OUTPUTS = {
+    "runs_csv": "runs.csv",
+    "runs_json": "runs.json",
+    "summary_json": "summary.json",
+    "report_json": "report.json",
+}
 STATE_KINDS = ("singlet", "ghz3", "custom")
 
 
@@ -135,7 +144,7 @@ class Scenario:
     settings: tuple[tuple[float, ...], ...]
     trials: int
     seed: int
-    outputs: dict[str, str]
+    outputs: dict[str, str]  # every key of DEFAULT_OUTPUTS
     doc: dict
 
     @property
@@ -370,17 +379,41 @@ def validate_scenario(doc) -> list[SchemaError]:
         or not 0 <= seed < 2**64
     ):
         errors.append(SchemaError("/seed", "must be an integer in [0, 2**64)"))
-    outputs = doc.get("outputs", {})
-    if not isinstance(outputs, dict):
-        errors.append(SchemaError("/outputs", "must be an object"))
-    else:
-        _check_unknown(outputs, _OUTPUT_KEYS, "/outputs", errors)
-        for key, value in outputs.items():
-            if key in _OUTPUT_KEYS and (not isinstance(value, str) or not value):
-                errors.append(
-                    SchemaError(_pointer("outputs", key), "must be a non-empty filename")
-                )
+    _validate_outputs(doc.get("outputs", {}), errors)
     return errors
+
+
+def _plain_file_name(name: str) -> bool:
+    """Whether name is one file name inside the output directory."""
+    if name in (".", "..") or "\0" in name:
+        return False
+    return not any(sep and sep in name for sep in ("/", os.sep, os.altsep))
+
+
+def _validate_outputs(doc, errors: list[SchemaError]) -> None:
+    """Each output name stays inside --out, and a runs file never
+    overwrites the summary that simulate writes after it."""
+    if not isinstance(doc, dict):
+        errors.append(SchemaError("/outputs", "must be an object"))
+        return
+    _check_unknown(doc, set(DEFAULT_OUTPUTS), "/outputs", errors)
+    names = dict(DEFAULT_OUTPUTS)
+    for key, value in doc.items():
+        if key not in DEFAULT_OUTPUTS:
+            continue
+        if not isinstance(value, str) or not value:
+            errors.append(SchemaError(_pointer("outputs", key), "must be a non-empty filename"))
+        elif not _plain_file_name(value):
+            message = "must be a plain file name: no path separator, NUL, '.' or '..'"
+            errors.append(SchemaError(_pointer("outputs", key), message))
+        else:
+            names[key] = value
+    for key in ("runs_csv", "runs_json"):
+        if names[key] == names["summary_json"]:
+            given = doc.get(key) == names[key]
+            at, other = (key, "summary_json") if given else ("summary_json", key)
+            message = f"must differ from {other} ({names[key]!r})"
+            errors.append(SchemaError(_pointer("outputs", at), message))
 
 
 def _build_state(doc: dict) -> StateVector:
@@ -425,7 +458,7 @@ def scenario_from_doc(doc: dict) -> Scenario:
         settings=tuple(tuple(float(t) for t in row) for row in doc["settings"]),
         trials=doc["trials"],
         seed=doc["seed"],
-        outputs=dict(doc.get("outputs", {})),
+        outputs={**DEFAULT_OUTPUTS, **doc.get("outputs", {})},
         doc=doc,
     )
 
@@ -440,3 +473,22 @@ def load_scenario(path: str) -> Scenario:
         except (ValueError, RecursionError) as exc:
             raise ScenarioError([SchemaError("/", f"not valid JSON: {exc}")]) from None
     return scenario_from_doc(doc)
+
+
+def create_output(path: str) -> BinaryIO:
+    """Open path for writing in binary mode as a new file.
+
+    An existing regular file is unlinked first instead of truncated:
+    when a truncated and rewritten file is closed, ext4 (with its default
+    auto_da_alloc) allocates its blocks and starts their write-back on
+    the writer's own thread, and it does not do so for a new file.  A
+    hard link to the old file keeps the old bytes.  Symlinks, FIFOs and
+    devices are opened as they are, and if the unlink fails the file is
+    truncated as before.
+    """
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except OSError:
+        pass
+    return open(path, "wb")

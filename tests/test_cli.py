@@ -60,6 +60,14 @@ def test_timing_late_arrival_turns_both_on(capsys):
 
 #: Stands for the path of an existing regular file.
 A_FILE = "<file>"
+#: Stands for the path of an output directory that does not exist yet.
+OUT_DIR = "<out>"
+
+
+def simulate_with_outputs(key, name):
+    """simulate into OUT_DIR from a placeholder that stands for a scenario
+    file: the before-before preset with outputs.key = name."""
+    return ["simulate", "--scenario", f"<outputs {key}={name}>", "--out", OUT_DIR]
 
 
 @pytest.mark.parametrize(
@@ -120,22 +128,37 @@ A_FILE = "<file>"
         (["signal", "--preset", "fig2b", "--out", A_FILE + "/sub"], 1),
         (["point-d", "--preset", "fig2b", "--out", A_FILE + "/sub"], 1),
         (["point-d", "--a", "0,0", "--b", "1,10", "--c", "1,20", "--out", A_FILE], 1),
+        (simulate_with_outputs("runs_csv", "summary.json"), 2),
+        (simulate_with_outputs("runs_csv", "../escape.csv"), 2),
+        (simulate_with_outputs("runs_csv", "a\u0000b"), 2),
+        (simulate_with_outputs("runs_csv", "."), 2),
+        (simulate_with_outputs("runs_csv", "sub/x.csv"), 2),
+        (simulate_with_outputs("summary_json", "runs.json"), 2),
+        (simulate_with_outputs("summary_json", ".."), 2),
     ],
 )
 def test_bad_argv_is_json_error_without_traceback(argv, code, tmp_path, capsys):
-    """Usage errors exit 2; bad values (invalid) and unusable --out paths (io)
-    exit 1.  A failed run prints nothing on stdout, not even a result it
-    computed before its --out write failed."""
+    """Usage errors and bad output names in a scenario (schema) exit 2; bad
+    values (invalid) and unusable --out paths (io) exit 1.  A failed run
+    prints nothing on stdout, not even a result it computed before its
+    --out write failed, and writes no file."""
     a_file = tmp_path / "a_file"
     a_file.write_text("")
-    error = "usage" if code == 2 else "io" if "--out" in argv else "invalid"
-    argv = [arg.replace(A_FILE, str(a_file)) for arg in argv]
+    scenario = next((arg for arg in argv if arg.startswith("<outputs ")), None)
+    if scenario is not None:
+        key, name = scenario[len("<outputs ") : -1].split("=", 1)
+        path = write_scenario(tmp_path, lambda doc: doc.update(outputs={key: name}))
+        argv = [str(path) if arg == scenario else arg for arg in argv]
+    made = sorted(os.listdir(tmp_path))
+    error = "schema" if scenario else "usage" if code == 2 else "io" if "--out" in argv else "invalid"
+    argv = [arg.replace(A_FILE, str(a_file)).replace(OUT_DIR, str(tmp_path / "out")) for arg in argv]
     got, out, err = run_cli(argv, capsys)
     assert got == code
     assert out == ""
     assert "Traceback" not in err
     assert json.loads(err)["error"]["code"] == error
     assert a_file.read_text() == ""
+    assert sorted(os.listdir(tmp_path)) == made
 
 
 #: Values that no flag may turn into a traceback or an internal error.
@@ -668,6 +691,58 @@ def test_simulate_json_run_format(tmp_path, capsys):
     assert summary["scenario"]["trials"] == 64
 
 
+def simulate_into(out_dir, fmt, seed, capsys):
+    """The runs file and summary bytes of a 300-trial before-before run."""
+    argv = ["simulate", "--preset", "before-before", "--trials", "300", "--seed", str(seed)]
+    code, _, _ = run_cli(argv + ["--format", fmt, "--out", str(out_dir)], capsys)
+    assert code == 0
+    return {name: (out_dir / name).read_bytes() for name in (f"runs.{fmt}", "summary.json")}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rerun_creates_each_output_anew(fmt, tmp_path, capsys):
+    """A rerun into the same --out writes what a run into a fresh directory
+    writes, into new files: a hard link to an earlier output keeps the
+    earlier bytes."""
+    out_dir = tmp_path / "out"
+    first = simulate_into(out_dir, fmt, 1, capsys)
+    for name in first:
+        os.link(out_dir / name, tmp_path / f"old-{name}")
+    rerun = simulate_into(out_dir, fmt, 2, capsys)
+    assert rerun == simulate_into(tmp_path / "fresh", fmt, 2, capsys)
+    for name, data in first.items():
+        assert (tmp_path / f"old-{name}").read_bytes() == data != rerun[name]
+
+
+def test_symlinked_output_is_written_through(tmp_path, capsys):
+    """An output path that is a symlink stays one, and its target gets the run."""
+    target = tmp_path / "elsewhere.csv"
+    target.write_text("old\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "runs.csv").symlink_to(target)
+    run = simulate_into(out_dir, "csv", 1, capsys)
+    assert (out_dir / "runs.csv").is_symlink()
+    assert target.read_bytes() == run["runs.csv"]
+    assert run == simulate_into(tmp_path / "fresh", "csv", 1, capsys)
+
+
+def test_output_that_cannot_be_unlinked_is_truncated(tmp_path, monkeypatch, capsys):
+    """When unlinking the old output fails, the run truncates and rewrites
+    it in place, so a hard link to it sees the new bytes."""
+    out_dir = tmp_path / "out"
+    simulate_into(out_dir, "csv", 1, capsys)
+    os.link(out_dir / "runs.csv", tmp_path / "old.csv")
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(os, "unlink", refuse)
+    rerun = simulate_into(out_dir, "csv", 2, capsys)
+    assert (tmp_path / "old.csv").read_bytes() == rerun["runs.csv"]
+    assert rerun == simulate_into(tmp_path / "fresh", "csv", 2, capsys)
+
+
 def test_simulate_timing_block(tmp_path, capsys):
     out_dir = tmp_path / "fs"
     code, out, _ = run_cli(
@@ -881,11 +956,14 @@ def test_only_lp_commands_load_scipy_optimize(argv, code, loaded, tmp_path, lp_n
         (["chain", "--n", "4"], 0, True),
         (["preset", "run", "before-before", "--trials", "1000", "--out", "<out>"], 0, True),
         (["signal", "--preset", "fig2a"], 0, True),
+        (["timing", "--v", "100000c", "--L", "30000", "--out", "<out>"], 0, False),
+        (["point-d", "--preset", "fig2b", "--out", "<out>"], 0, False),
     ],
 )
 def test_only_numeric_commands_load_numpy(argv, code, loaded, tmp_path, lp_needing_target):
     """numpy is loaded only by the commands that compute with it: not for
     the timing rules, point D, the preset list, or validating a file
-    whose state is a shipped one (a custom state's norm needs numpy)."""
+    whose state is a shipped one (a custom state's norm needs numpy), and
+    not for writing a --out file."""
     out = probe_imports(argv, tmp_path, lp_needing_target)
     assert [out[0], out[3]] == [str(code), str(loaded)]

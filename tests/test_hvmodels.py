@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from bellsim import hvmodels
 from bellsim.hvmodels import (
     CHUNK,
-    WRITE_BLOCK,
+    WRITE_BUDGET,
     UnsupportedConfigurationError,
     _components_of_on_graph,
     effective_behavior,
@@ -500,11 +500,17 @@ def _writer_case(parties, kind):
     return model, g, target, combos
 
 
+#: Every writer's padded row is wider than 20 bytes (a bipartite CSV row,
+#: the narrowest, is 22 at five-digit trials), so up to this many trials
+#: span at least three of every writer's blocks.
+THREE_BLOCKS = 3 * WRITE_BUDGET // 20
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     parties=st.sampled_from((2, 3)),
     kind=st.sampled_from(("quantum", "local", "finite_speed", "coin", "block")),
-    trials=st.one_of(st.integers(1, 20), st.integers(1, 3 * WRITE_BLOCK)),
+    trials=st.one_of(st.integers(1, 20), st.integers(1, THREE_BLOCKS)),
     workers=st.sampled_from((1, 2)),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -519,6 +525,27 @@ def test_writers_match_row_by_row_references(parties, kind, trials, workers, see
     assert_same_text(written(write_run_json, sample), reference_json(sample))
     for combo in combos:
         assert sample.empirical_correlator(combo) == reference_correlator(sample, combo)
+
+
+@pytest.mark.parametrize("writer", [write_run_csv, write_run_json])
+def test_write_blocks_stay_within_the_byte_budget(writer, monkeypatch):
+    """No block of the narrowest writer case exceeds WRITE_BUDGET bytes,
+    and THREE_BLOCKS trials take at least eight blocks: four end at 10,
+    100, 1000 and 10**4, three or more at multiples of a block's rows,
+    and the last at the last trial."""
+    blocks = []
+
+    def recorded(sample, template):
+        for block in row_blocks(sample, template):
+            blocks.append(len(block))
+            yield block
+
+    row_blocks = hvmodels._row_blocks
+    monkeypatch.setattr(hvmodels, "_row_blocks", recorded)
+    model, g, target, _ = _writer_case(2, "quantum")
+    written(writer, sample_runs(model, g, target, THREE_BLOCKS, 1))
+    assert len(blocks) >= 8
+    assert max(blocks) <= WRITE_BUDGET
 
 
 def test_empirical_correlator_missing_settings():

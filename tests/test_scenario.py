@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bellsim.cli import main
 from bellsim.presets import PRESETS
-from bellsim.scenario import ScenarioError, scenario_from_doc
+from bellsim.scenario import DEFAULT_OUTPUTS, ScenarioError, scenario_from_doc
 
 DELETE = object()
 MUTANTS = (DELETE, None, "x", 2.5, [], {})
@@ -130,3 +130,45 @@ def test_validate_agrees_with_construction(doc, tmp_path):
     assert report["ok"] is False and report["errors"]
     for error in report["errors"]:
         assert error["path"].startswith("/") and error["message"]
+
+
+def with_outputs(outputs):
+    return {**PRESETS["before-before"].doc, "outputs": outputs}
+
+
+@pytest.mark.parametrize(
+    "outputs, pointer",
+    [
+        ({"runs_csv": "summary.json"}, "/outputs/runs_csv"),
+        ({"runs_json": "summary.json"}, "/outputs/runs_json"),
+        ({"summary_json": "runs.csv"}, "/outputs/summary_json"),
+        ({"summary_json": "runs.json"}, "/outputs/summary_json"),
+        ({"runs_csv": "out", "summary_json": "out"}, "/outputs/runs_csv"),
+        ({"runs_csv": "../escape.csv"}, "/outputs/runs_csv"),
+        ({"runs_csv": "/tmp/abs.csv"}, "/outputs/runs_csv"),
+        ({"runs_json": "sub/x.json"}, "/outputs/runs_json"),
+        ({"summary_json": "a\u0000b"}, "/outputs/summary_json"),
+        ({"runs_csv": "."}, "/outputs/runs_csv"),
+        ({"report_json": ".."}, "/outputs/report_json"),
+    ],
+)
+def test_output_names_must_be_plain_and_distinct(outputs, pointer):
+    """An output name is one file name inside --out (no separator, NUL, '.'
+    or '..'), and with the defaults filled in the summary's name differs
+    from both runs files' names."""
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_doc(with_outputs(outputs))
+    assert [error.path for error in info.value.errors] == [pointer]
+
+
+@pytest.mark.parametrize(
+    "outputs",
+    [
+        {},
+        {"runs_csv": "summary.json", "summary_json": "run summary.json"},
+        {"runs_json": "...", "report_json": "summary.json"},
+        {"summary_json": "runs"},
+    ],
+)
+def test_plain_distinct_output_names_fill_in_the_defaults(outputs):
+    assert scenario_from_doc(with_outputs(outputs)).outputs == {**DEFAULT_OUTPUTS, **outputs}
