@@ -1,15 +1,15 @@
 """Command-line front door.
 
 Subcommands cover the timing criteria, CHSH and chained-inequality
-numbers, model sampling to CSV, the marginal-shift signaling report, the
-point-D construction, shipped presets, and scenario validation.  Every
-result is a JSON document on stdout (and optionally files under --out);
-failures put a machine-readable JSON object on stderr.  Exit codes:
-0 success, 2 malformed scenario or usage, 1 other errors.  Outputs are
-deterministic for a given scenario and seed, independent of --workers.
-Each subcommand loads only the modules it computes with: timing,
-point-d, validate and preset list start without numpy, and scipy is
-loaded only when a linear program is solved.
+numbers, model sampling to CSV or JSON, the marginal-shift signaling
+report, the point-D construction, shipped presets, and scenario
+validation.  Every result is a JSON document on stdout (and optionally
+files under --out); failures put a machine-readable JSON object on
+stderr.  Exit codes: 0 success, 2 malformed scenario or usage, 1 other
+errors.  Outputs are deterministic for a given scenario and seed,
+independent of --workers.  Each subcommand loads only the modules it
+computes with: timing, point-d, validate and preset list start without
+numpy, and scipy is loaded only when a linear program is solved.
 """
 
 from __future__ import annotations
@@ -495,7 +495,7 @@ def build_parser() -> _Parser:
     add_common(p, model=True)
     p.set_defaults(func=cmd_chain)
 
-    p = sub.add_parser("simulate", help="sample a scenario to CSV plus summary")
+    p = sub.add_parser("simulate", help="sample a scenario to CSV or JSON plus summary")
     add_common(p, scenario=True, sampling=True)
     p.set_defaults(func=cmd_simulate)
 

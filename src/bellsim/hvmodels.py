@@ -241,13 +241,6 @@ class RunSample:
         return settings, outcomes, dict(zip(self.pairs, states))
 
 
-def _block_local_mask(trial_indices: np.ndarray, p: float, block_length: int) -> np.ndarray:
-    """Deterministic switching: block j is local iff the running tally of
-    floor((j+1)p) advances, giving long-run local fraction p."""
-    blocks = trial_indices // block_length
-    return np.floor((blocks + 1) * p) - np.floor(blocks * p) >= 1.0
-
-
 def sample_runs(
     model: ModelConfig,
     g: Geometry,
@@ -260,13 +253,13 @@ def sample_runs(
 
     The schedule is derived from the target: trial t uses the setting
     tuple of flat index t % n_settings in C order.  For mixtures, each
-    trial is local with probability p (or per the block schedule) and
-    quantum otherwise.  Output is deterministic given (target, seed,
-    trials) and independent of ``workers``: trials are partitioned into
-    fixed chunks of 2**16, chunk j draws from a child generator spawned
-    as SeedSequence(seed, spawn_key=(j,)), and inside a chunk the branch
-    coins are drawn before the outcome variates.  ``workers`` caps the
-    sampling threads, which never outnumber the chunks or the CPUs.
+    trial is local with probability p and quantum otherwise.  Output is
+    deterministic given (target, seed, trials) and independent of
+    ``workers``: trials are partitioned into fixed chunks of 2**16, chunk
+    j draws from a child generator spawned as SeedSequence(seed,
+    spawn_key=(j,)), and inside a chunk the branch coins are drawn before
+    the outcome variates.  ``workers`` caps the sampling threads, which
+    never outnumber the chunks or the CPUs.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -304,14 +297,7 @@ def sample_runs(
         lo = j * CHUNK
         n = min(trials, lo + CHUNK) - lo
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,)))
-        local_mask: np.ndarray | None = None
-        if model.kind == "mixture":
-            if model.schedule == "coin":
-                local_mask = rng.random(n) < model.p
-            else:
-                local_mask = _block_local_mask(
-                    np.arange(lo, lo + n, dtype=np.int64), model.p, model.block_length
-                )
+        local_mask = rng.random(n) < model.p if model.kind == "mixture" else None
         u = rng.random(n)
         start = lo % n_settings
         groups = cycle[start : start + n]
@@ -331,20 +317,17 @@ def sample_runs(
     else:
         results = [sample_chunk(j) for j in range(n_chunks)]
 
-    codes = np.concatenate([r[0] for r in results])
-    branch_local = (
-        np.concatenate([r[1] for r in results]) if model.kind == "mixture" else None
-    )
+    codes, masks = zip(*results)
     schedule = np.indices(target.settings_per_party, dtype=np.int16).reshape(target.parties, -1)
     return RunSample(
         parties=target.parties,
         pairs=pairs,
         schedule=schedule.T,
-        codes=codes,
+        codes=np.concatenate(codes),
         behavior=behavior,
         map_nonlocal=map_nl,
         map_local=map_loc,
-        branch_local=branch_local,
+        branch_local=None if masks[0] is None else np.concatenate(masks),
     )
 
 

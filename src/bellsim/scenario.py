@@ -52,7 +52,7 @@ _TOP_KEYS = {
 }
 _GEOMETRY_KEYS = {"events", "boosts", "critical_distance", "c"}
 _EVENT_KEYS = {"t", "x", "y"}
-_MODEL_KEYS = {"kind", "v", "p", "schedule", "block_length"}
+_MODEL_KEYS = {"kind", "v", "p", "schedule"}
 _STATE_KEYS = {"kind", "amplitudes"}
 #: Output file names by key; a scenario's ``outputs`` overrides them.
 DEFAULT_OUTPUTS = {
@@ -244,17 +244,10 @@ def _validate_model(doc, c: float, errors: list[SchemaError]) -> None:
         p = doc.get("p")
         if p is None or not _finite_number(p) or not 0 <= p <= 1:
             errors.append(SchemaError("/model/p", "must be a number in [0, 1]"))
-        schedule = doc.get("schedule", "coin")
-        if schedule not in ("coin", "block"):
-            errors.append(SchemaError("/model/schedule", "must be 'coin' or 'block'"))
-        if "block_length" in doc and (
-            not isinstance(doc["block_length"], int)
-            or isinstance(doc["block_length"], bool)
-            or doc["block_length"] < 1
-        ):
-            errors.append(SchemaError("/model/block_length", "must be an integer >= 1"))
+        if doc.get("schedule", "coin") != "coin":
+            errors.append(SchemaError("/model/schedule", "must be 'coin'"))
     else:
-        for field in ("p", "schedule", "block_length"):
+        for field in ("p", "schedule"):
             if field in doc:
                 errors.append(SchemaError(f"/model/{field}", f"{kind} takes no {field}"))
 
@@ -448,8 +441,6 @@ def scenario_from_doc(doc: dict) -> Scenario:
         kind=mdoc["kind"],
         v=parse_speed(mdoc["v"], c) if "v" in mdoc else None,
         p=mdoc.get("p"),
-        schedule=mdoc.get("schedule", "coin"),
-        block_length=mdoc.get("block_length", 1),
     )
     return Scenario(
         name=doc["name"],

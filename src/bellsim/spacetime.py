@@ -109,12 +109,27 @@ def lorentz_boost(e: Event, b: Boost, c: float = SPEED_OF_LIGHT) -> Event:
     )
 
 
+def _interval_squares(e1: Event, e2: Event, c: float) -> tuple[float, float, float]:
+    """(c^2 dt^2, dx^2 + dy^2, unit): the squares in units of the largest
+    separation component if a square overflows a double, else of 1.0."""
+    sep = (c * (e2.t - e1.t), e2.x - e1.x, e2.y - e1.y)
+    if not all(map(math.isfinite, sep)):
+        raise ValueError(f"separation of {e1} and {e2} overflows at c={c!r}")
+    ct, dx, dy = sep
+    try:
+        if (space_sq := dx * dx + dy * dy) < math.inf:
+            return ct**2, space_sq, 1.0
+    except OverflowError:  # from ct**2
+        pass
+    unit = max(map(abs, sep))
+    ct, dx, dy = (s / unit for s in sep)
+    return ct**2, dx * dx + dy * dy, unit
+
+
 def interval_squared(e1: Event, e2: Event, c: float = SPEED_OF_LIGHT) -> float:
     """Squared Minkowski interval c^2 dt^2 - dx^2 - dy^2 between two events."""
-    dt = e2.t - e1.t
-    dx = e2.x - e1.x
-    dy = e2.y - e1.y
-    return (c * dt) ** 2 - dx * dx - dy * dy
+    time_sq, space_sq, unit = _interval_squares(e1, e2, c)
+    return (time_sq - space_sq) * unit * unit
 
 
 def interval_classify(e1: Event, e2: Event, c: float = SPEED_OF_LIGHT) -> str:
@@ -124,13 +139,11 @@ def interval_classify(e1: Event, e2: Event, c: float = SPEED_OF_LIGHT) -> str:
     squared interval.  |s2| within LIGHTLIKE_ATOL of zero counts as
     lightlike, with the tolerance scaled by the magnitude of the squares
     being subtracted so that on-cone events classify as lightlike at any
-    coordinate scale despite floating-point cancellation.
+    coordinate scale despite floating-point cancellation.  Squares too
+    large for a double are compared in units of the largest separation
+    component; an infinite separation component raises ValueError.
     """
-    dt = e2.t - e1.t
-    dx = e2.x - e1.x
-    dy = e2.y - e1.y
-    time_sq = (c * dt) ** 2
-    space_sq = dx * dx + dy * dy
+    time_sq, space_sq, _ = _interval_squares(e1, e2, c)
     s2 = time_sq - space_sq
     if abs(s2) <= LIGHTLIKE_ATOL * max(1.0, time_sq, space_sq):
         return "lightlike"
@@ -330,16 +343,13 @@ class ModelConfig:
     """Tagged hidden-influence model description.
 
     kind "finite_speed" needs v (influence speed in the preferred frame,
-    taken to be the lab frame); "mixture" needs p plus a switching
-    schedule ("coin" per-trial or "block" with block_length).  Other
-    kinds take no parameters.
+    taken to be the lab frame); "mixture" needs p, the probability that
+    a trial is local.  Other kinds take no parameters.
     """
 
     kind: str
     v: float | None = None
     p: float | None = None
-    schedule: str = "coin"
-    block_length: int = 1
 
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
@@ -352,10 +362,6 @@ class ModelConfig:
         if self.kind == "mixture":
             if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise ValueError(f"mixture needs p in [0, 1], got {self.p!r}")
-            if self.schedule not in ("coin", "block"):
-                raise ValueError(f"schedule must be 'coin' or 'block', got {self.schedule!r}")
-            if self.schedule == "block" and self.block_length < 1:
-                raise ValueError(f"block_length must be >= 1, got {self.block_length}")
         elif self.p is not None:
             raise ValueError(f"model kind {self.kind!r} takes no p")
 

@@ -13,7 +13,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import bellsim
@@ -135,6 +135,7 @@ def simulate_with_outputs(key, name):
         (simulate_with_outputs("runs_csv", "sub/x.csv"), 2),
         (simulate_with_outputs("summary_json", "runs.json"), 2),
         (simulate_with_outputs("summary_json", ".."), 2),
+        (["point-d", "--c-units", "--a=0,1.5e308", "--b=0,-1e308", "--c=0,-5e307"], 1),
     ],
 )
 def test_bad_argv_is_json_error_without_traceback(argv, code, tmp_path, capsys):
@@ -209,9 +210,9 @@ FLAGS = {
     "simulate": {**OUT, **SOURCE, **SAMPLED, **FORMAT},
     "signal": {**OUT, **SOURCE, "--off-pair": values("1,2", "0,2", "0,1")},
     "point-d": {
-        "--a": values("0,0"),
-        "--b": values("0,10", "0,10,0"),
-        "--c": values("0,20"),
+        "--a": values("0,0", "0,1e200", "1,-1e308"),
+        "--b": values("0,10", "0,10,0", "0,-1e308", "1e200,0"),
+        "--c": values("0,20", "0,1e307", "-1e308,1e308"),
         "--c-units": None,
         **OUT,
         **SOURCE,
@@ -249,6 +250,9 @@ def argvs(draw):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=argvs())
+# Events whose separation squares overflow a double.
+@example(argv=["point-d", "--c-units", "--a", "0,1e308", "--b", "1,-1e308", "--c", "0,1e307"])
+@example(argv=["point-d", "--c-units", "--a", "0,1.5e308", "--b", "0,-1e308", "--c", "0,-5e307"])
 def test_fuzzed_argv_exits_with_json(argv, tmp_path):
     """Any argv built from the subcommands' flags, the preset names and
     hostile values exits 0 with JSON on stdout, or 1 or 2 with nothing on
@@ -841,6 +845,22 @@ def test_point_d_explicit_events(capsys):
     assert doc["found"] is True
     assert abs(doc["advantage_seconds"] - 10.0) <= 1e-9
     assert doc["point"] == {"t": 5.0, "x": 15.0, "y": 0.0}
+    assert doc["predicates"] == {
+        "inside_b_cone": True,
+        "inside_c_cone": True,
+        "outside_a_cone": True,
+    }
+
+
+def test_point_d_near_the_largest_double(capsys):
+    """Separations whose squares overflow a double still classify: D lies
+    in both cones and outside A's."""
+    code, out, _ = run_cli(
+        ["point-d", "--c-units", "--a=0,1e308", "--b=0,-1e308", "--c=0,1e307"], capsys
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["point"] == {"t": 5.5e307, "x": -4.5e307, "y": 0.0}
     assert doc["predicates"] == {
         "inside_b_cone": True,
         "inside_c_cone": True,

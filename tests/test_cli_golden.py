@@ -3,10 +3,12 @@
 Each command runs in process through bellsim.cli.main.  The exit code
 and the SHA-256 of stdout, stderr and every file written under --out are
 compared against hashes recorded before the signal report and the
-timing rules were merged into single library functions.  The tripartite,
-two-worker and block-schedule runs, at trial counts off the write-block
-and sampling-chunk boundaries, were recorded before the run writers
-became columnar.  The sampled ``chsh`` and ``chain`` runs, one of them
+timing rules were merged into single library functions.  The tripartite
+and two-worker runs, at trial counts off the write-block and
+sampling-chunk boundaries, were recorded before the run writers became
+columnar.  The three 9-row coin-mixture ``simulate`` runs, at the same
+kind of trial counts, were recorded before the block schedule was
+removed, so they pin the per-trial coin to its earlier draws.  The sampled ``chsh`` and ``chain`` runs, one of them
 past a sampling-chunk boundary on two workers, were recorded before the
 two commands shared one sampling helper.  The 9-row ``simulate`` and
 ``chain`` runs past two sampling-chunk boundaries on two workers, whose
@@ -33,18 +35,18 @@ from bellsim.cli import main
 
 SIMULATE_PRESETS = ("before-before", "finite-speed-1e5c", "mixture-chain")
 
-#: Stands for the path of BLOCK_SCENARIO, written next to the output dir.
+#: Stands for the path of COIN_SCENARIO, written next to the output dir.
 SCENARIO = "<scenario>"
 
-#: A 3-setting singlet mixture switching in blocks of 7 trials.
-BLOCK_SCENARIO = {
+#: A 3-setting singlet mixture whose runs are local with probability 0.4.
+COIN_SCENARIO = {
     "schema": "bellsim-scenario-1",
-    "name": "block-mixture",
+    "name": "coin-mixture",
     "geometry": {
         "events": [{"t": 0.0, "x": 0.0}, {"t": 0.0, "x": 10.0}],
         "boosts": [{"beta": 0.0}, {"beta": 0.0}],
     },
-    "model": {"kind": "mixture", "p": 0.4, "schedule": "block", "block_length": 7},
+    "model": {"kind": "mixture", "p": 0.4},
     "state": {"kind": "singlet"},
     "settings": [[0.0, 1.0, 2.0], [0.5, 1.5, 2.5]],
     "trials": 16385,
@@ -73,11 +75,11 @@ COMMANDS = {
     "run-mixture-chain-65537-workers-2": ["preset", "run", "mixture-chain",
                                           "--trials", "65537", "--seed", "5",
                                           "--workers", "2", "--out"],
-    "simulate-block-csv": ["simulate", "--scenario", SCENARIO, "--out"],
-    "simulate-block-json": ["simulate", "--scenario", SCENARIO, "--trials", "8191",
-                            "--format", "json", "--out"],
-    "simulate-block-131079-workers-2": ["simulate", "--scenario", SCENARIO,
-                                        "--trials", "131079", "--workers", "2", "--out"],
+    "simulate-coin-csv": ["simulate", "--scenario", SCENARIO, "--out"],
+    "simulate-coin-json": ["simulate", "--scenario", SCENARIO, "--trials", "8191",
+                           "--format", "json", "--out"],
+    "simulate-coin-131079-workers-2": ["simulate", "--scenario", SCENARIO,
+                                       "--trials", "131079", "--workers", "2", "--out"],
     "timing": ["timing", "--v", "100000c", "--L", "30000"],
     "timing-late": ["timing", "--v", "100000c", "--L", "30000", "--dt", "1e-6"],
     "point-d": ["point-d", "--a", "0,0", "--b", "0,10", "--c", "0,20", "--c-units"],
@@ -230,31 +232,31 @@ GOLDEN = {
             "summary.json": "03e8a61c8b5978f6b278cdf44b3d74c0410695293a6dbc218ba92e854facd7b8",
         },
     },
-    "simulate-block-csv": {
+    "simulate-coin-csv": {
         "code": 0,
-        "stdout": "4d4a6e8792daa711bf7ea6ba33ff55de64e812d5b897ee329e2787db79efca54",
+        "stdout": "db2b58fb9bea016a12bbe97c337d4492c954e43efb8303ca79b3bbbbe52897bc",
         "stderr": EMPTY,
         "files": {
-            "runs.csv": "3394db66d3049f42981a109f7d1b8a8f1fc8f8d1b98f8c0b1fee14efc4fbb759",
-            "summary.json": "4d4a6e8792daa711bf7ea6ba33ff55de64e812d5b897ee329e2787db79efca54",
+            "runs.csv": "73269fe653d81a7ef2895a90400610be0789c55ec778685d7dd84ff13909cba0",
+            "summary.json": "db2b58fb9bea016a12bbe97c337d4492c954e43efb8303ca79b3bbbbe52897bc",
         },
     },
-    "simulate-block-json": {
+    "simulate-coin-json": {
         "code": 0,
-        "stdout": "15122ab2347098d5b417ab4b3062109738b4745185f06bb223335bee73087f42",
+        "stdout": "845b3907ae0caa4b07e23a11496275a8fd3ead2ec1fd5c9b2bd24426b2ce658d",
         "stderr": EMPTY,
         "files": {
-            "runs.json": "3979e9fac341d9f4c3ee5aeca849e0b35b7b4c9f50ce096a75d56e8af57a364a",
-            "summary.json": "15122ab2347098d5b417ab4b3062109738b4745185f06bb223335bee73087f42",
+            "runs.json": "57a37dadc061dade17563802f617e00af5515b6bdb91813140f3d8f784895d1c",
+            "summary.json": "845b3907ae0caa4b07e23a11496275a8fd3ead2ec1fd5c9b2bd24426b2ce658d",
         },
     },
-    "simulate-block-131079-workers-2": {
+    "simulate-coin-131079-workers-2": {
         "code": 0,
-        "stdout": "bbd4f2af16cd123c7ec9c479af7d42b7974104d76e323be34751b80499f1fe80",
+        "stdout": "eaa688c207bdc8e21c1c6259f986ac6e416fa94b5ffa4c3fdb55c22535eb9a3c",
         "stderr": EMPTY,
         "files": {
-            "runs.csv": "62c8f676db3e9605fa7776b5e6ad58cc1af0436fadfb7fea8031c2fae4c13afe",
-            "summary.json": "bbd4f2af16cd123c7ec9c479af7d42b7974104d76e323be34751b80499f1fe80",
+            "runs.csv": "0b65e8584c6b4fd8351e1b3f9ba748d5879f983650a50577be1acea88aca8707",
+            "summary.json": "eaa688c207bdc8e21c1c6259f986ac6e416fa94b5ffa4c3fdb55c22535eb9a3c",
         },
     },
     "timing": {
@@ -355,7 +357,7 @@ def run_command(argv, out_dir) -> dict:
     if SCENARIO in argv:
         path = f"{out_dir}.scenario.json"
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(BLOCK_SCENARIO, fh)
+            json.dump(COIN_SCENARIO, fh)
         argv = [path if arg == SCENARIO else arg for arg in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):

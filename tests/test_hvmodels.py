@@ -199,8 +199,6 @@ def test_model_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(kind="mixture", p=1.5)
     with pytest.raises(ValueError):
-        ModelConfig(kind="mixture", p=0.5, schedule="bogus")
-    with pytest.raises(ValueError):
         ModelConfig(kind="local", p=0.5)
 
 
@@ -432,18 +430,6 @@ def test_sample_runs_pure_local_respects_chsh():
     assert total <= 2.0 + 5 * math.sqrt(var)
 
 
-def test_mixture_block_schedule():
-    b = singlet_behavior()
-    g = pair_geometry(c=1.0)
-    model = ModelConfig(kind="mixture", p=0.25, schedule="block", block_length=10)
-    sample = sample_runs(model, g, b, trials=12_000, seed=3)
-    frac = float(sample.branch_local.mean())
-    assert frac == pytest.approx(0.25, abs=1e-12)
-    # Blocks are contiguous runs of identical branch.
-    blocks = sample.branch_local.reshape(-1, 10)
-    assert np.all(blocks.min(axis=1) == blocks.max(axis=1))
-
-
 def test_run_records_and_csv():
     b = singlet_behavior()
     g = pair_geometry(c=1.0)
@@ -494,7 +480,6 @@ def _writer_case(parties, kind):
         "local": ModelConfig(kind="local"),
         "finite_speed": ModelConfig(kind="finite_speed", v=2.0),
         "coin": ModelConfig(kind="mixture", p=0.3),
-        "block": ModelConfig(kind="mixture", p=0.4, schedule="block", block_length=7),
     }[kind]
     combos = list(itertools.product(*(range(n) for n in target.settings_per_party)))
     return model, g, target, combos
@@ -509,7 +494,7 @@ THREE_BLOCKS = 3 * WRITE_BUDGET // 20
 @settings(max_examples=30, deadline=None)
 @given(
     parties=st.sampled_from((2, 3)),
-    kind=st.sampled_from(("quantum", "local", "finite_speed", "coin", "block")),
+    kind=st.sampled_from(("quantum", "local", "finite_speed", "coin")),
     trials=st.one_of(st.integers(1, 20), st.integers(1, THREE_BLOCKS)),
     workers=st.sampled_from((1, 2)),
     seed=st.integers(0, 2**32 - 1),
@@ -581,10 +566,10 @@ def test_empirical_correlator_checks_settings_as_correlator_does(settings, messa
 def oracle_codes(model, g, target, trials, seed):
     """Every trial's code and local-branch flag, rebuilt from the chunk
     protocol: chunk j draws from default_rng(SeedSequence(seed,
-    spawn_key=(j,))), coin mixtures draw their coins before the outcome
-    variates u, block mixtures follow the block formula, trial t takes
-    the (t % n_settings)-th setting tuple in C order, and its code is the
-    inverse CDF of its branch's row at those settings."""
+    spawn_key=(j,))), mixtures draw their coins before the outcome
+    variates u, trial t takes the (t % n_settings)-th setting tuple in C
+    order, and its code is the inverse CDF of its branch's row at those
+    settings."""
     schedule = every_setting(target)
     quantum = target if model.kind == "mixture" else effective_behavior(model, g, target)
     local = None
@@ -596,11 +581,8 @@ def oracle_codes(model, g, target, trials, seed):
     for j, lo in enumerate(range(0, trials, CHUNK)):
         t = np.arange(lo, min(trials, lo + CHUNK))
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,)))
-        if model.kind == "mixture" and model.schedule == "coin":
+        if model.kind == "mixture":
             branch[t] = rng.random(t.size) < model.p
-        elif model.kind == "mixture":
-            blocks = t // model.block_length
-            branch[t] = np.floor((blocks + 1) * model.p) - np.floor(blocks * model.p) >= 1
         u = rng.random(t.size)
         for r, settings in enumerate(schedule):
             for is_local, b in ((False, quantum), (True, local)):
@@ -616,7 +598,7 @@ def first_variates(model, trials, seed):
     """The outcome variates u of chunk 0, drawn as the chunk protocol draws them."""
     n = min(trials, CHUNK)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    if model.kind == "mixture" and model.schedule == "coin":
+    if model.kind == "mixture":
         rng.random(n)
     return rng.random(n)
 
@@ -632,7 +614,7 @@ def product_table(plus):
 @settings(max_examples=60, deadline=None)
 @given(
     parties=st.sampled_from((2, 3)),
-    kind=st.sampled_from(("quantum", "local", "coin", "block")),
+    kind=st.sampled_from(("quantum", "local", "coin")),
     trials=st.one_of(
         st.integers(1, 40), st.integers(1, CHUNK + 1), st.sampled_from((CHUNK, CHUNK + 1))
     ),
@@ -646,10 +628,8 @@ def test_sample_codes_match_inverse_cdf_oracle(parties, kind, trials, workers, s
     model = {
         "quantum": ModelConfig(kind="quantum"),
         "local": ModelConfig(kind="local"),
-        "coin": ModelConfig(kind="mixture", p=data.draw(st.sampled_from((0.0, 0.3, 0.5, 1.0)))),
-        "block": ModelConfig(
-            kind="mixture", p=data.draw(st.floats(0.0, 1.0)), schedule="block",
-            block_length=data.draw(st.integers(1, 9)),
+        "coin": ModelConfig(
+            kind="mixture", p=data.draw(st.sampled_from((0.0, 0.3, 0.5, 1.0)) | st.floats(0.0, 1.0))
         ),
     }[kind]
     g = pair_geometry(c=1.0) if parties == 2 else tripartite_bc_off_geometry()
@@ -694,9 +674,9 @@ def test_sample_codes_match_inverse_cdf_oracle(parties, kind, trials, workers, s
     [
         ModelConfig(kind="quantum"),
         ModelConfig(kind="mixture", p=0.3),
-        ModelConfig(kind="mixture", p=0.4, schedule="block", block_length=7),
+        ModelConfig(kind="local"),
     ],
-    ids=("quantum", "coin", "block"),
+    ids=("quantum", "coin", "local"),
 )
 @pytest.mark.parametrize("trials", (2 * CHUNK + 5, 3 * CHUNK + 7))
 @pytest.mark.parametrize("b_settings", (1, 3), ids=("3-rows", "9-rows"))

@@ -104,6 +104,16 @@ def mutated_docs(draw):
     return doc
 
 
+def validate(doc, tmp_path):
+    """Exit code, stdout and stderr of ``bellsim validate`` on doc."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["validate", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=mutated_docs())
 def test_validate_agrees_with_construction(doc, tmp_path):
@@ -116,17 +126,13 @@ def test_validate_agrees_with_construction(doc, tmp_path):
         constructs = False
     else:
         constructs = True
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(doc))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["validate", str(path)])
+    code, out, err = validate(doc, tmp_path)
     if constructs:
-        assert (code, out.getvalue(), err.getvalue()) == (0, '{\n  "ok": true\n}\n', "")
+        assert (code, out, err) == (0, '{\n  "ok": true\n}\n', "")
         return
-    assert code == 2, err.getvalue()
-    assert out.getvalue() == ""
-    report = json.loads(err.getvalue())
+    assert code == 2, err
+    assert out == ""
+    report = json.loads(err)
     assert report["ok"] is False and report["errors"]
     for error in report["errors"]:
         assert error["path"].startswith("/") and error["message"]
@@ -172,3 +178,35 @@ def test_output_names_must_be_plain_and_distinct(outputs, pointer):
 )
 def test_plain_distinct_output_names_fill_in_the_defaults(outputs):
     assert scenario_from_doc(with_outputs(outputs)).outputs == {**DEFAULT_OUTPUTS, **outputs}
+
+
+def with_model(**changes):
+    """The mixture-chain document with its model's fields changed; None drops one."""
+    doc = copy.deepcopy(PRESETS["mixture-chain"].doc)
+    doc["model"].update(changes)
+    doc["model"] = {key: value for key, value in doc["model"].items() if value is not None}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "changes, pointer",
+    [
+        ({"schedule": "block"}, "/model/schedule"),
+        ({"block_length": 7}, "/model/block_length"),
+        ({"kind": "quantum", "p": None}, "/model/schedule"),
+    ],
+    ids=("block-schedule", "block-length", "schedule-without-mixture"),
+)
+def test_mixture_schedule_is_only_the_coin(changes, pointer, tmp_path):
+    """A mixture picks its branch by a per-trial coin: any other schedule,
+    a block length, or a schedule on another kind is a schema error."""
+    code, out, err = validate(with_model(**changes), tmp_path)
+    assert (code, out) == (2, "")
+    assert [error["path"] for error in json.loads(err)["errors"]] == [pointer]
+
+
+@pytest.mark.parametrize("schedule", ("coin", None), ids=("coin", "absent"))
+def test_coin_mixture_validates(schedule, tmp_path):
+    doc = with_model(schedule=schedule)
+    assert validate(doc, tmp_path) == (0, '{\n  "ok": true\n}\n', "")
+    assert scenario_from_doc(doc).model.p == 0.25

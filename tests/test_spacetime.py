@@ -69,6 +69,29 @@ def test_interval_classification():
     assert interval_classify(o, Event(t=2.0, x=2.0 + 1e-12), c=1.0) == "lightlike"
 
 
+@pytest.mark.parametrize(
+    ("t", "x", "kind"),
+    [(1.0, 3.0, "spacelike"), (3.0, 1.0, "timelike"), (1.0, 1.0, "lightlike")],
+)
+def test_interval_classification_holds_past_the_square_range(t, x, kind):
+    """Separations whose squares overflow a double keep their class, and
+    interval_squared keeps its sign."""
+    o = Event(t=0.0, x=0.0)
+    for scale in (1.0, 1e200, 1e300):
+        e = Event(t=t * scale, x=x * scale)
+        assert interval_classify(o, e, c=1.0) == kind
+        assert interval_classify(e, o, c=1.0) == kind
+        s2 = interval_squared(o, e, c=1.0)
+        assert (s2 > 0, s2 < 0) == (kind == "timelike", kind == "spacelike")
+
+
+def test_infinite_separation_is_a_value_error():
+    with pytest.raises(ValueError, match="overflows"):
+        interval_classify(Event(t=0.0, x=1e308), Event(t=1.0, x=-1e308), c=1.0)
+    with pytest.raises(ValueError, match="overflows"):
+        interval_squared(Event(t=-1e308, x=0.0), Event(t=1e308, x=0.0), c=1.0)
+
+
 def test_future_lightcone():
     o = Event(t=0.0, x=0.0)
     assert in_future_lightcone(o, Event(t=1.0, x=0.0), c=1.0)
