@@ -87,22 +87,6 @@ def _one_off_pair_tripartite(target: Behavior, order: tuple[int, int, int]) -> n
     return np.einsum(expr, joint_kp, cond)
 
 
-def constructive_off_behavior(target: Behavior, off_pair: tuple[int, int]) -> Behavior:
-    """Observable statistics of the explicit model with one pair cut.
-
-    This is the spectator-mediated construction used when exactly one
-    pair of a tripartite target loses coordination: both marginals that
-    contain the spectator stay exact, and the cut pair's joint outcomes
-    are correlated only through the spectator's outcome.  Exposed so the
-    signaling layer can quantify the marginal shift this model displays.
-    """
-    if target.parties != 3:
-        raise ValueError(f"need a tripartite behavior, got {target.parties} parties")
-    order = spectator_first(off_pair)
-    table = _one_off_pair_tripartite(_validated(target), order)
-    return Behavior(3, target.settings_per_party, table)
-
-
 def _components_of_on_graph(parties: int, cmap: dict[tuple[int, int], str]) -> list[tuple[int, ...]]:
     """Connected components of the ON pairs, as sorted tuples ordered by
     their lowest party."""
@@ -338,6 +322,11 @@ _PAIR_COLUMNS = ((0, 1), (0, 2), (1, 2))
 #: Padded row bytes gathered per block; bounds the writers' memory.
 WRITE_BUDGET = 1 << 18
 
+#: Rows this wide or wider drop NULs by bytes.replace (~24 ns per NUL), narrower
+#: by a boolean compress (~1 ns per padded byte; 2-vCPU x86_64): JSON records
+#: (255 B, ~1.5 NULs) take replace, CSV rows (25 B, ~1.8 NULs) the compress.
+REPLACE_WIDTH = 64
+
 
 def pair_key(pair: tuple[int, int]) -> str:
     """The name of a device pair in JSON outputs, e.g. "0-1"."""
@@ -353,59 +342,68 @@ def _digit_columns() -> np.ndarray:
     return table
 
 
-def _row_blocks(sample: RunSample, template: Callable[[int], str]) -> Iterator[np.ndarray]:
+def _row_blocks(sample: RunSample, template: Callable[[int], str]) -> Iterator[bytearray | np.ndarray]:
     """The bytes of every row, at most WRITE_BUDGET padded bytes at a time.
 
     A row is template(key) % trial, the template holding one %d for the
     trial index.  Once per run, each distinct template is split around
     its %d into head and tail bytes, laid out in one uint8 table over the
-    whole key space: per key, the head, a digit slot as wide as the
-    largest trial index, then the tail, each part NUL-padded to its
-    widest.  A block gathers its rows' lines by key, writes the trial
-    digits into the slot, three at a time from a 000-999 lookup, and
-    drops the padding with one boolean compress (no template holds a
-    NUL).  A block holds as many rows as fit in WRITE_BUDGET bytes of the
-    padded table (at least one), and blocks also end at powers of ten, so
-    all trials of a block have the same number of digits.
+    whole key space: per key, the head right-aligned against a digit slot
+    as wide as the largest trial index, the tail left-aligned after it.
+    Blocks end at powers of ten; each gathers its rows by key into one
+    reused buffer, from the table with a slot as wide as its trials'
+    digits, so NUL padding (no template holds a NUL) lies only between
+    rows, and drops the padding by bytes.replace in rows REPLACE_WIDTH
+    bytes wide or wider, else by one boolean compress.
     """
     n_keys = len(sample.schedule) << (sample.parties + 1)
     # A key's last bit picks its branch's coordination map; when both
     # branches have one map, the odd keys share the text of the key below.
     step = 1 if sample.map_local != sample.map_nonlocal else 2
     parts = [template(key).encode().split(b"%d") for key in range(0, n_keys, step)]
-    slot_start = max(len(head) for head, _ in parts)
-    tail_start = slot_start + len(str(len(sample) - 1))
-    table = np.zeros((len(parts), tail_start + max(len(tail) for _, tail in parts)), np.uint8)
+    slot = max(len(head) for head, _ in parts)
+    widest = len(str(len(sample) - 1))
+    table = np.zeros((len(parts), slot + widest + max(len(tail) for _, tail in parts)), np.uint8)
     for k, (head, tail) in enumerate(parts):
-        table[k, : len(head)] = np.frombuffer(head, np.uint8)
-        table[k, tail_start : tail_start + len(tail)] = np.frombuffer(tail, np.uint8)
+        table[k, slot - len(head) : slot] = np.frombuffer(head, np.uint8)
+        table[k, slot + widest : slot + widest + len(tail)] = np.frombuffer(tail, np.uint8)
     if step > 1:
         table = table.repeat(step, axis=0)
-    digits = _digit_columns()
-    powers = (10**k for k in range(1, tail_start - slot_start))
     block = max(1, WRITE_BUDGET // table.shape[1])
-    bounds = sorted({*range(0, len(sample), block), *powers, len(sample)})
+    bounds = sorted({*range(0, len(sample), block), *(10**k for k in range(1, widest)), len(sample)})
+    longest = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+    # Column t % 1000 holds trial t's last three digits, a block's in one slice.
+    cycle = _digit_columns().take(np.arange(1000 + longest) % 1000, axis=1)
+    n_digits = 0
     for lo, hi, keys in zip(bounds, bounds[1:], sample._row_keys(bounds)):
-        rows = table.take(keys, axis=0)
-        trials = np.arange(lo, hi)
-        # Each step writes the slot columns end-3..end-1 that lie in the slot.
-        for end in range(slot_start + len(str(hi - 1)), slot_start, -3):
-            rest = trials // 1000
-            group = trials - 1000 * rest
-            for k in range(max(0, slot_start + 3 - end), 3):
-                rows[:, end - 3 + k] = digits[k].take(group)
-            trials = rest
-        # Rebinding frees the gathered lines before the yield, and the
-        # writers' writelines drops each block once written, so only one
-        # block's bytes outlive the compress.
-        rows = rows[rows != 0]
-        yield rows
+        if len(str(hi - 1)) != n_digits:
+            n_digits = len(str(hi - 1))
+            # Blocks share a buffer: faulting in fresh pages cost more than the drop.
+            narrowed = np.delete(table, np.s_[slot + n_digits : slot + widest], axis=1)
+            buf = bytearray(longest * narrowed.shape[1])
+        rows = np.frombuffer(buf, np.uint8, (hi - lo) * narrowed.shape[1]).reshape(hi - lo, -1)
+        # Every key is in range; mode="clip" lets take write rows unbuffered.
+        narrowed.take(keys, axis=0, out=rows, mode="clip")
+        end = slot + n_digits
+        low = min(n_digits, 3)
+        rows[:, end - low : end] = cycle[3 - low :, lo % 1000 : lo % 1000 + hi - lo].T
+        # Each higher group of three digits, as far as the slot reaches.
+        trials = np.arange(lo, hi) // 1000
+        for end in range(end - 3, slot, -3):
+            group = trials % 1000
+            for k in range(max(0, slot + 3 - end), 3):
+                rows[:, end - 3 + k] = cycle[k].take(group)
+            trials //= 1000
+        if rows.shape[1] >= REPLACE_WIDTH:
+            yield (buf if rows.size == len(buf) else buf[: rows.size]).replace(b"\0", b"")
+        else:
+            yield rows[rows != 0]
 
 
 def write_run_csv(sample: RunSample, path: str) -> None:
     """Run CSV: header, then one row per trial; parties beyond the sample blank.
 
-    The rows are _row_blocks' byte arrays, written as they come.
+    The rows are _row_blocks' blocks of bytes, written as they come.
     """
     if sample.parties > 3:
         raise ValueError("run CSV covers at most three parties")
@@ -426,20 +424,22 @@ def write_run_json(sample: RunSample, path: str) -> None:
     """runs.json: the records of every trial as json.dumps(sort_keys=True,
     indent=2) lays them out, followed by a newline.
 
-    The records are _row_blocks' byte arrays, written as they come
+    The records are _row_blocks' blocks of bytes, written as they come
     between the document's opening and closing bytes.
     """
+    rendered: dict[str, str] = {}  # each distinct field value, one level deep
 
     def template(key: int) -> str:
         settings, outcomes, coordination = sample._key_row(key)
-        record = {
-            "trial": 0,
-            "settings": settings,
-            "outcomes": outcomes,
-            "coordination": {pair_key(p): s for p, s in coordination.items()},
-        }
-        head, tail = json.dumps(record, sort_keys=True, indent=2).split('"trial": 0')
-        text = head + '"trial": %d' + tail
+        coordination = {pair_key(p): s for p, s in coordination.items()}
+        fields = ("coordination", coordination), ("outcomes", outcomes), ("settings", settings)
+        text = "{"
+        for name, value in fields:  # sort_keys order, then "trial"
+            if repr(value) not in rendered:
+                nested = json.dumps(value, sort_keys=True, indent=2)
+                rendered[repr(value)] = nested.replace("\n", "\n  ")
+            text += f'\n  "{name}": {rendered[repr(value)]},'
+        text += '\n  "trial": %d\n}'
         # Records sit two levels deep; each starts with the separator that
         # the first record of the file drops.
         return ",\n    " + text.replace("\n", "\n    ")

@@ -644,7 +644,7 @@ def signal_report(
     """The cut pair's marginal shift, its local-parts verdict, and point D.
 
     ``observed`` is the behavior whose marginal shift is reported (a
-    model's effective behavior, or constructive_off_behavior for the
+    model's effective behavior, which with one pair of three cut is the
     explicit spectator-mediated model), and ``marginal_tables`` its
     cut-pair marginal at each spectator setting; the local-parts verdict,
     with its re-checked witness or certificate, is decided on ``target``.

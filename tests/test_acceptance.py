@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from bellsim.cli import main as cli_main
-from bellsim.hvmodels import constructive_off_behavior, effective_behavior, sample_runs
+from bellsim.hvmodels import _one_off_pair_tripartite, effective_behavior, sample_runs
 from bellsim.inequality import (
     chain_spec,
     chain_value,
@@ -54,6 +54,7 @@ from bellsim.spacetime import (
     find_point_d,
     finite_speed_cut,
     in_future_lightcone,
+    spectator_first,
 )
 
 TWO_DEVICE_GEOMETRY = Geometry(
@@ -274,7 +275,8 @@ def test_criterion_07_no_signaling_and_constructive_shift():
     assert worst <= 1e-10
     witness_settings = [[0.0, math.pi / 2.0], [0.0], [0.0]]
     target = born_behavior(make_ghz3(), witness_settings)
-    off_model = constructive_off_behavior(target, (1, 2))
+    off_table = _one_off_pair_tripartite(target, spectator_first((1, 2)))
+    off_model = Behavior(3, target.settings_per_party, off_table)
     shift = signaling_distance(off_model, (1, 2))
     assert shift > 0.0
     elapsed = time.perf_counter() - start

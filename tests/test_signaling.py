@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellsim.hvmodels import constructive_off_behavior
+from bellsim.hvmodels import _one_off_pair_tripartite, effective_behavior
 from bellsim.inequality import chsh_value
 from bellsim.quantum import (
     Behavior,
@@ -38,7 +38,7 @@ from bellsim.signaling import (
     signal_report,
     signaling_distance,
 )
-from bellsim.spacetime import Boost, Event, Geometry, spectator_first
+from bellsim.spacetime import Boost, Event, Geometry, ModelConfig, spectator_first
 
 
 def random_state(rng, qubits):
@@ -300,9 +300,8 @@ def test_feasibility_validates_input():
         localparts_feasible(pr_box_behavior(), (0, 1))
     ghz = born_behavior(make_ghz3(), [[0.0, math.pi / 2], [0.0], [0.0]])
     for off_pair in ((1, 1), (0, 3), (2,)):
-        for solve in (localparts_feasible, constructive_off_behavior):
-            with pytest.raises(ValueError, match="two distinct parties"):
-                solve(ghz, off_pair)
+        with pytest.raises(ValueError, match="two distinct parties"):
+            localparts_feasible(ghz, off_pair)
 
 
 def reference_local_vertices(ma, mb):
@@ -939,7 +938,7 @@ def test_constructive_model_consistency():
         born_behavior(state_from_amplitudes(amps), [[0.1, 1.2], [0.3], [2.1]])
     )
     for target in targets:
-        eff = constructive_off_behavior(target, (1, 2))
+        eff = one_off_behavior(target, (1, 2))
         sd = signaling_distance(eff, (1, 2))
         res = localparts_feasible(target, (1, 2))
         if not res.feasible:
@@ -949,12 +948,25 @@ def test_constructive_model_consistency():
 
 
 def test_constructive_model_rejects_signaling_targets():
-    with pytest.raises(ValueError):
-        constructive_off_behavior(double_pr_target(), (1, 2))
+    # Alice between B and C, measured long before them: at v=2 (c=1) only
+    # the far B-C pair is cut.
+    g = Geometry(
+        events=(Event(0.0, 150.0), Event(80.0, 0.0), Event(80.5, 300.0)),
+        boosts=(Boost(0.0),) * 3,
+        c=1.0,
+    )
+    with pytest.raises(ValueError, match="target behavior signals"):
+        effective_behavior(ModelConfig(kind="finite_speed", v=2.0), g, double_pr_target())
+
+
+def one_off_behavior(target, off):
+    """The explicit spectator-mediated model's statistics with pair off cut."""
+    table = _one_off_pair_tripartite(target, spectator_first(off))
+    return Behavior(3, target.settings_per_party, table)
 
 
 def constructive_report(target, off, g):
-    return signal_report(constructive_off_behavior(target, off), target, off, g)
+    return signal_report(one_off_behavior(target, off), target, off, g)
 
 
 def test_signal_report_for_ghz_collinear_layout():
