@@ -322,11 +322,6 @@ _PAIR_COLUMNS = ((0, 1), (0, 2), (1, 2))
 #: Padded row bytes gathered per block; bounds the writers' memory.
 WRITE_BUDGET = 1 << 18
 
-#: Rows this wide or wider drop NULs by bytes.replace (~24 ns per NUL), narrower
-#: by a boolean compress (~1 ns per padded byte; 2-vCPU x86_64): JSON records
-#: (255 B, ~1.5 NULs) take replace, CSV rows (25 B, ~1.8 NULs) the compress.
-REPLACE_WIDTH = 64
-
 
 def pair_key(pair: tuple[int, int]) -> str:
     """The name of a device pair in JSON outputs, e.g. "0-1"."""
@@ -342,7 +337,7 @@ def _digit_columns() -> np.ndarray:
     return table
 
 
-def _row_blocks(sample: RunSample, template: Callable[[int], str]) -> Iterator[bytearray | np.ndarray]:
+def _row_blocks(sample: RunSample, template: Callable[[int], str]) -> Iterator[bytearray]:
     """The bytes of every row, at most WRITE_BUDGET padded bytes at a time.
 
     A row is template(key) % trial, the template holding one %d for the
@@ -353,8 +348,8 @@ def _row_blocks(sample: RunSample, template: Callable[[int], str]) -> Iterator[b
     Blocks end at powers of ten; each gathers its rows by key into one
     reused buffer, from the table with a slot as wide as its trials'
     digits, so NUL padding (no template holds a NUL) lies only between
-    rows, and drops the padding by bytes.replace in rows REPLACE_WIDTH
-    bytes wide or wider, else by one boolean compress.
+    rows, and drops the padding with one bytes.replace.  The last three
+    digits of every trial come from a 000-999 cycle built once per run.
     """
     n_keys = len(sample.schedule) << (sample.parties + 1)
     # A key's last bit picks its branch's coordination map; when both
@@ -394,10 +389,7 @@ def _row_blocks(sample: RunSample, template: Callable[[int], str]) -> Iterator[b
             for k in range(max(0, slot + 3 - end), 3):
                 rows[:, end - 3 + k] = cycle[k].take(group)
             trials //= 1000
-        if rows.shape[1] >= REPLACE_WIDTH:
-            yield (buf if rows.size == len(buf) else buf[: rows.size]).replace(b"\0", b"")
-        else:
-            yield rows[rows != 0]
+        yield (buf if rows.size == len(buf) else buf[: rows.size]).replace(b"\0", b"")
 
 
 def write_run_csv(sample: RunSample, path: str) -> None:

@@ -3,7 +3,6 @@ import json
 import math
 import os
 import tempfile
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -499,23 +498,18 @@ THREE_BLOCKS = 3 * WRITE_BUDGET // 20
     trials=st.one_of(st.integers(1, 20), st.integers(1, THREE_BLOCKS)),
     workers=st.sampled_from((1, 2)),
     seed=st.integers(0, 2**32 - 1),
-    replace_width=st.sampled_from((0, 2**62)),
 )
 # Trial indices reach five digits at 10**4 and six at 10**5, inside a
 # write block.
-@example(parties=3, kind="quantum", trials=10_007, workers=1, seed=3, replace_width=0)
-@example(parties=2, kind="finite_speed", trials=100_003, workers=2, seed=5, replace_width=0)
-@example(parties=3, kind="coin", trials=100_001, workers=1, seed=11, replace_width=2**62)
-def test_writers_match_row_by_row_references(parties, kind, trials, workers, seed, replace_width):
-    """Either padding drop, whichever the rows' width would pick:
-    replace_width 0 sends every block to bytes.replace, 2**62 every block
-    to the boolean compress."""
+@example(parties=3, kind="quantum", trials=10_007, workers=1, seed=3)
+@example(parties=2, kind="finite_speed", trials=100_003, workers=2, seed=5)
+@example(parties=3, kind="coin", trials=100_001, workers=1, seed=11)
+def test_writers_match_row_by_row_references(parties, kind, trials, workers, seed):
     model, g, target, combos = _writer_case(parties, kind)
     sample = sample_runs(model, g, target, trials, seed, workers=workers)
     assert sample.schedule.tolist() == every_setting(target)
-    with mock.patch.object(hvmodels, "REPLACE_WIDTH", replace_width):
-        assert_same_text(written(write_run_csv, sample), reference_csv(sample))
-        assert_same_text(written(write_run_json, sample), reference_json(sample))
+    assert_same_text(written(write_run_csv, sample), reference_csv(sample))
+    assert_same_text(written(write_run_json, sample), reference_json(sample))
     for combo in combos:
         assert sample.empirical_correlator(combo) == reference_correlator(sample, combo)
 
