@@ -153,6 +153,14 @@ def _validated(target: Behavior) -> Behavior:
     return target
 
 
+def _cycle(n: int, length: int) -> np.ndarray:
+    """0, 1, ..., n - 1, 0, 1, ... up to ``length`` int64 entries.
+
+    Tiling whole periods is about 20 times faster than an int64 modulo.
+    """
+    return np.tile(np.arange(n, dtype=np.int64), -(-length // n))[:length]
+
+
 @dataclass(frozen=True, eq=False)
 class RunSample:
     """Columnar sample: trial t used setting row schedule[t % len(schedule)],
@@ -208,7 +216,7 @@ class RunSample:
         """
         n_rows = self.schedule.shape[0]
         longest = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
-        cycle = (np.arange(n_rows + longest - 1, dtype=np.int64) % n_rows) << (self.parties + 1)
+        cycle = _cycle(n_rows, n_rows + longest - 1) << (self.parties + 1)
         for lo, hi in zip(bounds, bounds[1:]):
             start = lo % n_rows
             keys = cycle[start : start + hi - lo] | (self.codes[lo:hi] << 1)
@@ -275,7 +283,7 @@ def sample_runs(
     )
     # Trial t's row is t % n_settings; each chunk slices its rows out of
     # one cycle of them, long enough for the longest chunk.
-    cycle = np.arange(n_settings + min(trials, CHUNK) - 1) % n_settings
+    cycle = _cycle(n_settings, n_settings + min(trials, CHUNK) - 1)
 
     def sample_chunk(j: int) -> tuple[np.ndarray, np.ndarray | None]:
         lo = j * CHUNK
@@ -329,67 +337,110 @@ def pair_key(pair: tuple[int, int]) -> str:
 
 
 @functools.cache
-def _digit_columns() -> np.ndarray:
-    """(3, 1000) uint8: column g holds the ASCII digits of g, zero-padded to three."""
+def _digit_table() -> np.ndarray:
+    """(1000, 3) uint8: row g holds the ASCII digits of g, zero-padded to three."""
     g = np.arange(1000)
-    table = (np.stack([g // 100, g // 10 % 10, g % 10]) + ord("0")).astype(np.uint8)
+    table = (np.stack([g // 100, g // 10 % 10, g % 10], axis=1) + ord("0")).astype(np.uint8)
     table.flags.writeable = False  # every caller shares it
     return table
 
 
-def _row_blocks(sample: RunSample, template: Callable[[int], str]) -> Iterator[bytearray]:
-    """The bytes of every row, at most WRITE_BUDGET padded bytes at a time.
+def _row_blocks(sample: RunSample, template: Callable[[int], str]) -> Iterator[memoryview]:
+    """The bytes of every row, at most WRITE_BUDGET bytes at a time.
 
     A row is template(key) % trial, the template holding one %d for the
     trial index.  Once per run, each distinct template is split around
     its %d into head and tail bytes, laid out in one uint8 table over the
     whole key space: per key, the head right-aligned against a digit slot
     as wide as the largest trial index, the tail left-aligned after it.
-    Blocks end at powers of ten; each gathers its rows by key into one
-    reused buffer, from the table with a slot as wide as its trials'
-    digits, so NUL padding (no template holds a NUL) lies only between
-    rows, and drops the padding with one bytes.replace.  The last three
-    digits of every trial come from a 000-999 cycle built once per run.
+    Either every head or every tail must have one length, so that a
+    row's padding lies on one side only; otherwise ValueError.
+
+    Blocks end at powers of ten.  Each gathers its rows by key from the
+    table with a slot as wide as its trials' digits, writes the digits
+    (the last three as one 3-byte cell per row, each higher group once
+    per thousand trials), and copies the rows end to end into one reused
+    buffer, of which it yields a view: a block stays valid until the next
+    one is requested.  Row i starts at the sum of the text lengths before
+    it.  With W the row width and m the shortest text, the copy is one
+    scatter of the W - m columns that hold each row's padding, then one
+    of the m columns on the other side, each through an overlapping
+    strided view of the buffer.  Rows lie at least m apart, so while
+    W <= 2m, as in both writers, the writes of one pass never overlap,
+    and the second pass overwrites the padding that the first spilled
+    into the next row.  A wider spread takes more passes of at most m
+    columns, the padded side first.  One scatter of whole rows would be
+    faster, but would rely on numpy writing fancy indices in order, which
+    it does not promise; one scatter per distinct text length measured no
+    faster than bytes.replace (README has the figures).
     """
     n_keys = len(sample.schedule) << (sample.parties + 1)
     # A key's last bit picks its branch's coordination map; when both
     # branches have one map, the odd keys share the text of the key below.
     step = 1 if sample.map_local != sample.map_nonlocal else 2
     parts = [template(key).encode().split(b"%d") for key in range(0, n_keys, step)]
-    slot = max(len(head) for head, _ in parts)
+    heads = np.array([len(head) for head, _ in parts], np.int64)
+    tails = np.array([len(tail) for _, tail in parts], np.int64)
+    pad_left = heads.min() < heads.max()
+    if pad_left and tails.min() < tails.max():
+        raise ValueError("row templates vary in length both before and after the %d")
+    slot = int(heads.max())
     widest = len(str(len(sample) - 1))
-    table = np.zeros((len(parts), slot + widest + max(len(tail) for _, tail in parts)), np.uint8)
+    table = np.zeros((len(parts), slot + widest + int(tails.max())), np.uint8)
     for k, (head, tail) in enumerate(parts):
         table[k, slot - len(head) : slot] = np.frombuffer(head, np.uint8)
         table[k, slot + widest : slot + widest + len(tail)] = np.frombuffer(tail, np.uint8)
+    sizes = heads + tails
     if step > 1:
         table = table.repeat(step, axis=0)
+        sizes = sizes.repeat(step)
     block = max(1, WRITE_BUDGET // table.shape[1])
     bounds = sorted({*range(0, len(sample), block), *(10**k for k in range(1, widest)), len(sample)})
     longest = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
-    # Column t % 1000 holds trial t's last three digits, a block's in one slice.
-    cycle = _digit_columns().take(np.arange(1000 + longest) % 1000, axis=1)
+    # Row t % 1000 holds trial t's last three digits, a block's in one slice.
+    cycle = np.tile(_digit_table(), (-(-(1000 + longest) // 1000), 1))
+    # Blocks share both buffers: faulting in fresh pages costs more than
+    # the copies.  Rows land one row width into ``out``: a left-padded
+    # row's first column stays at or past 0, the last row's padding inside.
+    gathered = np.empty(longest * table.shape[1], np.uint8)
+    out = np.empty((longest + 2) * table.shape[1], np.uint8)
     n_digits = 0
     for lo, hi, keys in zip(bounds, bounds[1:], sample._row_keys(bounds)):
         if len(str(hi - 1)) != n_digits:
             n_digits = len(str(hi - 1))
-            # Blocks share a buffer: faulting in fresh pages cost more than the drop.
             narrowed = np.delete(table, np.s_[slot + n_digits : slot + widest], axis=1)
-            buf = bytearray(longest * narrowed.shape[1])
-        rows = np.frombuffer(buf, np.uint8, (hi - lo) * narrowed.shape[1]).reshape(hi - lo, -1)
+            width = narrowed.shape[1]
+            grid = gathered[: longest * width].reshape(longest, width)
+            low = min(n_digits, 3)
+            last = cycle[:, 3 - low :].view(f"V{low}")[:, 0]
+            lengths = sizes + n_digits
+            m = int(lengths.min())
+            # Passes of at most m columns, the padded side's first.
+            cuts = [(c, min(width, c + m)) for c in reversed(range(0, width, m))]
+            if pad_left:
+                cuts = [(width - c1, width - c0) for c0, c1 in cuts]
+            # Cell j of a pass's view holds the pass's columns of a row placed at j.
+            passes = [
+                (c0, c1, np.ndarray((out.size - c1 + 1,), f"V{c1 - c0}", out, c0, (1,)))
+                for c0, c1 in cuts
+            ]
+        rows = grid[: hi - lo]
         # Every key is in range; mode="clip" lets take write rows unbuffered.
         narrowed.take(keys, axis=0, out=rows, mode="clip")
+        # The last three digits are one cell per row; each higher group is
+        # one slice per thousand trials.
         end = slot + n_digits
-        low = min(n_digits, 3)
-        rows[:, end - low : end] = cycle[3 - low :, lo % 1000 : lo % 1000 + hi - lo].T
-        # Each higher group of three digits, as far as the slot reaches.
-        trials = np.arange(lo, hi) // 1000
-        for end in range(end - 3, slot, -3):
-            group = trials % 1000
-            for k in range(max(0, slot + 3 - end), 3):
-                rows[:, end - 3 + k] = cycle[k].take(group)
-            trials //= 1000
-        yield (buf if rows.size == len(buf) else buf[: rows.size]).replace(b"\0", b"")
+        rows[:, end - low : end].view(last.dtype)[:, 0] = last[lo % 1000 : lo % 1000 + hi - lo]
+        if n_digits > 3:
+            for k in range(lo // 1000, (hi - 1) // 1000 + 1):
+                group = np.frombuffer(b"%d" % k, np.uint8)
+                rows[max(0, 1000 * k - lo) : 1000 * (k + 1) - lo, slot : end - 3] = group
+        row_lengths = lengths.take(keys)
+        ends = row_lengths.cumsum()
+        base = ends if pad_left else ends - row_lengths + width
+        for c0, c1, cells in passes:
+            cells[base] = rows[:, c0:c1].view(cells.dtype)[:, 0]
+        yield out[width : width + ends[-1]].data
 
 
 def write_run_csv(sample: RunSample, path: str) -> None:

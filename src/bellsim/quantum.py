@@ -197,11 +197,3 @@ def behavior_to_json(b: Behavior) -> dict:
         "settings_per_party": list(b.settings_per_party),
         "table": b.table.tolist(),
     }
-
-
-def behavior_from_json(obj: dict) -> Behavior:
-    return Behavior(
-        parties=int(obj["parties"]),
-        settings_per_party=tuple(obj["settings_per_party"]),
-        table=np.asarray(obj["table"], dtype=np.float64),
-    )

@@ -609,15 +609,6 @@ def infeasibility_slack(target: Behavior, off_pair: tuple[int, int]) -> float:
     return 0.0 if certificate is None else value
 
 
-def pr_box_behavior() -> Behavior:
-    """The PR box: a xor b = x and y in bit form, uniform marginals."""
-    table = np.zeros((2, 2, 2, 2))
-    for x, y, a, b in itertools.product((0, 1), repeat=4):
-        if a ^ b == (x & y):
-            table[x, y, a, b] = 0.5
-    return Behavior(2, (2, 2), table)
-
-
 def double_pr_target() -> Behavior:
     """Tripartite target whose AB and AC marginals are both PR boxes.
 

@@ -38,7 +38,6 @@ from bellsim.signaling import (
     _Reduction,
     build_feasibility_problem,
     local_polytope_member,
-    pr_box_behavior,
     recheck_membership_witness,
     signaling_distance,
 )
@@ -56,6 +55,7 @@ from bellsim.spacetime import (
     in_future_lightcone,
     spectator_first,
 )
+from oracles import pr_box_behavior
 
 TWO_DEVICE_GEOMETRY = Geometry(
     events=(Event(0.0, -1.0), Event(0.0, 1.0)),

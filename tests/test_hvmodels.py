@@ -3,6 +3,7 @@ import json
 import math
 import os
 import tempfile
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -533,6 +534,77 @@ def test_write_blocks_stay_within_the_byte_budget(writer, monkeypatch):
     written(writer, sample_runs(model, g, target, THREE_BLOCKS, 1))
     assert len(blocks) >= 8
     assert max(blocks) <= WRITE_BUDGET
+
+
+def synthetic_template(sample, vary, fixed, longest, seed):
+    """A template per key whose heads (vary="head") or tails (vary="tail")
+    are 0 to ``longest`` characters long, the other side always ``fixed``.
+    When both branches have one coordination map, keys that differ only
+    in the branch bit share their text, as _row_blocks assumes."""
+    rng = np.random.default_rng(seed)
+    n_keys = len(sample.schedule) << (sample.parties + 1)
+    letters = list('ab,-{}\n "')
+
+    def text(n):
+        return "".join(rng.choice(letters, n))
+
+    varying = [text(rng.integers(0, longest + 1)) for _ in range(n_keys)]
+    other = [text(fixed) for _ in range(n_keys)]
+    heads, tails = (varying, other) if vary == "head" else (other, varying)
+    shared = sample.map_local == sample.map_nonlocal
+
+    def template(key):
+        key = key & ~1 if shared else key
+        return heads[key] + "%d" + tails[key]
+
+    return template
+
+
+def trial_keys(sample):
+    """Each trial's key: ((schedule row, outcome code), local branch)."""
+    rows = np.arange(len(sample)) % len(sample.schedule)
+    keys = ((rows << sample.parties) | sample.codes) << 1
+    if sample.branch_local is not None:
+        keys |= sample.branch_local
+    return keys.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(("quantum", "coin")),
+    trials=st.one_of(st.integers(1, 150), st.integers(900, 1100), st.integers(1, 12_000)),
+    budget=st.integers(64, 4096),
+    vary=st.sampled_from(("head", "tail")),
+    fixed=st.integers(0, 12),
+    longest=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Trial indices reach five digits at 10**4, in blocks of one or two rows.
+@example(kind="coin", trials=10_003, budget=64, vary="tail", fixed=0, longest=20, seed=1)
+@example(kind="quantum", trials=10_007, budget=300, vary="head", fixed=6, longest=40, seed=2)
+def test_row_blocks_match_formatted_templates(kind, trials, budget, vary, fixed, longest, seed):
+    """_row_blocks yields template(key) % trial for every trial, across
+    block boundaries and digit counts, whichever side of the trial index
+    varies in length and however unequal the rows are."""
+    model, g, target, _ = _writer_case(2, kind)
+    sample = sample_runs(model, g, target, trials, seed)
+    template = synthetic_template(sample, vary, fixed, longest, seed)
+    want = b"".join(template(key).encode() % t for t, key in enumerate(trial_keys(sample)))
+    with unittest.mock.patch.object(hvmodels, "WRITE_BUDGET", budget):
+        # A block stays valid only until the next one is requested.
+        got = b"".join(bytes(block) for block in hvmodels._row_blocks(sample, template))
+    assert got == want
+
+
+def test_row_blocks_reject_templates_varying_on_both_sides():
+    model, g, target, _ = _writer_case(2, "quantum")
+    sample = sample_runs(model, g, target, 5, 1)
+
+    def template(key):
+        return "," * (key // 2 % 3) + "%d" + "," * (key // 2 % 2) + "\n"
+
+    with pytest.raises(ValueError, match="both before and after"):
+        next(hvmodels._row_blocks(sample, template))
 
 
 def test_empirical_correlator_missing_settings():

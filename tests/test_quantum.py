@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from bellsim.quantum import (
     Behavior,
     StateVector,
-    behavior_from_json,
     behavior_to_json,
     born_behavior,
     correlator,
@@ -22,6 +21,7 @@ from bellsim.quantum import (
     state_from_amplitudes,
 )
 from bellsim.signaling import signaling_distance
+from oracles import behavior_from_json
 
 
 def random_state(rng, n):

@@ -13,7 +13,6 @@ from bellsim.hvmodels import _one_off_pair_tripartite, effective_behavior
 from bellsim.inequality import chsh_value
 from bellsim.quantum import (
     Behavior,
-    behavior_from_json,
     born_behavior,
     make_ghz3,
     make_singlet,
@@ -31,7 +30,6 @@ from bellsim.signaling import (
     infeasibility_slack,
     local_polytope_member,
     localparts_feasible,
-    pr_box_behavior,
     recheck_farkas_certificate,
     recheck_feasibility_witness,
     recheck_membership_witness,
@@ -39,6 +37,7 @@ from bellsim.signaling import (
     signaling_distance,
 )
 from bellsim.spacetime import Boost, Event, Geometry, ModelConfig, spectator_first
+from oracles import behavior_from_json, pr_box_behavior
 
 
 def random_state(rng, qubits):
