@@ -8,8 +8,9 @@ files under --out); failures put a machine-readable JSON object on
 stderr.  Exit codes: 0 success, 2 malformed scenario or usage, 1 other
 errors.  Outputs are deterministic for a given scenario and seed,
 independent of --workers.  Each subcommand loads only the modules it
-computes with: timing, point-d, validate and preset list start without
-numpy, and scipy is loaded only when a linear program is solved.
+computes with: timing, point-d, validate, preset list, and chsh and
+chain without --trials start without numpy, and scipy is loaded only
+when a linear program is solved.
 """
 
 from __future__ import annotations

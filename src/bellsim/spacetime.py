@@ -229,6 +229,9 @@ def find_point_d(
 
     A degenerate spatially coincident B=C reduces to the two-event case:
     D sits at their common position, halfway through the time window.
+    Midpoints are taken as 0.5 * u + 0.5 * v: away from subnormals that
+    has the bits of 0.5 * (u + v), and it stays finite where u + v would
+    overflow.
     """
     bc_dx = c_ev.x - b.x
     bc_dy = c_ev.y - b.y
@@ -240,11 +243,11 @@ def find_point_d(
         t_close = a.t + math.hypot(b.x - a.x, b.y - a.y) / c
         if not t_close > t_open:
             return None
-        t_d = 0.5 * (t_open + t_close)
+        t_d = 0.5 * t_open + 0.5 * t_close
         return Event(t=t_d, x=b.x, y=b.y), t_close - t_d
 
-    mx = 0.5 * (b.x + c_ev.x)
-    my = 0.5 * (b.y + c_ev.y)
+    mx = 0.5 * b.x + 0.5 * c_ev.x
+    my = 0.5 * b.y + 0.5 * c_ev.y
     # Unit direction along the bisector (perpendicular to B-C).
     ux = -bc_dy / bc_len
     uy = bc_dx / bc_len

@@ -20,7 +20,6 @@ from bellsim.hvmodels import _one_off_pair_tripartite, effective_behavior, sampl
 from bellsim.inequality import (
     chain_spec,
     chain_value,
-    chsh_value,
     local_bound,
     mixture_deviation,
     quantum_chain_optimum,
@@ -55,7 +54,7 @@ from bellsim.spacetime import (
     in_future_lightcone,
     spectator_first,
 )
-from oracles import pr_box_behavior
+from oracles import chsh_value, pr_box_behavior
 
 TWO_DEVICE_GEOMETRY = Geometry(
     events=(Event(0.0, -1.0), Event(0.0, 1.0)),

@@ -136,6 +136,8 @@ def simulate_with_outputs(key, name):
         (simulate_with_outputs("summary_json", "runs.json"), 2),
         (simulate_with_outputs("summary_json", ".."), 2),
         (["point-d", "--c-units", "--a=0,1.5e308", "--b=0,-1e308", "--c=0,-5e307"], 1),
+        # D is found at x = -9.5e307, but light from A needs 1.95e308 to reach it.
+        (["point-d", "--c-units", "--a=0,1e308", "--b=0,-1e308", "--c=0,-9e307"], 1),
     ],
 )
 def test_bad_argv_is_json_error_without_traceback(argv, code, tmp_path, capsys):
@@ -868,6 +870,24 @@ def test_point_d_near_the_largest_double(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "events, point",
+    [
+        (["--a=0,5e307", "--b=0,-1e308", "--c=0,-9e307"], (5.000000000000008e306, -9.5e307)),
+        (["--a=9e307,1e300", "--b=9e307,0", "--c=9e307,0"], (9e307 + 0.5e300, 0.0)),
+    ],
+)
+def test_point_d_midpoint_of_a_sum_past_the_largest_double(events, point, capsys):
+    """D is placed at a midpoint, of B and C in space or of the two-event
+    time window, whose ends sum past the largest double, yet the midpoint
+    itself is representable."""
+    code, out, _ = run_cli(["point-d", "--c-units", *events], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["point"] == {"t": point[0], "x": point[1], "y": 0.0}
+    assert all(doc["predicates"].values())
+
+
 def test_point_d_absent_when_sender_sits_between(capsys):
     code, out, _ = run_cli(
         ["point-d", "--a", "0,15", "--b", "0,10", "--c", "0,20", "--c-units"],
@@ -972,18 +992,25 @@ def test_only_lp_commands_load_scipy_optimize(argv, code, loaded, tmp_path, lp_n
         (["point-d", "--a", "0,0", "--b", "0,10", "--c", "0,20", "--c-units"], 0, False),
         (["preset", "list"], 0, False),
         (["validate", "<custom>"], 0, True),
-        (["chsh"], 0, True),
-        (["chain", "--n", "4"], 0, True),
+        (["chsh"], 0, False),
+        (["chain", "--n", "4"], 0, False),
         (["preset", "run", "before-before", "--trials", "1000", "--out", "<out>"], 0, True),
         (["signal", "--preset", "fig2a"], 0, True),
         (["timing", "--v", "100000c", "--L", "30000", "--out", "<out>"], 0, False),
         (["point-d", "--preset", "fig2b", "--out", "<out>"], 0, False),
+        (["chain", "--n", "12"], 0, False),
+        (["chain", "--n", "3", "--local-bound"], 0, False),
+        (["chain", "--n", "5", "--quantum"], 0, False),
+        (["chsh", "--trials", "1000"], 0, True),
+        (["chain", "--n", "4", "--trials", "1000"], 0, True),
+        (["point-d", "--c-units", "--a=0,5e307", "--b=0,-1e308", "--c=0,-9e307"], 0, False),
     ],
 )
 def test_only_numeric_commands_load_numpy(argv, code, loaded, tmp_path, lp_needing_target):
     """numpy is loaded only by the commands that compute with it: not for
-    the timing rules, point D, the preset list, or validating a file
-    whose state is a shipped one (a custom state's norm needs numpy), and
-    not for writing a --out file."""
+    the timing rules, point D, the preset list, the chsh and chain numbers
+    (a table and an integer enumeration) without --trials, or validating
+    a file whose state is a shipped one (a custom state's norm needs
+    numpy), and not for writing a --out file."""
     out = probe_imports(argv, tmp_path, lp_needing_target)
     assert [out[0], out[3]] == [str(code), str(loaded)]

@@ -2,20 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bellsim.inequality import (
     MAX_CHAIN_N,
     ChainSpec,
     chain_spec,
     chain_value,
-    chsh_value,
-    detection_threshold_N,
     local_bound,
     mixture_deviation,
     mixture_max_value,
     quantum_chain_optimum,
 )
 from bellsim.quantum import Behavior, born_behavior, make_singlet, state_from_amplitudes
+from oracles import chsh_value, local_bound_by_matrix, searched_chain_optimum
 
 
 def deterministic_plus_behavior(settings=(2, 2)):
@@ -105,6 +106,26 @@ def test_local_bounds_by_enumeration():
         local_bound(chain_spec(13))
 
 
+@st.composite
+def chain_specs(draw):
+    """Valid N-chains other than the canonical one: both parties' settings
+    permuted, the negative sign moved to any term, the terms shuffled."""
+    n = draw(st.integers(2, MAX_CHAIN_N))
+    relabel_a = draw(st.permutations(range(n)))
+    relabel_b = draw(st.permutations(range(n)))
+    negative = draw(st.integers(0, 2 * n - 1))
+    terms = [
+        ((relabel_a[x], relabel_b[y]), -1 if i == negative else 1)
+        for i, ((x, y), _) in enumerate(chain_spec(n).terms)
+    ]
+    return ChainSpec(n=n, terms=tuple(draw(st.permutations(terms))))
+
+
+@given(chain_specs())
+def test_local_bound_matches_the_matrix_product(spec):
+    assert local_bound(spec) == local_bound_by_matrix(spec)
+
+
 def test_quantum_chain_optimum_values():
     for n in range(2, 9):
         opt = quantum_chain_optimum(n)
@@ -116,6 +137,17 @@ def test_quantum_chain_optimum_self_consistent():
         opt = quantum_chain_optimum(n)
         b = born_behavior(make_singlet(), [list(opt.angles_a), list(opt.angles_b)])
         assert abs(chain_value(b, chain_spec(n)) - opt.value) < 1e-9
+
+
+@pytest.mark.parametrize("n", range(2, MAX_CHAIN_N + 1))
+def test_quantum_chain_optimum_is_the_seeded_search(n):
+    """The tabled optimum is, bit for bit, what 32 seeded starts of
+    coordinate ascent and the Born re-evaluation of their best give."""
+
+    def bits(opt):
+        return [x.hex() for x in (opt.value, *opt.angles_a, *opt.angles_b)]
+
+    assert bits(quantum_chain_optimum(n)) == bits(searched_chain_optimum(n))
 
 
 def test_quantum_chain_optimum_range():
@@ -144,19 +176,6 @@ def test_mixture_deviation_linear_in_p():
     l3 = local_bound(chain_spec(3))
     for p in np.linspace(0, 1, 21):
         assert mixture_deviation(float(p), 3) == float(p) * (q3 - l3)
-
-
-def test_detection_threshold():
-    rep = detection_threshold_N(1.0, 0.5)
-    assert rep.n == 2
-    assert rep.deviations[0] == (2, pytest.approx(2 * math.sqrt(2) - 2, abs=1e-6))
-    assert len(rep.deviations) == 11
-    assert detection_threshold_N(0.5, 10.0).n is None
-    assert detection_threshold_N(0.0, 1e-9).n is None
-    with pytest.raises(ValueError):
-        detection_threshold_N(0.5, 0.0)
-    with pytest.raises(ValueError):
-        detection_threshold_N(1.5, 0.1)
 
 
 def test_tsirelson_sanity():

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellsim.hvmodels import _one_off_pair_tripartite, effective_behavior
-from bellsim.inequality import chsh_value
 from bellsim.quantum import (
     Behavior,
     born_behavior,
@@ -37,7 +36,7 @@ from bellsim.signaling import (
     signaling_distance,
 )
 from bellsim.spacetime import Boost, Event, Geometry, ModelConfig, spectator_first
-from oracles import behavior_from_json, pr_box_behavior
+from oracles import behavior_from_json, chsh_value, pr_box_behavior
 
 
 def random_state(rng, qubits):
