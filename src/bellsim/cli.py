@@ -221,14 +221,11 @@ def cmd_simulate(args) -> int:
 
     sc = _resolve_scenario(args)
     sample, correlators = _empirical_summary(sc, args.workers)
-    coordination = {
-        branch: {pair_key(p): s for p, s in zip(sample.pairs, states)}
-        for branch, states in (("nonlocal", sample.map_nonlocal), ("local", sample.map_local))
-    }
+    maps = [{pair_key(p): s for p, s in zip(sample.pairs, states)} for states in sample.maps]
     summary = {
         "schema": "bellsim-summary-1",
         "scenario": sc.doc,
-        "coordination": coordination if sc.model.kind == "mixture" else coordination["nonlocal"],
+        "coordination": dict(zip(("nonlocal", "local"), maps)) if len(maps) > 1 else maps[0],
         "correlators": correlators,
         "derived": _derived_block(sc, sample.behavior, correlators),
     }

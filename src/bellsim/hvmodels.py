@@ -167,23 +167,30 @@ class RunSample:
     the schedule being every setting tuple of ``behavior`` in C order, so
     the trials of one setting tuple are one strided slice of ``codes``.
 
+    A trial's code is its whole key below the schedule row: bit
+    parties-1-q is set when party q saw -1, and a mixture sets bit
+    ``parties`` when the trial's branch is local.  ``maps`` holds one
+    coordination map per branch, indexed by code >> parties: the model's
+    map, or for a mixture the all-ON map and then the all-OFF one.
     ``behavior`` is the model's effective behavior, which the sample's
     predictions come from: for a mixture the p-weighted one, otherwise
-    the one every trial is drawn from.  A trial's coordination is
-    ``map_local`` when its mixture branch is local, else ``map_nonlocal``.
+    the one every trial is drawn from.
     """
 
     parties: int
     pairs: tuple[tuple[int, int], ...]
     schedule: np.ndarray  # (rows, parties) int16
-    codes: np.ndarray  # (trials,) uint8, bit parties-1-q set when party q saw -1
+    codes: np.ndarray  # (trials,) uint8: outcome bits, then a mixture's branch bit
     behavior: Behavior
-    map_nonlocal: tuple[str, ...]
-    map_local: tuple[str, ...]
-    branch_local: np.ndarray | None  # bool per trial for mixtures, else None
+    maps: tuple[tuple[str, ...], ...]  # one coordination map per branch
 
     def __len__(self) -> int:
         return self.codes.shape[0]
+
+    @property
+    def code_bits(self) -> int:
+        """Bits of a code: one per party, and a mixture's branch bit."""
+        return self.parties + len(self.maps) - 1
 
     def empirical_correlator(self, settings: Sequence[int]) -> tuple[float, float, int]:
         """Mean outcome product, its standard error, and the trial count.
@@ -198,8 +205,10 @@ class RunSample:
         count = selected.shape[0]
         if count == 0:
             return 0.0, math.inf, 0
-        # Codes enumerate outcome tuples in C order, as outcome_signs does.
-        prods = outcome_signs(self.parties).ravel()[selected]
+        # Codes enumerate outcome tuples in C order, as outcome_signs does,
+        # once per branch (concatenate is faster than np.tile here).
+        signs = np.concatenate([outcome_signs(self.parties).ravel()] * len(self.maps))
+        prods = signs[selected]
         mean = float(prods.mean())
         if count < 2:
             return mean, math.inf, count
@@ -208,29 +217,24 @@ class RunSample:
 
     def _row_keys(self, bounds: Sequence[int]) -> Iterator[np.ndarray]:
         """Keys of the trials of each block bounds[k]..bounds[k+1]-1:
-        (schedule row, outcome code, local branch).
+        (row << code_bits) | code, with row the trial's schedule row.
 
-        The key is ((row << parties) | code) << 1 | local.  Trial t's row
-        is t % rows; a block's row bits are a slice of one cycle of them,
-        built once and long enough for the longest block.
+        Trial t's row is t % rows; a block's row bits are a slice of one
+        cycle of them, built once and long enough for the longest block.
         """
         n_rows = self.schedule.shape[0]
         longest = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
-        cycle = _cycle(n_rows, n_rows + longest - 1) << (self.parties + 1)
+        cycle = _cycle(n_rows, n_rows + longest - 1) << self.code_bits
         for lo, hi in zip(bounds, bounds[1:]):
             start = lo % n_rows
-            keys = cycle[start : start + hi - lo] | (self.codes[lo:hi] << 1)
-            if self.branch_local is not None:
-                keys |= self.branch_local[lo:hi]
-            yield keys
+            yield cycle[start : start + hi - lo] | self.codes[lo:hi]
 
     def _key_row(self, key: int) -> tuple[list[int], list[int], dict[tuple[int, int], str]]:
         """Settings, outcomes and coordination of the rows with this key."""
-        code = (key >> 1) & ((1 << self.parties) - 1)
-        settings = [int(s) for s in self.schedule[key >> (self.parties + 1)]]
+        code = key & ((1 << self.code_bits) - 1)
+        settings = [int(s) for s in self.schedule[key >> self.code_bits]]
         outcomes = [-1 if code >> (self.parties - 1 - q) & 1 else 1 for q in range(self.parties)]
-        states = self.map_local if key & 1 else self.map_nonlocal
-        return settings, outcomes, dict(zip(self.pairs, states))
+        return settings, outcomes, dict(zip(self.pairs, self.maps[code >> self.parties]))
 
 
 def sample_runs(
@@ -245,13 +249,14 @@ def sample_runs(
 
     The schedule is derived from the target: trial t uses the setting
     tuple of flat index t % n_settings in C order.  For mixtures, each
-    trial is local with probability p and quantum otherwise.  Output is
-    deterministic given (target, seed, trials) and independent of
-    ``workers``: trials are partitioned into fixed chunks of 2**16, chunk
-    j draws from a child generator spawned as SeedSequence(seed,
-    spawn_key=(j,)), and inside a chunk the branch coins are drawn before
-    the outcome variates.  ``workers`` caps the sampling threads, which
-    never outnumber the chunks or the CPUs.
+    trial is local with probability p and quantum otherwise, and its code
+    carries the branch in bit ``parties``.  Output is deterministic given
+    (target, seed, trials) and independent of ``workers``: trials are
+    partitioned into fixed chunks of 2**16, chunk j draws from a child
+    generator spawned as SeedSequence(seed, spawn_key=(j,)), and inside a
+    chunk the branch coins are drawn before the outcome variates.  Each
+    chunk writes its own slice of the one codes array.  ``workers`` caps
+    the sampling threads, which never outnumber the chunks or the CPUs.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -261,13 +266,12 @@ def sample_runs(
         behavior_local = effective_behavior(ModelConfig(kind="local"), g, target)
         behavior = _mixed(model.p, target, behavior_local)
         branches = (target, behavior_local)
-        map_nl = tuple(ON for _ in pairs)
-        map_loc = tuple(OFF for _ in pairs)
+        maps = (tuple(ON for _ in pairs), tuple(OFF for _ in pairs))
     else:
         behavior = effective_behavior(model, g, target)
         branches = (behavior,)
         cmap = coordination_map(model, g)
-        map_nl = map_loc = tuple(cmap[p] for p in pairs)
+        maps = (tuple(cmap[p] for p in pairs),)
 
     # One cumulative row per (branch, flat setting index), the local rows
     # after the quantum ones, stored by column: cum[k, g] sums the first
@@ -284,42 +288,41 @@ def sample_runs(
     # Trial t's row is t % n_settings; each chunk slices its rows out of
     # one cycle of them, long enough for the longest chunk.
     cycle = _cycle(n_settings, n_settings + min(trials, CHUNK) - 1)
+    codes = np.zeros(trials, dtype=np.uint8)
 
-    def sample_chunk(j: int) -> tuple[np.ndarray, np.ndarray | None]:
+    def sample_chunk(j: int) -> None:
         lo = j * CHUNK
-        n = min(trials, lo + CHUNK) - lo
+        out = codes[lo : lo + CHUNK]
+        n = out.shape[0]
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,)))
-        local_mask = rng.random(n) < model.p if model.kind == "mixture" else None
-        u = rng.random(n)
         start = lo % n_settings
         groups = cycle[start : start + n]
-        if local_mask is not None:
-            groups = groups + local_mask * n_settings
-        codes = np.zeros(n, dtype=np.uint8)
+        if model.kind == "mixture":
+            local = rng.random(n) < model.p
+            groups = groups + local * n_settings
+            out |= local.view(np.uint8) << target.parties
+        u = rng.random(n)
         for column in cum:
-            codes += column.take(groups) <= u
-        return codes, local_mask
+            out += column.take(groups) <= u
 
     n_chunks = (trials + CHUNK - 1) // CHUNK
     # One thread per chunk at most, and no more than the machine runs.
     threads = min(workers, n_chunks, os.cpu_count() or 1)
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(sample_chunk, range(n_chunks)))
+            list(pool.map(sample_chunk, range(n_chunks)))
     else:
-        results = [sample_chunk(j) for j in range(n_chunks)]
+        for j in range(n_chunks):
+            sample_chunk(j)
 
-    codes, masks = zip(*results)
     schedule = np.indices(target.settings_per_party, dtype=np.int16).reshape(target.parties, -1)
     return RunSample(
         parties=target.parties,
         pairs=pairs,
         schedule=schedule.T,
-        codes=np.concatenate(codes),
+        codes=codes,
         behavior=behavior,
-        map_nonlocal=map_nl,
-        map_local=map_loc,
-        branch_local=None if masks[0] is None else np.concatenate(masks),
+        maps=maps,
     )
 
 
@@ -349,10 +352,11 @@ def _row_blocks(sample: RunSample, template: Callable[[int], str]) -> Iterator[m
     """The bytes of every row, at most WRITE_BUDGET bytes at a time.
 
     A row is template(key) % trial, the template holding one %d for the
-    trial index.  Once per run, each distinct template is split around
-    its %d into head and tail bytes, laid out in one uint8 table over the
-    whole key space: per key, the head right-aligned against a digit slot
-    as wide as the largest trial index, the tail left-aligned after it.
+    trial index, and a trial's key is its schedule row above its code
+    (RunSample._row_keys).  Once per run, each key's template is split
+    around its %d into head and tail bytes, laid out in one uint8 table
+    with a row per key: the head right-aligned against a digit slot as
+    wide as the largest trial index, the tail left-aligned after it.
     Either every head or every tail must have one length, so that a
     row's padding lies on one side only; otherwise ValueError.
 
@@ -374,11 +378,8 @@ def _row_blocks(sample: RunSample, template: Callable[[int], str]) -> Iterator[m
     it does not promise; one scatter per distinct text length measured no
     faster than bytes.replace (README has the figures).
     """
-    n_keys = len(sample.schedule) << (sample.parties + 1)
-    # A key's last bit picks its branch's coordination map; when both
-    # branches have one map, the odd keys share the text of the key below.
-    step = 1 if sample.map_local != sample.map_nonlocal else 2
-    parts = [template(key).encode().split(b"%d") for key in range(0, n_keys, step)]
+    n_keys = len(sample.schedule) << sample.code_bits
+    parts = [template(key).encode().split(b"%d") for key in range(n_keys)]
     heads = np.array([len(head) for head, _ in parts], np.int64)
     tails = np.array([len(tail) for _, tail in parts], np.int64)
     pad_left = heads.min() < heads.max()
@@ -391,9 +392,6 @@ def _row_blocks(sample: RunSample, template: Callable[[int], str]) -> Iterator[m
         table[k, slot - len(head) : slot] = np.frombuffer(head, np.uint8)
         table[k, slot + widest : slot + widest + len(tail)] = np.frombuffer(tail, np.uint8)
     sizes = heads + tails
-    if step > 1:
-        table = table.repeat(step, axis=0)
-        sizes = sizes.repeat(step)
     block = max(1, WRITE_BUDGET // table.shape[1])
     bounds = sorted({*range(0, len(sample), block), *(10**k for k in range(1, widest)), len(sample)})
     longest = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))

@@ -1,5 +1,4 @@
-"""Setting-dependence of marginals, local-polytope membership, and the
-local-parts feasibility program.
+"""Setting-dependence of marginals and the local-parts feasibility program.
 
 The central operation asks: given a tripartite target behavior and an
 uncoordinated pair (canonically Bob-Charlie), does any no-signaling
@@ -37,7 +36,6 @@ from .spacetime import Geometry, find_point_d, spectator_first
 #: Residual tolerance for re-checking witnesses and certificates.
 RECHECK_TOL = 1e-9
 
-MAX_MEMBER_SETTINGS = 4
 MAX_FEASIBILITY_SETTINGS = 3
 
 
@@ -62,100 +60,6 @@ def signaling_distance(b: Behavior, receivers: tuple[int, ...] | list[int]) -> f
     diff = np.abs(family[:, None] - family[None])
     tv = 0.5 * diff.sum(axis=tuple(range(2 + n_rec, 2 + 2 * n_rec)))
     return float(tv.max())
-
-
-def _local_vertices(ma: int, mb: int) -> np.ndarray:
-    """Deterministic-strategy behaviors, one row per (Alice, Bob) assignment.
-
-    Assignments map each setting to an outcome index (0 is +1); rows are
-    flattened tables over (x, y, a, b) in C order.
-    """
-    # One-hot [assignment, setting, outcome] per party.
-    onehot = [np.eye(2)[list(itertools.product((0, 1), repeat=m))] for m in (ma, mb)]
-    return np.einsum("ixa,jyb->ijxyab", *onehot).reshape(-1, ma * mb * 4)
-
-
-@dataclass(frozen=True, eq=False)
-class SeparatingInequality:
-    """Bell-type functional h with local bound: h . b <= bound for every
-    local behavior, while the tested behavior reaches value."""
-
-    h: np.ndarray  # shape (ma, mb, 2, 2)
-    bound: float
-    value: float
-
-    @property
-    def margin(self) -> float:
-        return self.value - self.bound
-
-    def inequality_string(self) -> str:
-        terms = []
-        ma, mb = self.h.shape[:2]
-        for x, y, a, b in itertools.product(range(ma), range(mb), (0, 1), (0, 1)):
-            coeff = self.h[x, y, a, b]
-            if abs(coeff) > 1e-12:
-                terms.append(f"{coeff:+.6f} P({1 - 2 * a:+d},{1 - 2 * b:+d}|{x},{y})")
-            # zero coefficients are omitted
-        lhs = " ".join(terms) if terms else "0"
-        return f"{lhs} <= {self.bound:.6f} (local bound); behavior gives {self.value:.6f}"
-
-
-@dataclass(frozen=True, eq=False)
-class PolytopeResult:
-    member: bool
-    weights: np.ndarray | None
-    certificate: SeparatingInequality | None
-
-
-def local_polytope_member(bc: Behavior) -> PolytopeResult:
-    """Decide membership in the local polytope by one separation LP:
-    max h.b - t subject to h.v <= t at every deterministic vertex v and
-    |h| <= 1.  A positive optimum is a separating inequality, its local
-    bound re-computed over all vertices; else the vertex rows' duals,
-    which minimise ||V^T w - b||_1 over convex w, are the weights.  When
-    neither re-checks to RECHECK_TOL, the behavior is within the LP's
-    tolerance of the boundary and RuntimeError is raised.
-    """
-    if bc.parties != 2:
-        raise ValueError(f"need a bipartite behavior, got {bc.parties} parties")
-    ma, mb = bc.settings_per_party
-    if max(ma, mb) > MAX_MEMBER_SETTINGS:
-        raise ValueError(
-            f"vertex enumeration limited to {MAX_MEMBER_SETTINGS} settings per side"
-        )
-    vertices = _local_vertices(ma, mb)
-    n_v, dim = vertices.shape
-    b_vec = bc.table.reshape(dim)
-    sep = linprog(
-        np.concatenate([-b_vec, [1.0]]),
-        A_ub=np.hstack([vertices, -np.ones((n_v, 1))]),
-        b_ub=np.zeros(n_v),
-        bounds=[(-1, 1)] * dim + [(None, None)],
-        method="highs",
-    )
-    if sep.status != 0:
-        raise RuntimeError(f"separation LP failed with status {sep.status}: {sep.message}")
-    h = sep.x[:dim]
-    bound = float(np.max(vertices @ h))
-    cert = SeparatingInequality(h=h.reshape(ma, mb, 2, 2), bound=bound, value=float(h @ b_vec))
-    if cert.margin > RECHECK_TOL:
-        return PolytopeResult(member=False, weights=None, certificate=cert)
-    weights = -sep.ineqlin.marginals
-    if recheck_membership_witness(bc, weights) <= RECHECK_TOL:
-        return PolytopeResult(member=True, weights=weights, certificate=None)
-    raise RuntimeError(
-        "behavior is within the LP's tolerance of the local polytope's boundary: "
-        "neither the weights nor the separating inequality re-check"
-    )
-
-
-def recheck_membership_witness(bc: Behavior, weights: np.ndarray) -> float:
-    """Max residual of the convex-combination witness, checked directly."""
-    vertices = _local_vertices(*bc.settings_per_party)
-    resid = float(np.max(np.abs(vertices.T @ weights - bc.table.ravel())))
-    resid = max(resid, abs(float(weights.sum()) - 1.0))
-    resid = max(resid, float(max(0.0, -weights.min())))
-    return resid
 
 
 @dataclass(frozen=True, eq=False)

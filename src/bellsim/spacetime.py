@@ -65,10 +65,6 @@ class Boost:
         if not math.isfinite(self.beta) or abs(self.beta) >= 1.0:
             raise ValueError(f"|beta| must be < 1, got {self.beta!r}")
 
-    @property
-    def gamma(self) -> float:
-        return 1.0 / math.sqrt(1.0 - self.beta * self.beta)
-
 
 @dataclass(frozen=True)
 class TimingScenario:
@@ -96,19 +92,6 @@ class TimingScenario:
             raise ValueError(f"v must be > 0, got {self.v!r}")
 
 
-def lorentz_boost(e: Event, b: Boost, c: float = SPEED_OF_LIGHT) -> Event:
-    """Transform an event into the frame moving at b.beta along +x.
-
-    t' = gamma (t - beta x / c), x' = gamma (x - beta c t), y' = y.
-    """
-    g = b.gamma
-    return Event(
-        t=g * (e.t - b.beta * e.x / c),
-        x=g * (e.x - b.beta * c * e.t),
-        y=e.y,
-    )
-
-
 def _interval_squares(e1: Event, e2: Event, c: float) -> tuple[float, float, float]:
     """(c^2 dt^2, dx^2 + dy^2, unit): the squares in units of the largest
     separation component if a square overflows a double, else of 1.0."""
@@ -124,12 +107,6 @@ def _interval_squares(e1: Event, e2: Event, c: float) -> tuple[float, float, flo
     unit = max(map(abs, sep))
     ct, dx, dy = (s / unit for s in sep)
     return ct**2, dx * dx + dy * dy, unit
-
-
-def interval_squared(e1: Event, e2: Event, c: float = SPEED_OF_LIGHT) -> float:
-    """Squared Minkowski interval c^2 dt^2 - dx^2 - dy^2 between two events."""
-    time_sq, space_sq, unit = _interval_squares(e1, e2, c)
-    return (time_sq - space_sq) * unit * unit
 
 
 def interval_classify(e1: Event, e2: Event, c: float = SPEED_OF_LIGHT) -> str:
@@ -179,22 +156,6 @@ def equivalent_vbb(v: float, c: float = SPEED_OF_LIGHT) -> float:
     if not (v > 0.0):
         raise ValueError(f"v must be > 0, got {v!r}")
     return c * c / v
-
-
-def device_frame_order(
-    local: Event, remote: Event, device_boost: Boost, c: float = SPEED_OF_LIGHT
-) -> str:
-    """Temporal order of ``local`` relative to ``remote`` in the device frame.
-
-    Returns "before" if the local event precedes the remote one after
-    boosting both events by ``device_boost``, "after" if it follows, and
-    "simultaneous" when the boosted times are equal.
-    """
-    tl = lorentz_boost(local, device_boost, c=c).t
-    tr = lorentz_boost(remote, device_boost, c=c).t
-    if tl == tr:
-        return "simultaneous"
-    return "before" if tl < tr else "after"
 
 
 def _bisector_gap(

@@ -1,13 +1,19 @@
 """Test-side builders and reference computations that no command,
 benchmark or package function needs."""
 
+from __future__ import annotations
+
 import itertools
 import math
 
 import numpy as np
 
+from dataclasses import dataclass
+
 from bellsim.inequality import ChainOptimum, ChainSpec, chain_spec, chain_value
 from bellsim.quantum import Behavior, born_behavior, correlator, make_singlet
+from bellsim.signaling import RECHECK_TOL
+from bellsim.spacetime import SPEED_OF_LIGHT, Boost, Event, _interval_squares
 
 
 def behavior_from_json(obj: dict) -> Behavior:
@@ -118,3 +124,138 @@ def searched_chain_optimum(n: int) -> ChainOptimum:
         angles_a=tuple(angles_a),
         angles_b=tuple(angles_b),
     )
+
+
+def lorentz_boost(e: Event, b: Boost, c: float = SPEED_OF_LIGHT) -> Event:
+    """Transform an event into the frame moving at b.beta along +x.
+
+    t' = gamma (t - beta x / c), x' = gamma (x - beta c t), y' = y.
+    """
+    g = 1.0 / math.sqrt(1.0 - b.beta * b.beta)
+    return Event(
+        t=g * (e.t - b.beta * e.x / c),
+        x=g * (e.x - b.beta * c * e.t),
+        y=e.y,
+    )
+
+
+def interval_squared(e1: Event, e2: Event, c: float = SPEED_OF_LIGHT) -> float:
+    """Squared Minkowski interval c^2 dt^2 - dx^2 - dy^2 between two events."""
+    time_sq, space_sq, unit = _interval_squares(e1, e2, c)
+    return (time_sq - space_sq) * unit * unit
+
+
+def device_frame_order(
+    local: Event, remote: Event, device_boost: Boost, c: float = SPEED_OF_LIGHT
+) -> str:
+    """Temporal order of ``local`` relative to ``remote`` in the device frame,
+    the oracle for the before-before rule.
+
+    Returns "before" if the local event precedes the remote one after
+    boosting both events by ``device_boost``, "after" if it follows, and
+    "simultaneous" when the boosted times are equal.
+    """
+    tl = lorentz_boost(local, device_boost, c=c).t
+    tr = lorentz_boost(remote, device_boost, c=c).t
+    if tl == tr:
+        return "simultaneous"
+    return "before" if tl < tr else "after"
+
+
+MAX_MEMBER_SETTINGS = 4
+
+
+def _local_vertices(ma: int, mb: int) -> np.ndarray:
+    """Deterministic-strategy behaviors, one row per (Alice, Bob) assignment.
+
+    Assignments map each setting to an outcome index (0 is +1); rows are
+    flattened tables over (x, y, a, b) in C order.
+    """
+    # One-hot [assignment, setting, outcome] per party.
+    onehot = [np.eye(2)[list(itertools.product((0, 1), repeat=m))] for m in (ma, mb)]
+    return np.einsum("ixa,jyb->ijxyab", *onehot).reshape(-1, ma * mb * 4)
+
+
+@dataclass(frozen=True, eq=False)
+class SeparatingInequality:
+    """Bell-type functional h with local bound: h . b <= bound for every
+    local behavior, while the tested behavior reaches value."""
+
+    h: np.ndarray  # shape (ma, mb, 2, 2)
+    bound: float
+    value: float
+
+    @property
+    def margin(self) -> float:
+        return self.value - self.bound
+
+    def inequality_string(self) -> str:
+        terms = []
+        ma, mb = self.h.shape[:2]
+        for x, y, a, b in itertools.product(range(ma), range(mb), (0, 1), (0, 1)):
+            coeff = self.h[x, y, a, b]
+            if abs(coeff) > 1e-12:
+                terms.append(f"{coeff:+.6f} P({1 - 2 * a:+d},{1 - 2 * b:+d}|{x},{y})")
+            # zero coefficients are omitted
+        lhs = " ".join(terms) if terms else "0"
+        return f"{lhs} <= {self.bound:.6f} (local bound); behavior gives {self.value:.6f}"
+
+
+@dataclass(frozen=True, eq=False)
+class PolytopeResult:
+    member: bool
+    weights: np.ndarray | None
+    certificate: SeparatingInequality | None
+
+
+def local_polytope_member(bc: Behavior) -> PolytopeResult:
+    """Decide membership in the local polytope by one separation LP:
+    max h.b - t subject to h.v <= t at every deterministic vertex v and
+    |h| <= 1.  A positive optimum is a separating inequality, its local
+    bound re-computed over all vertices; else the vertex rows' duals,
+    which minimise ||V^T w - b||_1 over convex w, are the weights.  When
+    neither re-checks to RECHECK_TOL, the behavior is within the LP's
+    tolerance of the boundary and RuntimeError is raised.
+    """
+    import scipy.optimize
+
+    if bc.parties != 2:
+        raise ValueError(f"need a bipartite behavior, got {bc.parties} parties")
+    ma, mb = bc.settings_per_party
+    if max(ma, mb) > MAX_MEMBER_SETTINGS:
+        raise ValueError(
+            f"vertex enumeration limited to {MAX_MEMBER_SETTINGS} settings per side"
+        )
+    vertices = _local_vertices(ma, mb)
+    n_v, dim = vertices.shape
+    b_vec = bc.table.reshape(dim)
+    sep = scipy.optimize.linprog(
+        np.concatenate([-b_vec, [1.0]]),
+        A_ub=np.hstack([vertices, -np.ones((n_v, 1))]),
+        b_ub=np.zeros(n_v),
+        bounds=[(-1, 1)] * dim + [(None, None)],
+        method="highs",
+    )
+    if sep.status != 0:
+        raise RuntimeError(f"separation LP failed with status {sep.status}: {sep.message}")
+    h = sep.x[:dim]
+    bound = float(np.max(vertices @ h))
+    cert = SeparatingInequality(h=h.reshape(ma, mb, 2, 2), bound=bound, value=float(h @ b_vec))
+    if cert.margin > RECHECK_TOL:
+        return PolytopeResult(member=False, weights=None, certificate=cert)
+    weights = -sep.ineqlin.marginals
+    if recheck_membership_witness(bc, weights) <= RECHECK_TOL:
+        return PolytopeResult(member=True, weights=weights, certificate=None)
+    raise RuntimeError(
+        "behavior is within the LP's tolerance of the local polytope's boundary: "
+        "neither the weights nor the separating inequality re-check"
+    )
+
+
+def recheck_membership_witness(bc: Behavior, weights: np.ndarray) -> float:
+    """Max residual of the convex-combination witness, checked directly."""
+    vertices = _local_vertices(*bc.settings_per_party)
+    resid = float(np.max(np.abs(vertices.T @ weights - bc.table.ravel())))
+    resid = max(resid, abs(float(weights.sum()) - 1.0))
+    resid = max(resid, float(max(0.0, -weights.min())))
+    return resid

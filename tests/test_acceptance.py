@@ -36,8 +36,6 @@ from bellsim.signaling import (
     RECHECK_TOL,
     _Reduction,
     build_feasibility_problem,
-    local_polytope_member,
-    recheck_membership_witness,
     signaling_distance,
 )
 from bellsim.spacetime import (
@@ -54,7 +52,7 @@ from bellsim.spacetime import (
     in_future_lightcone,
     spectator_first,
 )
-from oracles import chsh_value, pr_box_behavior
+from oracles import chsh_value, local_polytope_member, pr_box_behavior, recheck_membership_witness
 
 TWO_DEVICE_GEOMETRY = Geometry(
     events=(Event(0.0, -1.0), Event(0.0, 1.0)),

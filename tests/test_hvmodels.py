@@ -2,7 +2,9 @@ import itertools
 import json
 import math
 import os
+import sys
 import tempfile
+import tracemalloc
 import unittest.mock
 
 import numpy as np
@@ -78,7 +80,7 @@ def assert_off_exactly_when_verdict(model, g):
 
 def outcomes_of(sample):
     """Trials x parties array of +1/-1: party q saw -1 when bit parties-1-q
-    of the trial's code is set."""
+    of the trial's code is set; a mixture's branch bit above them is ignored."""
     codes = sample.codes.astype(np.int64)
     bits = [(codes >> (sample.parties - 1 - q)) & 1 for q in range(sample.parties)]
     return 1 - 2 * np.stack(bits, axis=1)
@@ -91,13 +93,12 @@ def every_setting(behavior):
 
 def trial_rows(sample):
     """(trial, settings, outcomes, coordination) per trial, one at a time;
-    trial t's settings are the (t % n_settings)-th tuple in C order."""
+    trial t's settings are the (t % n_settings)-th tuple in C order, and
+    its coordination is the map of the branch in bit parties of its code."""
     combos = every_setting(sample.behavior)
     outcomes = outcomes_of(sample)
     for t in range(len(sample)):
-        states = sample.map_nonlocal
-        if sample.branch_local is not None and bool(sample.branch_local[t]):
-            states = sample.map_local
+        states = sample.maps[int(sample.codes[t]) >> sample.parties]
         yield (
             t,
             combos[t % len(combos)],
@@ -377,7 +378,6 @@ def test_sample_runs_deterministic():
     for workers in (2, 4):
         sw = sample_runs(model, g, b, trials=200_000, seed=99, workers=workers)
         assert np.array_equal(s1.codes, sw.codes)
-        assert np.array_equal(s1.branch_local, sw.branch_local)
         assert (written(write_run_csv, sw), written(write_run_json, sw)) == files
     s3 = sample_runs(model, g, b, trials=200_000, seed=100)
     assert not np.array_equal(s1.codes, s3.codes)
@@ -395,11 +395,10 @@ def test_sample_carries_effective_behavior_and_maps(model):
     sample = sample_runs(model, g, target, trials=10, seed=1)
     assert np.array_equal(sample.behavior.table, effective_behavior(model, g, target).table)
     if model.kind == "mixture":
-        assert sample.map_nonlocal == ("ON",) * 3
-        assert sample.map_local == ("OFF",) * 3
+        assert sample.maps == (("ON",) * 3, ("OFF",) * 3)
     else:
         cmap = coordination_map(model, g)
-        assert sample.map_nonlocal == sample.map_local == tuple(cmap[p] for p in sample.pairs)
+        assert sample.maps == (tuple(cmap[p] for p in sample.pairs),)
 
 
 def test_sample_runs_rejects_bad_input():
@@ -538,11 +537,9 @@ def test_write_blocks_stay_within_the_byte_budget(writer, monkeypatch):
 
 def synthetic_template(sample, vary, fixed, longest, seed):
     """A template per key whose heads (vary="head") or tails (vary="tail")
-    are 0 to ``longest`` characters long, the other side always ``fixed``.
-    When both branches have one coordination map, keys that differ only
-    in the branch bit share their text, as _row_blocks assumes."""
+    are 0 to ``longest`` characters long, the other side always ``fixed``."""
     rng = np.random.default_rng(seed)
-    n_keys = len(sample.schedule) << (sample.parties + 1)
+    n_keys = len(sample.schedule) << sample.code_bits
     letters = list('ab,-{}\n "')
 
     def text(n):
@@ -551,22 +548,18 @@ def synthetic_template(sample, vary, fixed, longest, seed):
     varying = [text(rng.integers(0, longest + 1)) for _ in range(n_keys)]
     other = [text(fixed) for _ in range(n_keys)]
     heads, tails = (varying, other) if vary == "head" else (other, varying)
-    shared = sample.map_local == sample.map_nonlocal
 
     def template(key):
-        key = key & ~1 if shared else key
         return heads[key] + "%d" + tails[key]
 
     return template
 
 
 def trial_keys(sample):
-    """Each trial's key: ((schedule row, outcome code), local branch)."""
+    """Each trial's key: its schedule row above its code, whose top bit
+    is a mixture's branch."""
     rows = np.arange(len(sample)) % len(sample.schedule)
-    keys = ((rows << sample.parties) | sample.codes) << 1
-    if sample.branch_local is not None:
-        keys |= sample.branch_local
-    return keys.tolist()
+    return ((rows << sample.code_bits) | sample.codes).tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -638,12 +631,12 @@ def test_empirical_correlator_checks_settings_as_correlator_does(settings, messa
 
 
 def oracle_codes(model, g, target, trials, seed):
-    """Every trial's code and local-branch flag, rebuilt from the chunk
-    protocol: chunk j draws from default_rng(SeedSequence(seed,
-    spawn_key=(j,))), mixtures draw their coins before the outcome
-    variates u, trial t takes the (t % n_settings)-th setting tuple in C
-    order, and its code is the inverse CDF of its branch's row at those
-    settings."""
+    """Every trial's code, rebuilt from the chunk protocol: chunk j draws
+    from default_rng(SeedSequence(seed, spawn_key=(j,))), mixtures draw
+    their coins before the outcome variates u, trial t takes the
+    (t % n_settings)-th setting tuple in C order, and its code is the
+    inverse CDF of its branch's row at those settings, plus 2**parties
+    when a mixture's branch is local."""
     schedule = every_setting(target)
     quantum = target if model.kind == "mixture" else effective_behavior(model, g, target)
     local = None
@@ -664,8 +657,8 @@ def oracle_codes(model, g, target, trials, seed):
                 if sel.any():
                     row = np.cumsum(b.table[tuple(settings)].ravel())
                     code = np.searchsorted(row, u[sel], side="right")
-                    codes[t[sel]] = np.minimum(code, n_out - 1)
-    return codes, branch
+                    codes[t[sel]] = np.minimum(code, n_out - 1) + n_out * is_local
+    return codes
 
 
 def first_variates(model, trials, seed):
@@ -734,13 +727,8 @@ def test_sample_codes_match_inverse_cdf_oracle(parties, kind, trials, workers, s
     target = Behavior(parties, spp, table)
 
     sample = sample_runs(model, g, target, trials, seed, workers=workers)
-    codes, branch = oracle_codes(model, g, target, trials, seed)
     assert sample.codes.dtype == np.uint8
-    assert np.array_equal(sample.codes, codes)
-    if model.kind == "mixture":
-        assert np.array_equal(sample.branch_local, branch)
-    else:
-        assert sample.branch_local is None
+    assert np.array_equal(sample.codes, oracle_codes(model, g, target, trials, seed))
 
 
 @pytest.mark.parametrize(
@@ -757,18 +745,49 @@ def test_sample_codes_match_inverse_cdf_oracle(parties, kind, trials, workers, s
 def test_sample_codes_past_chunk_boundaries_match_oracle(model, trials, b_settings):
     """Neither target's number of setting tuples (3 by 1 or 3 by 3)
     divides CHUNK, so later chunks start mid-schedule (lo % rows != 0);
-    every worker count gives the oracle's codes and branches."""
+    every worker count gives the oracle's codes, branch bits included."""
     opt = quantum_chain_optimum(3)
     target = born_behavior(make_singlet(), [list(opt.angles_a), list(opt.angles_b[:b_settings])])
     g = pair_geometry(c=1.0)
-    codes, branch = oracle_codes(model, g, target, trials, seed=21)
+    codes = oracle_codes(model, g, target, trials, seed=21)
     for workers in (1, 2, 3):
         sample = sample_runs(model, g, target, trials, seed=21, workers=workers)
         assert np.array_equal(sample.codes, codes)
-        if model.kind == "mixture":
-            assert np.array_equal(sample.branch_local, branch)
-        else:
-            assert sample.branch_local is None
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_sampling_keeps_one_byte_per_trial(workers):
+    """A mixture's traced peak while sampling is its one uint8 code per
+    trial plus at most 64 CHUNKs of bytes per thread: no second per-trial
+    array and no concatenated copy of the chunks."""
+    trials = 2**22
+    model = ModelConfig(kind="mixture", p=0.3)
+    g, b = pair_geometry(c=1.0), singlet_behavior()
+    tracemalloc.start()
+    try:
+        sample = sample_runs(model, g, b, trials, seed=3, workers=workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sample) == trials
+    assert peak <= trials + 64 * CHUNK * workers
+
+
+def test_more_sampling_threads_than_cores_write_disjoint_slices(monkeypatch):
+    """Eight threads, more than the cores, each write their chunks' slices
+    of one codes array under a short switch interval; every byte is the
+    single-thread one, branch bits included."""
+    monkeypatch.setattr(hvmodels.os, "cpu_count", lambda: 8)
+    model = ModelConfig(kind="mixture", p=0.3)
+    g, b, trials = pair_geometry(c=1.0), singlet_behavior(), 8 * CHUNK + 3
+    want = sample_runs(model, g, b, trials, seed=4).codes
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = sample_runs(model, g, b, trials, seed=4, workers=8).codes
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(

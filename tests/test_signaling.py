@@ -21,22 +21,26 @@ from bellsim.quantum import (
 )
 from bellsim.signaling import (
     RECHECK_TOL,
-    _local_vertices,
     _Reduction,
     _lp_system,
     build_feasibility_problem,
     double_pr_target,
     infeasibility_slack,
-    local_polytope_member,
     localparts_feasible,
     recheck_farkas_certificate,
     recheck_feasibility_witness,
-    recheck_membership_witness,
     signal_report,
     signaling_distance,
 )
 from bellsim.spacetime import Boost, Event, Geometry, ModelConfig, spectator_first
-from oracles import behavior_from_json, chsh_value, pr_box_behavior
+from oracles import (
+    _local_vertices,
+    behavior_from_json,
+    chsh_value,
+    local_polytope_member,
+    pr_box_behavior,
+    recheck_membership_witness,
+)
 
 
 def random_state(rng, qubits):
@@ -96,8 +100,6 @@ def test_members_respect_chsh():
     # Random convex mixtures of deterministic points are members, and
     # membership implies every CHSH expression stays within the local bound.
     rng = np.random.default_rng(17)
-    from bellsim.signaling import _local_vertices
-
     vertices = _local_vertices(2, 2)
     for _ in range(10):
         w = rng.dirichlet(np.ones(len(vertices)))
@@ -114,8 +116,6 @@ def test_pr_box_rejected_with_chsh_margin():
     assert not res.member
     cert = res.certificate
     # Re-check the separation directly: bound recomputed over all vertices.
-    from bellsim.signaling import _local_vertices
-
     h = cert.h.reshape(-1)
     bound = np.max(_local_vertices(2, 2) @ h)
     value = h @ pr_box_behavior().table.reshape(-1)

@@ -9,15 +9,13 @@ from bellsim.spacetime import (
     Event,
     TimingScenario,
     before_before,
-    device_frame_order,
     equivalent_vbb,
     find_point_d,
     finite_speed_cut,
     in_future_lightcone,
     interval_classify,
-    interval_squared,
-    lorentz_boost,
 )
+from oracles import device_frame_order, interval_squared, lorentz_boost
 
 
 def test_event_rejects_non_finite():
