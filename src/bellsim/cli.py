@@ -28,7 +28,6 @@ from .spacetime import (
     TIMING_RULES,
     Event,
     ModelConfig,
-    TimingScenario,
     before_before,
     coordination_map,
     equivalent_vbb,
@@ -92,7 +91,7 @@ def cut_pair(text: str) -> tuple[int, int]:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(obj, out_dir: str | None, filename: str) -> None:
@@ -125,22 +124,30 @@ def _resolve_scenario(args):
 
 
 def cmd_timing(args) -> int:
-    for flag, value in (("--L", args.L), ("--dt", args.dt)):
-        if not math.isfinite(value):
-            raise _invalid_error(f"{flag} must be finite, got {value!r}")
     c = 1.0 if args.c_units else SPEED_OF_LIGHT
     v = parse_speed(args.v, c)
     v_bb_equiv = equivalent_vbb(v, c)
-    v_bb = parse_speed(args.v_bb, c) if args.v_bb is not None else v_bb_equiv
-    s = TimingScenario(L=args.L, dt=args.dt, v_bb=v_bb, v=v, c=c)
-    fsc = finite_speed_cut(s)
-    bb = before_before(s)
+    v_bb = v_bb_equiv if args.v_bb is None else parse_speed(args.v_bb, c)
+    for holds, message in (
+        (math.isfinite(args.L), f"--L must be finite, got {args.L!r}"),
+        (math.isfinite(args.dt), f"--dt must be finite, got {args.dt!r}"),
+        (args.L > 0.0, f"L must be > 0, got {args.L!r}"),
+        (args.dt >= 0.0, f"dt must be >= 0, got {args.dt!r}"),
+        (args.v_bb is not None or v > c, f"--v must exceed c unless --v-bb is given, got {v!r}"),
+        (0.0 <= v_bb < c, f"v_bb must be in [0, c), got {v_bb!r}"),
+    ):
+        if not holds:
+            raise _invalid_error(message)
+    fsc = finite_speed_cut(args.L, args.dt, v)
+    # At the exact v_bb = c**2/v, dt c**2 < v_bb L is v dt < L itself: with
+    # --v-bb omitted, before-before is the finite-speed verdict by construction.
+    bb = fsc if args.v_bb is None else before_before(args.L, args.dt, v_bb, c)
     _emit(
         {
             "schema": "bellsim-timing-1",
             "inputs": {"L": args.L, "dt": args.dt, "v": v, "v_bb": v_bb, "c": c},
             "v_bb_equivalent": v_bb_equiv,
-            "v_equivalent": c * c / v_bb if v_bb > 0 else None,
+            "v_equivalent": _finite_or_none(c * c / v_bb) if v_bb > 0 else None,
             "finite_speed_cut": fsc,
             "before_before": bb,
             "criteria_agree": fsc == bb,

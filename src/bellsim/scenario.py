@@ -436,6 +436,10 @@ def scenario_from_doc(doc: dict) -> Scenario:
         boosts=tuple(Boost(float(bo["beta"])) for bo in gdoc["boosts"]),
         c=c,
     )
+    gaps = [f(i, j) for i, j in geometry.pairs() for f in (geometry.distance, geometry.arrival_dt)]
+    if not all(map(math.isfinite, gaps)):
+        message = "pair separations and arrival gaps must be finite in double precision"
+        raise ScenarioError([SchemaError("/geometry/events", message)])
     mdoc = doc["model"]
     model = ModelConfig(
         kind=mdoc["kind"],

@@ -11,7 +11,8 @@ model switches its nonlocal coordination off:
 * before-before: each receding device, in its own rest frame, makes its
   choice before the other's.
 
-Both criteria are strict inequalities; ties count as coordination ON.
+Both criteria are strict inequalities, decided exactly on their float
+inputs; ties count as coordination ON.
 All functions are pure and accept an explicit speed of light ``c`` so
 that c=1 unit systems work alongside SI.
 
@@ -31,8 +32,8 @@ from typing import Sequence
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
-#: Absolute tolerance for the lightlike boundary of the squared
-#: interval, intended for c=1 unit systems with O(1..1e3) coordinates.
+#: Tolerance for the lightlike boundary of the squared interval, relative
+#: to the larger of the two squares being subtracted.
 LIGHTLIKE_ATOL = 1e-9
 
 
@@ -66,63 +67,31 @@ class Boost:
             raise ValueError(f"|beta| must be < 1, got {self.beta!r}")
 
 
-@dataclass(frozen=True)
-class TimingScenario:
-    """Inputs of the two timing criteria.
-
-    L: device separation (m); dt: |arrival-time difference| (s);
-    v_bb: recession speed of each device in the lab frame (m/s);
-    v: hidden-influence speed in the preferred frame (m/s, may exceed c).
-    """
-
-    L: float
-    dt: float
-    v_bb: float
-    v: float
-    c: float = SPEED_OF_LIGHT
-
-    def __post_init__(self) -> None:
-        if not (self.L > 0.0):
-            raise ValueError(f"L must be > 0, got {self.L!r}")
-        if not (self.dt >= 0.0):
-            raise ValueError(f"dt must be >= 0, got {self.dt!r}")
-        if not (0.0 <= self.v_bb < self.c):
-            raise ValueError(f"v_bb must be in [0, c), got {self.v_bb!r}")
-        if not (self.v > 0.0):
-            raise ValueError(f"v must be > 0, got {self.v!r}")
-
-
 def _interval_squares(e1: Event, e2: Event, c: float) -> tuple[float, float, float]:
     """(c^2 dt^2, dx^2 + dy^2, unit): the squares in units of the largest
-    separation component if a square overflows a double, else of 1.0."""
+    separation component (1.0 for coincident events), so neither overflows."""
     sep = (c * (e2.t - e1.t), e2.x - e1.x, e2.y - e1.y)
     if not all(map(math.isfinite, sep)):
         raise ValueError(f"separation of {e1} and {e2} overflows at c={c!r}")
-    ct, dx, dy = sep
-    try:
-        if (space_sq := dx * dx + dy * dy) < math.inf:
-            return ct**2, space_sq, 1.0
-    except OverflowError:  # from ct**2
-        pass
-    unit = max(map(abs, sep))
+    unit = max(map(abs, sep)) or 1.0
     ct, dx, dy = (s / unit for s in sep)
-    return ct**2, dx * dx + dy * dy, unit
+    return ct * ct, dx * dx + dy * dy, unit
 
 
 def interval_classify(e1: Event, e2: Event, c: float = SPEED_OF_LIGHT) -> str:
     """Classify the separation of two events.
 
     Returns "timelike", "lightlike" or "spacelike" by the sign of the
-    squared interval.  |s2| within LIGHTLIKE_ATOL of zero counts as
-    lightlike, with the tolerance scaled by the magnitude of the squares
-    being subtracted so that on-cone events classify as lightlike at any
-    coordinate scale despite floating-point cancellation.  Squares too
-    large for a double are compared in units of the largest separation
-    component; an infinite separation component raises ValueError.
+    squared interval.  The squares are compared in units of the largest
+    separation component, and |s2| within LIGHTLIKE_ATOL of the larger
+    square counts as lightlike: the tolerance is relative, so on-cone
+    events classify as lightlike at any coordinate scale despite
+    floating-point cancellation.  An infinite separation component
+    raises ValueError.
     """
     time_sq, space_sq, _ = _interval_squares(e1, e2, c)
     s2 = time_sq - space_sq
-    if abs(s2) <= LIGHTLIKE_ATOL * max(1.0, time_sq, space_sq):
+    if abs(s2) <= LIGHTLIKE_ATOL * max(time_sq, space_sq):
         return "lightlike"
     return "timelike" if s2 > 0.0 else "spacelike"
 
@@ -134,17 +103,32 @@ def in_future_lightcone(source: Event, target: Event, c: float = SPEED_OF_LIGHT)
     return interval_classify(source, target, c=c) != "spacelike"
 
 
-def before_before(s: TimingScenario) -> bool:
+def _product_below(smaller: tuple[float, ...], larger: tuple[float, ...]) -> bool:
+    """True iff the exact product of the finite floats ``smaller`` is below
+    that of ``larger``, compared as integer fractions without rounding."""
+    left = right = 1
+    for f in smaller:
+        num, den = f.as_integer_ratio()
+        left, right = left * num, right * den
+    for f in larger:
+        num, den = f.as_integer_ratio()
+        left, right = left * den, right * num
+    return left < right
+
+
+def before_before(L: float, dt: float, v_bb: float, c: float = SPEED_OF_LIGHT) -> bool:
     """Criterion for two receding devices to each choose first in its own frame.
 
-    True iff dt < (v_bb / c^2) L, strictly; v_bb = 0 can never satisfy it.
+    True iff dt c^2 < v_bb L, strictly and exactly on the given floats;
+    v_bb = 0 can never satisfy it.
     """
-    return s.dt < (s.v_bb / (s.c * s.c)) * s.L
+    return _product_below((dt, c, c), (v_bb, L))
 
 
-def finite_speed_cut(s: TimingScenario) -> bool:
-    """True iff the devices outrun a speed-v influence: L > v dt, strictly."""
-    return s.L > s.v * s.dt
+def finite_speed_cut(L: float, dt: float, v: float) -> bool:
+    """True iff the devices outrun a speed-v influence: v dt < L, strictly
+    and exactly on the given floats."""
+    return _product_below((v, dt), (L,))
 
 
 def equivalent_vbb(v: float, c: float = SPEED_OF_LIGHT) -> float:
@@ -346,22 +330,14 @@ def pair_timing(model: ModelConfig, g: Geometry) -> dict[tuple[int, int], dict]:
     """
     result: dict[tuple[int, int], dict] = {}
     for i, j in g.pairs():
-        entry = {
-            "L": g.distance(i, j),
-            "dt": g.arrival_dt(i, j),
-            "recession_speed": g.recession_speed(i, j),
-        }
-        if entry["L"] > 0 and model.kind == "finite_speed":
-            s = TimingScenario(L=entry["L"], dt=entry["dt"], v_bb=0.0, v=model.v, c=g.c)
+        L, dt, w = g.distance(i, j), g.arrival_dt(i, j), g.recession_speed(i, j)
+        entry = {"L": L, "dt": dt, "recession_speed": w}
+        if L > 0 and model.kind == "finite_speed":
             entry["v"] = model.v
             entry["v_bb_equivalent"] = equivalent_vbb(model.v, g.c)
-            entry["finite_speed_cut"] = finite_speed_cut(s)
-        elif entry["L"] > 0 and model.kind == "multisim":
-            # v is unused by the criterion; any positive value works.
-            s = TimingScenario(
-                L=entry["L"], dt=entry["dt"], v_bb=entry["recession_speed"], v=g.c, c=g.c
-            )
-            entry["before_before"] = before_before(s)
+            entry["finite_speed_cut"] = finite_speed_cut(L, dt, model.v)
+        elif L > 0 and model.kind == "multisim":
+            entry["before_before"] = before_before(L, dt, w, g.c)
         result[(i, j)] = entry
     return result
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -153,13 +154,16 @@ def device_frame_order(
 
     Returns "before" if the local event precedes the remote one after
     boosting both events by ``device_boost``, "after" if it follows, and
-    "simultaneous" when the boosted times are equal.
+    "simultaneous" when the boosted times are equal.  t' = gamma (t - beta
+    x / c) with gamma > 0, so the order is the exact sign of
+    (t_l - t_r) c - beta (x_l - x_r), taken in rationals without a square
+    root.
     """
-    tl = lorentz_boost(local, device_boost, c=c).t
-    tr = lorentz_boost(remote, device_boost, c=c).t
-    if tl == tr:
+    F = Fraction
+    gap = (F(local.t) - F(remote.t)) * F(c) - F(device_boost.beta) * (F(local.x) - F(remote.x))
+    if gap == 0:
         return "simultaneous"
-    return "before" if tl < tr else "after"
+    return "before" if gap < 0 else "after"
 
 
 MAX_MEMBER_SETTINGS = 4

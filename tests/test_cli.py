@@ -58,10 +58,39 @@ def test_timing_late_arrival_turns_both_on(capsys):
     assert doc["criteria_agree"] is True
 
 
+def test_timing_criteria_agree_at_a_rounding_tie(capsys):
+    """dt is one float below L/v, so v dt < L holds exactly, while in floats
+    the before-before bound (v_bb / c**2) L rounds down to dt.  With --v-bb
+    omitted both criteria are that one exact inequality."""
+    argv = ["timing", "--v", "938.8809398100537c", "--L", "44949.65698780902"]
+    code, out, _ = run_cli(argv + ["--dt", "1.5969641119393885e-07"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["finite_speed_cut"], doc["before_before"], doc["criteria_agree"]) == (True,) * 3
+
+
 #: Stands for the path of an existing regular file.
 A_FILE = "<file>"
 #: Stands for the path of an output directory that does not exist yet.
 OUT_DIR = "<out>"
+
+#: Events whose point D beats light from A by more than the largest double.
+POINT_D_PAST_THE_LARGEST_DOUBLE = [
+    "point-d", "--c-units", "--a=1e308,0", "--b=-1e308,1", "--c=-1e308,2"
+]
+
+#: The start of the error message of some bad argvs below; the rest of the
+#: JSON range error's wording differs between Python versions.
+BAD_ARGV_MESSAGES = {
+    ("timing", "--v", "100c", "--L", "0"): "L must be > 0",
+    ("timing", "--v", "100c", "--L", "1", "--dt", "-1"): "dt must be >= 0",
+    ("timing", "--v", "100c", "--L", "1", "--v-bb", "1c"): "v_bb must be in [0, c)",
+    ("timing", "--v", "0", "--L", "1"): "v must be > 0",
+    ("timing", "--v", "1e8", "--L", "1"): "--v must exceed c unless --v-bb is given",
+    (*POINT_D_PAST_THE_LARGEST_DOUBLE, "--out", OUT_DIR): (
+        "Out of range float values are not JSON compliant"
+    ),
+}
 
 
 def simulate_with_outputs(key, name):
@@ -138,13 +167,22 @@ def simulate_with_outputs(key, name):
         (["point-d", "--c-units", "--a=0,1.5e308", "--b=0,-1e308", "--c=0,-5e307"], 1),
         # D is found at x = -9.5e307, but light from A needs 1.95e308 to reach it.
         (["point-d", "--c-units", "--a=0,1e308", "--b=0,-1e308", "--c=0,-9e307"], 1),
+        (["timing", "--v", "100c", "--L", "0"], 1),
+        (["timing", "--v", "100c", "--L", "1", "--dt", "-1"], 1),
+        (["timing", "--v", "100c", "--L", "1", "--v-bb", "1c"], 1),
+        (["timing", "--v", "0", "--L", "1"], 1),
+        (["timing", "--v", "1e8", "--L", "1"], 1),
+        # D's advantage, about 2e308 seconds, overflows to inf: no JSON number.
+        (POINT_D_PAST_THE_LARGEST_DOUBLE + ["--out", OUT_DIR], 1),
     ],
 )
 def test_bad_argv_is_json_error_without_traceback(argv, code, tmp_path, capsys):
     """Usage errors and bad output names in a scenario (schema) exit 2; bad
     values (invalid) and unusable --out paths (io) exit 1.  A failed run
     prints nothing on stdout, not even a result it computed before its
-    --out write failed, and writes no file."""
+    --out write failed, and writes no file.  Where BAD_ARGV_MESSAGES names
+    argv, the error message starts with its entry."""
+    message = BAD_ARGV_MESSAGES.get(tuple(argv), "")
     a_file = tmp_path / "a_file"
     a_file.write_text("")
     scenario = next((arg for arg in argv if arg.startswith("<outputs ")), None)
@@ -153,13 +191,15 @@ def test_bad_argv_is_json_error_without_traceback(argv, code, tmp_path, capsys):
         path = write_scenario(tmp_path, lambda doc: doc.update(outputs={key: name}))
         argv = [str(path) if arg == scenario else arg for arg in argv]
     made = sorted(os.listdir(tmp_path))
-    error = "schema" if scenario else "usage" if code == 2 else "io" if "--out" in argv else "invalid"
+    unusable_out = any(A_FILE in arg for arg in argv)
+    error = "schema" if scenario else "usage" if code == 2 else "io" if unusable_out else "invalid"
     argv = [arg.replace(A_FILE, str(a_file)).replace(OUT_DIR, str(tmp_path / "out")) for arg in argv]
     got, out, err = run_cli(argv, capsys)
     assert got == code
     assert out == ""
     assert "Traceback" not in err
     assert json.loads(err)["error"]["code"] == error
+    assert json.loads(err)["error"]["message"].startswith(message)
     assert a_file.read_text() == ""
     assert sorted(os.listdir(tmp_path)) == made
 
@@ -230,6 +270,10 @@ POSITIONALS = {
 }
 
 
+def reject_constant(name):
+    raise AssertionError(f"{name} is not a JSON number")
+
+
 @st.composite
 def argvs(draw):
     """A subcommand, some of its positionals, then some of its flags.  A
@@ -255,10 +299,14 @@ def argvs(draw):
 # Events whose separation squares overflow a double.
 @example(argv=["point-d", "--c-units", "--a", "0,1e308", "--b", "1,-1e308", "--c", "0,1e307"])
 @example(argv=["point-d", "--c-units", "--a", "0,1.5e308", "--b", "0,-1e308", "--c", "0,-5e307"])
+# Results past the largest double: an equivalent speed, and D's advantage.
+@example(argv=["timing", "--v", "1c", "--L", "1", "--v-bb", "1e-300"])
+@example(argv=POINT_D_PAST_THE_LARGEST_DOUBLE)
 def test_fuzzed_argv_exits_with_json(argv, tmp_path):
     """Any argv built from the subcommands' flags, the preset names and
-    hostile values exits 0 with JSON on stdout, or 1 or 2 with nothing on
-    stdout and one JSON error on stderr that is not an internal one."""
+    hostile values exits 0 with strict JSON (no Infinity or NaN) on
+    stdout, or 1 or 2 with nothing on stdout and one JSON error on stderr
+    that is not an internal one."""
     a_file = tmp_path / "a_file"
     a_file.write_text("")
     files = {"<out>": tmp_path / "out", "<missing>": tmp_path / "missing.json"}
@@ -271,7 +319,7 @@ def test_fuzzed_argv_exits_with_json(argv, tmp_path):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     if code == 0:
-        json.loads(out.getvalue())
+        json.loads(out.getvalue(), parse_constant=reject_constant)
         assert err.getvalue() == ""
     else:
         assert code in (1, 2)
@@ -848,6 +896,18 @@ def test_point_d_explicit_events(capsys):
     assert abs(doc["advantage_seconds"] - 10.0) <= 1e-9
     assert doc["point"] == {"t": 5.0, "x": 15.0, "y": 0.0}
     assert doc["predicates"] == {
+        "inside_b_cone": True,
+        "inside_c_cone": True,
+        "outside_a_cone": True,
+    }
+
+
+def test_point_d_predicates_hold_at_a_small_scale(capsys):
+    """The lightlike tolerance is relative to the squares compared: the
+    layout above shrunk to x = 0, 1e-6, 2e-6 keeps every predicate."""
+    code, out, _ = run_cli(["point-d", "--c-units", "--a=0,0", "--b=0,1e-6", "--c=0,2e-6"], capsys)
+    assert code == 0
+    assert json.loads(out)["predicates"] == {
         "inside_b_cone": True,
         "inside_c_cone": True,
         "outside_a_cone": True,

@@ -180,6 +180,19 @@ def test_plain_distinct_output_names_fill_in_the_defaults(outputs):
     assert scenario_from_doc(with_outputs(outputs)).outputs == {**DEFAULT_OUTPUTS, **outputs}
 
 
+@pytest.mark.parametrize("preset", ["finite-speed-1e5c", "before-before"])
+@pytest.mark.parametrize("field", ["t", "x"])
+def test_separation_past_the_largest_double_is_a_schema_error(preset, field):
+    """Finite events whose arrival gap or distance overflows a double leave
+    the timing rules no finite number to compare."""
+    doc = copy.deepcopy(PRESETS[preset].doc)
+    doc["geometry"]["events"][0][field] = -1e308
+    doc["geometry"]["events"][1][field] = 1e308
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_doc(doc)
+    assert [error.path for error in info.value.errors] == ["/geometry/events"]
+
+
 def with_model(**changes):
     """The mixture-chain document with its model's fields changed; None drops one."""
     doc = copy.deepcopy(PRESETS["mixture-chain"].doc)

@@ -1,13 +1,19 @@
+import contextlib
+import io
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from bellsim.cli import main
 from bellsim.spacetime import (
     SPEED_OF_LIGHT as C,
     Boost,
     Event,
-    TimingScenario,
     before_before,
     equivalent_vbb,
     find_point_d,
@@ -63,8 +69,10 @@ def test_interval_classification():
     assert interval_classify(o, Event(t=0.0, x=3.0), c=1.0) == "spacelike"
     assert interval_classify(o, Event(t=2.0, x=0.0), c=1.0) == "timelike"
     assert interval_classify(o, Event(t=2.0, x=2.0), c=1.0) == "lightlike"
-    # Tolerance is absolute on the squared interval.
+    # Tolerance is relative to the larger square, so it holds at any scale.
     assert interval_classify(o, Event(t=2.0, x=2.0 + 1e-12), c=1.0) == "lightlike"
+    assert interval_classify(o, Event(t=1e-5, x=0.0), c=1.0) == "timelike"
+    assert interval_classify(o, Event(t=0.0, x=1e-5), c=1.0) == "spacelike"
 
 
 @pytest.mark.parametrize(
@@ -99,33 +107,22 @@ def test_future_lightcone():
     assert not in_future_lightcone(o, o, c=1.0)
 
 
-def test_timing_scenario_invariants():
-    with pytest.raises(ValueError):
-        TimingScenario(L=0.0, dt=0.0, v_bb=0.0, v=C)
-    with pytest.raises(ValueError):
-        TimingScenario(L=1.0, dt=-1.0, v_bb=0.0, v=C)
-    with pytest.raises(ValueError):
-        TimingScenario(L=1.0, dt=0.0, v_bb=C, v=C)
-    with pytest.raises(ValueError):
-        TimingScenario(L=1.0, dt=0.0, v_bb=0.0, v=0.0)
-
-
 def test_before_before():
-    assert before_before(TimingScenario(L=10.0, dt=0.0, v_bb=1.0, v=C))
-    assert not before_before(TimingScenario(L=10.0, dt=0.0, v_bb=0.0, v=C))
+    assert before_before(L=10.0, dt=0.0, v_bb=1.0)
+    assert not before_before(L=10.0, dt=0.0, v_bb=0.0)
     # L=3.0e4 m, v_bb=2.998e3 m/s: bound ~ 1.0e-9 s, so dt=0.5e-9 passes.
-    s = TimingScenario(L=3.0e4, dt=0.5e-9, v_bb=2.998e3, v=1e5 * C)
-    assert abs((s.v_bb / C**2) * s.L - 1.0007174604146246e-09) < 1e-22
-    assert before_before(s)
-    assert not before_before(TimingScenario(L=3.0e4, dt=2.0e-9, v_bb=2.998e3, v=1e5 * C))
+    L, v_bb = 3.0e4, 2.998e3
+    assert abs((v_bb / C**2) * L - 1.0007174604146246e-09) < 1e-22
+    assert before_before(L, 0.5e-9, v_bb)
+    assert not before_before(L, 2.0e-9, v_bb)
 
 
 def test_finite_speed_cut():
-    assert finite_speed_cut(TimingScenario(L=1000.0, dt=1e-9, v_bb=0.0, v=100 * C))
-    assert finite_speed_cut(TimingScenario(L=1.0, dt=0.0, v_bb=0.0, v=1e5 * C))
-    assert not finite_speed_cut(TimingScenario(L=1.0, dt=1e-9, v_bb=0.0, v=1e5 * C))
+    assert finite_speed_cut(L=1000.0, dt=1e-9, v=100 * C)
+    assert finite_speed_cut(L=1.0, dt=0.0, v=1e5 * C)
+    assert not finite_speed_cut(L=1.0, dt=1e-9, v=1e5 * C)
     # Equality counts as coordination ON.
-    assert not finite_speed_cut(TimingScenario(L=2.0, dt=1.0, v_bb=0.0, v=2.0, c=10.0))
+    assert not finite_speed_cut(L=2.0, dt=1.0, v=2.0)
 
 
 def test_equivalent_vbb():
@@ -143,8 +140,34 @@ def test_equivalence_of_timing_criteria():
         v = equivalent_vbb(float(v_bb))
         for L in np.linspace(1e3, 3e6, 100):
             for dt in np.linspace(0.0, 1e-3, 100):
-                s = TimingScenario(L=float(L), dt=float(dt), v_bb=float(v_bb), v=v)
-                assert finite_speed_cut(s) == before_before(s)
+                assert finite_speed_cut(L, dt, v) == before_before(L, dt, v_bb)
+
+
+@given(
+    decades=st.floats(1e-9, 6.0),
+    L=st.floats(1.0, 1e5),
+    ulps=st.integers(-4, 4),
+)
+def test_timing_verdicts_are_exact_near_ties(decades, L, ulps):
+    """v = m c with m in (1, 1e6] and dt at L/v or up to 4 ulp either side,
+    where a rounded product can land on the wrong side of the tie: both
+    verdicts equal the exact rational ones, and with --v-bb omitted the
+    timing command's criteria agree."""
+    v = 10.0**decades * C
+    dt = L / v
+    for _ in range(abs(ulps)):
+        dt = math.nextafter(dt, math.copysign(math.inf, ulps))
+    v_bb = equivalent_vbb(v)
+    F = Fraction
+    fsc = F(v) * F(dt) < F(L)
+    assert finite_speed_cut(L, dt, v) == fsc
+    assert before_before(L, dt, v_bb) == (F(dt) * F(C) ** 2 < F(v_bb) * F(L))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["timing", "--v", repr(v), "--L", repr(L), "--dt", repr(dt)]) == 0
+    doc = json.loads(out.getvalue())
+    assert (doc["finite_speed_cut"], doc["criteria_agree"]) == (fsc, True)
+    assert doc["inputs"]["v_bb"] == v_bb
 
 
 def test_device_frame_order_basics():
@@ -179,8 +202,7 @@ def test_before_before_matches_device_frames():
         each_first = device_frame_order(
             left, right, Boost(-v_bb / C)
         ) == "before" and device_frame_order(right, left, Boost(v_bb / C)) == "before"
-        s = TimingScenario(L=L, dt=abs(dt_signed), v_bb=v_bb, v=1e5 * C)
-        assert before_before(s) == each_first
+        assert before_before(L, abs(dt_signed), v_bb) == each_first
 
 
 def test_point_d_collinear_example():
