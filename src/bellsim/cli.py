@@ -43,26 +43,13 @@ EXIT_ERROR = 1
 EXIT_SCHEMA = 2
 
 
-class CliError(Exception):
-    """Carries an exit code and a JSON payload for stderr."""
-
-    def __init__(self, code: int, payload: dict):
-        self.code = code
-        self.payload = payload
-        super().__init__(payload.get("error", {}).get("message", "error"))
-
-
-def _usage_error(message: str) -> CliError:
-    return CliError(EXIT_SCHEMA, {"error": {"code": "usage", "message": message}})
-
-
-def _invalid_error(message: str) -> CliError:
-    return CliError(EXIT_ERROR, {"error": {"code": "invalid", "message": message}})
+class UsageError(Exception):
+    """A malformed command line: exit 2 with error code "usage"."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: D102 - argparse hook
-        raise _usage_error(message)
+        raise UsageError(message)
 
 
 def positive_int(text: str) -> int:
@@ -114,7 +101,7 @@ def _resolve_scenario(args):
     elif getattr(args, "preset", None):
         sc = scenario_from_doc(get_preset(args.preset).doc)
     else:
-        raise _usage_error("one of --scenario or --preset is required")
+        raise UsageError("one of --scenario or --preset is required")
     overrides = {
         key: getattr(args, key)
         for key in ("trials", "seed")
@@ -137,7 +124,7 @@ def cmd_timing(args) -> int:
         (0.0 <= v_bb < c, f"v_bb must be in [0, c), got {v_bb!r}"),
     ):
         if not holds:
-            raise _invalid_error(message)
+            raise ValueError(message)
     fsc = finite_speed_cut(args.L, args.dt, v)
     # At the exact v_bb = c**2/v, dt c**2 < v_bb L is v dt < L itself: with
     # --v-bb omitted, before-before is the finite-speed verdict by construction.
@@ -259,14 +246,14 @@ def cmd_signal(args) -> int:
     sc = _resolve_scenario(args)
     off = args.off_pair
     if sc.parties != 3:
-        raise _invalid_error("signal needs a tripartite scenario")
+        raise ValueError("signal needs a tripartite scenario")
     if sc.model.kind == "mixture":
-        raise _invalid_error("signal needs a model with a static coordination map")
+        raise ValueError("signal needs a model with a static coordination map")
     target = born_behavior(sc.state, sc.settings)
     cmap = coordination_map(sc.model, sc.geometry)
     off_pairs = [pair for pair, state in cmap.items() if state == "OFF"]
     if off is None and len(off_pairs) > 1:
-        raise _invalid_error(
+        raise ValueError(
             f"coordination map cuts {len(off_pairs)} pairs; "
             "pass --off-pair to choose the receiver pair"
         )
@@ -293,12 +280,12 @@ def _sample_at_optimum(name: str, opt, args) -> tuple | None:
     echo; without --trials, returns None.
     """
     if args.p is not None and args.model != "mixture":
-        raise _usage_error("--p needs --model mixture")
+        raise UsageError("--p needs --model mixture")
     if args.model == "mixture":
         try:
             ModelConfig(kind="mixture", p=args.p)
         except ValueError as exc:
-            raise _usage_error(f"--model mixture needs --p: {exc}") from None
+            raise UsageError(f"--model mixture needs --p: {exc}") from None
     if args.trials is None:
         return None
     model = {"kind": args.model} if args.p is None else {"kind": args.model, "p": args.p}
@@ -333,7 +320,7 @@ def cmd_chain(args) -> int:
     from . import inequality
 
     if args.n < 2 or args.n > inequality.MAX_CHAIN_N:
-        raise _usage_error(f"--n must be in 2..{inequality.MAX_CHAIN_N}")
+        raise UsageError(f"--n must be in 2..{inequality.MAX_CHAIN_N}")
     spec = inequality.chain_spec(args.n)
     want_all = not args.local_bound and not args.quantum
     out = {"schema": "bellsim-chain-1", "n": args.n}
@@ -359,23 +346,23 @@ def cmd_chain(args) -> int:
 def _parse_event(text: str, flag: str) -> Event:
     parts = text.split(",")
     if len(parts) not in (2, 3):
-        raise _usage_error(f"{flag} must look like 't,x' or 't,x,y'")
+        raise UsageError(f"{flag} must look like 't,x' or 't,x,y'")
     try:
         numbers = [float(part) for part in parts]
     except ValueError:
-        raise _usage_error(f"{flag} must contain numbers") from None
+        raise UsageError(f"{flag} must contain numbers") from None
     return Event(numbers[0], numbers[1], numbers[2] if len(numbers) == 3 else 0.0)
 
 
 def cmd_point_d(args) -> int:
     if args.scenario or args.preset:
         if args.c_units or any(e is not None for e in (args.a, args.b, args.c)):
-            raise _usage_error(
+            raise UsageError(
                 "--a, --b, --c and --c-units cannot be combined with --scenario/--preset"
             )
         sc = _resolve_scenario(args)
         if sc.parties != 3:
-            raise _invalid_error("point-d needs three devices")
+            raise ValueError("point-d needs three devices")
         a, b, c_ev = sc.geometry.events
         c = sc.geometry.c
     elif args.a and args.b and args.c:
@@ -384,28 +371,22 @@ def cmd_point_d(args) -> int:
         c_ev = _parse_event(args.c, "--c")
         c = 1.0 if args.c_units else SPEED_OF_LIGHT
     else:
-        raise _usage_error("give --scenario/--preset or all of --a, --b, --c")
+        raise UsageError("give --scenario/--preset or all of --a, --b, --c")
     point = find_point_d(a, b, c_ev, c=c)
-    if point is None:
-        out = {
-            "schema": "bellsim-pointd-1",
-            "found": False,
-            "point": None,
-            "advantage_seconds": None,
-            "predicates": None,
-        }
-    else:
-        d, advantage = point
-        out = {
-            "schema": "bellsim-pointd-1",
-            "found": True,
-            "point": {"t": d.t, "x": d.x, "y": d.y},
-            "advantage_seconds": advantage,
-            "predicates": {
-                "inside_b_cone": in_future_lightcone(b, d, c=c),
-                "inside_c_cone": in_future_lightcone(c_ev, d, c=c),
-                "outside_a_cone": not in_future_lightcone(a, d, c=c),
-            },
+    out = {
+        "schema": "bellsim-pointd-1",
+        "found": point is not None,
+        "point": None,
+        "advantage_seconds": None,
+        "predicates": None,
+    }
+    if point is not None:
+        d, out["advantage_seconds"] = point
+        out["point"] = {"t": d.t, "x": d.x, "y": d.y}
+        out["predicates"] = {
+            "inside_b_cone": in_future_lightcone(b, d, c=c),
+            "inside_c_cone": in_future_lightcone(c_ev, d, c=c),
+            "outside_a_cone": not in_future_lightcone(a, d, c=c),
         }
     _emit(out, args.out, "point_d.json")
     return EXIT_OK
@@ -420,9 +401,9 @@ def cmd_preset(args) -> int:
     ]
     if args.action == "list":
         if args.name is not None:
-            raise _usage_error("preset list takes no name")
+            raise UsageError("preset list takes no name")
         if given:
-            raise _usage_error(f"preset list takes no {', '.join(given)}")
+            raise UsageError(f"preset list takes no {', '.join(given)}")
         _emit(
             [
                 {"name": p.name, "description": p.description, "pipeline": p.pipeline}
@@ -433,13 +414,13 @@ def cmd_preset(args) -> int:
         )
         return EXIT_OK
     if not args.name:
-        raise _usage_error("preset run needs a preset name")
+        raise UsageError("preset run needs a preset name")
     preset = get_preset(args.name)
     args.scenario = None
     args.preset = preset.name
     if preset.pipeline == "signal":
         if given:
-            raise _usage_error(f"signal preset {preset.name} takes no {', '.join(given)}")
+            raise UsageError(f"signal preset {preset.name} takes no {', '.join(given)}")
         args.off_pair = None
         return cmd_signal(args)
     args.workers = 1 if args.workers is None else args.workers
@@ -530,41 +511,34 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _failure(exc: Exception) -> tuple[int, dict]:
+    """The failure contract: the exit status and stderr document for exc.
+
+    ScenarioError is checked before ValueError, its base class; any
+    exception not named here is still a JSON error, never a traceback.
+    """
+    if isinstance(exc, ScenarioError):
+        errors = [e.as_dict() for e in exc.errors]
+        message = "scenario failed validation"
+        return EXIT_SCHEMA, {"error": {"code": "schema", "message": message, "errors": errors}}
+    for kind, status, code in (
+        (UsageError, EXIT_SCHEMA, "usage"),
+        (OSError, EXIT_ERROR, "io"),
+        (ValueError, EXIT_ERROR, "invalid"),
+    ):
+        if isinstance(exc, kind):
+            return status, {"error": {"code": code, "message": str(exc)}}
+    return EXIT_ERROR, {"error": {"code": "internal", "message": f"{type(exc).__name__}: {exc}"}}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        sys.stderr.write(_json_text(exc.payload))
-        return exc.code
-    except ScenarioError as exc:
-        payload = {
-            "error": {
-                "code": "schema",
-                "message": "scenario failed validation",
-                "errors": [e.as_dict() for e in exc.errors],
-            }
-        }
+    except Exception as exc:  # BaseExceptions (Ctrl-C, --help's SystemExit) pass through
+        status, payload = _failure(exc)
         sys.stderr.write(_json_text(payload))
-        return EXIT_SCHEMA
-    except OSError as exc:
-        sys.stderr.write(
-            _json_text({"error": {"code": "io", "message": str(exc)}})
-        )
-        return EXIT_ERROR
-    except ValueError as exc:
-        sys.stderr.write(
-            _json_text({"error": {"code": "invalid", "message": str(exc)}})
-        )
-        return EXIT_ERROR
-    except Exception as exc:  # any other failure is still a JSON error, never a traceback
-        sys.stderr.write(
-            _json_text(
-                {"error": {"code": "internal", "message": f"{type(exc).__name__}: {exc}"}}
-            )
-        )
-        return EXIT_ERROR
+        return status
 
 
 if __name__ == "__main__":

@@ -17,8 +17,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import bellsim
-from bellsim.cli import main
+from bellsim.cli import UsageError, _failure, main
+from bellsim.hvmodels import UnsupportedConfigurationError
 from bellsim.presets import PRESETS, get_preset
+from bellsim.scenario import ScenarioError, SchemaError
 
 
 def run_cli(argv, capsys):
@@ -466,11 +468,45 @@ def test_setting_tuples_without_trials_report_no_mean(capsys):
     assert emp["predicted_value"] > emp["local_bound"]
 
 
-def test_usage_error_is_json_on_stderr(capsys):
+def test_usage_failure_is_json_on_stderr(capsys):
     code, out, err = run_cli(["timing", "--L", "5"], capsys)
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"]["code"] == "usage"
+
+
+@pytest.mark.parametrize(
+    "exc, status, error",
+    [
+        (UsageError("bad flag"), 2, {"code": "usage", "message": "bad flag"}),
+        (
+            ScenarioError([SchemaError("/trials", "must be >= 1")]),
+            2,
+            {
+                "code": "schema",
+                "message": "scenario failed validation",
+                "errors": [{"path": "/trials", "message": "must be >= 1"}],
+            },
+        ),
+        (FileNotFoundError("no file"), 1, {"code": "io", "message": "no file"}),
+        (ValueError("bad value"), 1, {"code": "invalid", "message": "bad value"}),
+        (UnsupportedConfigurationError("no map"), 1, {"code": "invalid", "message": "no map"}),
+        (RuntimeError("x"), 1, {"code": "internal", "message": "RuntimeError: x"}),
+    ],
+)
+def test_failure_table(exc, status, error):
+    """_failure alone decides each exception's exit status and error document."""
+    assert _failure(exc) == (status, {"error": error})
+
+
+def test_keyboard_interrupt_is_not_a_json_error(monkeypatch, capsys):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("bellsim.cli.cmd_timing", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["timing", "--v", "100000c", "--L", "30000"])
+    assert capsys.readouterr().err == ""
 
 
 def test_validate_ok(tmp_path, capsys):
