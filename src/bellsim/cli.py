@@ -439,7 +439,9 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser with only the subparser that `command` names, or with
+    all of them when it names none, so help and errors list every name."""
     parser = _Parser(prog="bellsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -461,53 +463,61 @@ def build_parser() -> _Parser:
             p.add_argument("--model", choices=("quantum", "local", "mixture"), default="quantum")
             p.add_argument("--p", type=float, default=None, help="local weight for mixtures")
 
-    p = sub.add_parser("timing", help="evaluate the timing criteria")
-    p.add_argument("--L", type=float, required=True, help="separation in meters")
-    p.add_argument("--dt", type=float, default=0.0, help="arrival gap in seconds")
-    p.add_argument("--v", required=True, help="influence speed (m/s or e.g. '100000c')")
-    p.add_argument("--v-bb", default=None, help="recession speed (default c**2/v)")
-    p.add_argument("--c-units", action="store_true", help="set c = 1")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_timing)
+    def timing(p):
+        p.add_argument("--L", type=float, required=True, help="separation in meters")
+        p.add_argument("--dt", type=float, default=0.0, help="arrival gap in seconds")
+        p.add_argument("--v", required=True, help="influence speed (m/s or e.g. '100000c')")
+        p.add_argument("--v-bb", default=None, help="recession speed (default c**2/v)")
+        p.add_argument("--c-units", action="store_true", help="set c = 1")
+        p.add_argument("--out", default=None)
 
-    p = sub.add_parser("chsh", help="CHSH numbers and optional sampling")
-    add_common(p, model=True)
-    p.set_defaults(func=cmd_chsh)
+    def chsh(p):
+        add_common(p, model=True)
 
-    p = sub.add_parser("chain", help="chained-inequality numbers and sampling")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--local-bound", action="store_true", help="report the local bound")
-    p.add_argument("--quantum", action="store_true", help="report the quantum optimum")
-    add_common(p, model=True)
-    p.set_defaults(func=cmd_chain)
+    def chain(p):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--local-bound", action="store_true", help="report the local bound")
+        p.add_argument("--quantum", action="store_true", help="report the quantum optimum")
+        add_common(p, model=True)
 
-    p = sub.add_parser("simulate", help="sample a scenario to CSV or JSON plus summary")
-    add_common(p, scenario=True, sampling=True)
-    p.set_defaults(func=cmd_simulate)
+    def simulate(p):
+        add_common(p, scenario=True, sampling=True)
 
-    p = sub.add_parser("signal", help="marginal-shift report for a tripartite scenario")
-    add_common(p, scenario=True)
-    p.add_argument("--off-pair", type=cut_pair, default=None, help="receiver pair, e.g. '1,2'")
-    p.set_defaults(func=cmd_signal)
+    def signal(p):
+        add_common(p, scenario=True)
+        p.add_argument("--off-pair", type=cut_pair, default=None, help="receiver pair, e.g. '1,2'")
 
-    p = sub.add_parser("point-d", help="point-D construction for three events")
-    add_common(p, scenario=True)
-    p.add_argument("--a", default=None, help="event 't,x[,y]' for the sender")
-    p.add_argument("--b", default=None, help="event 't,x[,y]' for receiver B")
-    p.add_argument("--c", default=None, help="event 't,x[,y]' for receiver C")
-    p.add_argument("--c-units", action="store_true", help="set c = 1")
-    p.set_defaults(func=cmd_point_d)
+    def point_d(p):
+        add_common(p, scenario=True)
+        p.add_argument("--a", default=None, help="event 't,x[,y]' for the sender")
+        p.add_argument("--b", default=None, help="event 't,x[,y]' for receiver B")
+        p.add_argument("--c", default=None, help="event 't,x[,y]' for receiver C")
+        p.add_argument("--c-units", action="store_true", help="set c = 1")
 
-    p = sub.add_parser("preset", help="list shipped presets or run one")
-    p.add_argument("action", choices=("list", "run"))
-    p.add_argument("name", nargs="?", default=None)
-    add_common(p, sampling=True)
-    p.set_defaults(func=cmd_preset, workers=None, format=None)
+    def preset(p):
+        p.add_argument("action", choices=("list", "run"))
+        p.add_argument("name", nargs="?", default=None)
+        add_common(p, sampling=True)
+        p.set_defaults(workers=None, format=None)
 
-    p = sub.add_parser("validate", help="check a scenario file against the schema")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
+    def validate(p):
+        p.add_argument("file")
 
+    commands = {
+        "timing": ("evaluate the timing criteria", cmd_timing, timing),
+        "chsh": ("CHSH numbers and optional sampling", cmd_chsh, chsh),
+        "chain": ("chained-inequality numbers and sampling", cmd_chain, chain),
+        "simulate": ("sample a scenario to CSV or JSON plus summary", cmd_simulate, simulate),
+        "signal": ("marginal-shift report for a tripartite scenario", cmd_signal, signal),
+        "point-d": ("point-D construction for three events", cmd_point_d, point_d),
+        "preset": ("list shipped presets or run one", cmd_preset, preset),
+        "validate": ("check a scenario file against the schema", cmd_validate, validate),
+    }
+    for name in [command] if command in commands else commands:
+        help_text, func, add_arguments = commands[name]
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        add_arguments(p)
     return parser
 
 
@@ -532,8 +542,9 @@ def _failure(exc: Exception) -> tuple[int, dict]:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         return args.func(args)
     except Exception as exc:  # BaseExceptions (Ctrl-C, --help's SystemExit) pass through
         status, payload = _failure(exc)

@@ -208,11 +208,15 @@ class RunSample:
         # Codes enumerate outcome tuples in C order, as outcome_signs does,
         # once per branch (concatenate is faster than np.tile here).
         signs = np.concatenate([outcome_signs(self.parties).ravel()] * len(self.maps))
-        prods = signs[selected]
-        mean = float(prods.mean())
+        per_code = np.bincount(selected, minlength=signs.shape[0])
+        mean = float(per_code @ signs) / count
         if count < 2:
             return mean, math.inf, count
-        se = float(prods.std(ddof=1) / math.sqrt(count))
+        # The steps of prods.std(ddof=1) over prods = signs[selected], in
+        # its order, so se has the same bits: one squared deviation per
+        # code, gathered per trial and summed pairwise.
+        dev2 = (signs - mean) ** 2
+        se = math.sqrt(np.add.reduce(dev2.take(selected)) / (count - 1)) / math.sqrt(count)
         return mean, se, count
 
     def _row_keys(self, bounds: Sequence[int]) -> Iterator[np.ndarray]:

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import bellsim
-from bellsim.cli import UsageError, _failure, main
+from bellsim.cli import UsageError, _failure, build_parser, main
 from bellsim.hvmodels import UnsupportedConfigurationError
 from bellsim.presets import PRESETS, get_preset
 from bellsim.scenario import ScenarioError, SchemaError
@@ -507,6 +507,53 @@ def test_keyboard_interrupt_is_not_a_json_error(monkeypatch, capsys):
     with pytest.raises(KeyboardInterrupt):
         main(["timing", "--v", "100000c", "--L", "30000"])
     assert capsys.readouterr().err == ""
+
+
+def exit_and_output(argv, capsys):
+    """main's exit status (or --help's SystemExit code), stdout and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(
+            [name, "--help"]
+            for name in ("timing", "chsh", "chain", "simulate", "signal", "point-d", "preset", "validate")
+        ),
+        ["-h"],
+        ["--help"],
+        [],
+        ["bogus"],
+        ["simul"],
+        ["--"],
+        ["timing", "--v", "100000c"],
+        ["simulate", "--scenario", "x.json", "--preset", "fig2b"],
+        ["chsh", "--trials", "0"],
+        ["chsh", "--seed", "-1"],
+        ["signal", "--preset", "fig2b", "--off-pair", "1,1"],
+        ["chain", "--n", "4", "extra"],
+        ["timing", "--v", "100000c", "--L", "30000"],
+    ],
+)
+def test_one_command_parser_matches_the_full_parser(argv, monkeypatch, capsys):
+    """main builds only argv[0]'s subparser when argv[0] names one; the
+    exit status, stdout and stderr are those of the parser with every
+    subcommand, for help, usage errors and a run alike."""
+    one = exit_and_output(argv, capsys)
+    build_full = bellsim.cli.build_parser
+    monkeypatch.setattr("bellsim.cli.build_parser", lambda command=None: build_full())
+    assert exit_and_output(argv, capsys) == one
+
+
+def test_build_parser_adds_only_the_named_subcommand():
+    assert build_parser("chain").format_usage() == "usage: bellsim [-h] {chain} ...\n"
+    assert build_parser("simul").format_usage() == build_parser().format_usage()
 
 
 def test_validate_ok(tmp_path, capsys):
@@ -1100,6 +1147,7 @@ def test_only_lp_commands_load_scipy_optimize(argv, code, loaded, tmp_path, lp_n
         (["chsh", "--trials", "1000"], 0, True),
         (["chain", "--n", "4", "--trials", "1000"], 0, True),
         (["point-d", "--c-units", "--a=0,5e307", "--b=0,-1e308", "--c=0,-9e307"], 0, False),
+        (["bogus"], 2, False),
     ],
 )
 def test_only_numeric_commands_load_numpy(argv, code, loaded, tmp_path, lp_needing_target):
