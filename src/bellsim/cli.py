@@ -7,10 +7,12 @@ validation.  Every result is a JSON document on stdout (and optionally
 files under --out); failures put a machine-readable JSON object on
 stderr.  Exit codes: 0 success, 2 malformed scenario or usage, 1 other
 errors.  Outputs are deterministic for a given scenario and seed,
-independent of --workers.  Each subcommand loads only the modules it
-computes with: timing, point-d, validate, preset list, and chsh and
-chain without --trials start without numpy, and scipy is loaded only
-when a linear program is solved.
+independent of --workers.  No package module is imported at start:
+each subcommand imports what its own code runs.  timing and point-d
+with --a/--b/--c load spacetime, chsh and chain inequality (and
+spacetime for --model mixture); a scenario file, a preset or --out adds
+scenario, a preset presets; sampling, signal and a custom state load
+numpy, and only a linear program loads scipy.
 """
 
 from __future__ import annotations
@@ -20,23 +22,6 @@ import json
 import math
 import os
 import sys
-
-from .presets import PRESETS, get_preset, scenario_doc
-from .scenario import ScenarioError, create_output, load_scenario, parse_speed, scenario_from_doc
-from .spacetime import (
-    SPEED_OF_LIGHT,
-    TIMING_RULES,
-    Event,
-    ModelConfig,
-    before_before,
-    coordination_map,
-    equivalent_vbb,
-    find_point_d,
-    finite_speed_cut,
-    in_future_lightcone,
-    pair_timing,
-    spectator_first,
-)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -70,6 +55,8 @@ def seed_int(text: str) -> int:
 
 def cut_pair(text: str) -> tuple[int, int]:
     """argparse type for a tripartite cut pair 'i,j', returned sorted."""
+    from .spacetime import spectator_first
+
     try:
         _, i, j = spectator_first(text.split(","))
     except ValueError as exc:
@@ -85,6 +72,8 @@ def _emit(obj, out_dir: str | None, filename: str) -> None:
     """Write out_dir/filename, if given, before stdout: a failed write prints nothing."""
     text = _json_text(obj)
     if out_dir is not None:
+        from .scenario import create_output
+
         os.makedirs(out_dir, exist_ok=True)
         with create_output(os.path.join(out_dir, filename)) as fh:
             fh.write(text.encode())
@@ -96,9 +85,13 @@ def _finite_or_none(value: float) -> float | None:
 
 
 def _resolve_scenario(args):
+    from .scenario import load_scenario, scenario_from_doc
+
     if getattr(args, "scenario", None):
         sc = load_scenario(args.scenario)
     elif getattr(args, "preset", None):
+        from .presets import get_preset
+
         sc = scenario_from_doc(get_preset(args.preset).doc)
     else:
         raise UsageError("one of --scenario or --preset is required")
@@ -111,10 +104,12 @@ def _resolve_scenario(args):
 
 
 def cmd_timing(args) -> int:
-    c = 1.0 if args.c_units else SPEED_OF_LIGHT
-    v = parse_speed(args.v, c)
-    v_bb_equiv = equivalent_vbb(v, c)
-    v_bb = v_bb_equiv if args.v_bb is None else parse_speed(args.v_bb, c)
+    from . import spacetime
+
+    c = 1.0 if args.c_units else spacetime.SPEED_OF_LIGHT
+    v = spacetime.parse_speed(args.v, c)
+    v_bb_equiv = spacetime.equivalent_vbb(v, c)
+    v_bb = v_bb_equiv if args.v_bb is None else spacetime.parse_speed(args.v_bb, c)
     for holds, message in (
         (math.isfinite(args.L), f"--L must be finite, got {args.L!r}"),
         (math.isfinite(args.dt), f"--dt must be finite, got {args.dt!r}"),
@@ -125,10 +120,10 @@ def cmd_timing(args) -> int:
     ):
         if not holds:
             raise ValueError(message)
-    fsc = finite_speed_cut(args.L, args.dt, v)
+    fsc = spacetime.finite_speed_cut(args.L, args.dt, v)
     # At the exact v_bb = c**2/v, dt c**2 < v_bb L is v dt < L itself: with
     # --v-bb omitted, before-before is the finite-speed verdict by construction.
-    bb = fsc if args.v_bb is None else before_before(args.L, args.dt, v_bb, c)
+    bb = fsc if args.v_bb is None else spacetime.before_before(args.L, args.dt, v_bb, c)
     _emit(
         {
             "schema": "bellsim-timing-1",
@@ -212,6 +207,7 @@ def _derived_block(sc, eff, correlators) -> dict:
 
 def cmd_simulate(args) -> int:
     from .hvmodels import pair_key, write_run_csv, write_run_json
+    from .spacetime import TIMING_RULES, pair_timing
 
     sc = _resolve_scenario(args)
     sample, correlators = _empirical_summary(sc, args.workers)
@@ -242,6 +238,7 @@ def cmd_signal(args) -> int:
     from .hvmodels import effective_behavior, pair_key
     from .quantum import born_behavior
     from .signaling import signal_report
+    from .spacetime import coordination_map
 
     sc = _resolve_scenario(args)
     off = args.off_pair
@@ -282,12 +279,17 @@ def _sample_at_optimum(name: str, opt, args) -> tuple | None:
     if args.p is not None and args.model != "mixture":
         raise UsageError("--p needs --model mixture")
     if args.model == "mixture":
+        from .spacetime import ModelConfig
+
         try:
             ModelConfig(kind="mixture", p=args.p)
         except ValueError as exc:
             raise UsageError(f"--model mixture needs --p: {exc}") from None
     if args.trials is None:
         return None
+    from .presets import scenario_doc
+    from .scenario import scenario_from_doc
+
     model = {"kind": args.model} if args.p is None else {"kind": args.model, "p": args.p}
     events, settings = [(0.0, -1.0), (0.0, 1.0)], [opt.angles_a, opt.angles_b]
     doc = scenario_doc(name, events, model, {"kind": "singlet"}, settings, args.trials, args.seed)
@@ -343,7 +345,7 @@ def cmd_chain(args) -> int:
     return EXIT_OK
 
 
-def _parse_event(text: str, flag: str) -> Event:
+def _parse_event(text: str, flag: str) -> list[float]:
     parts = text.split(",")
     if len(parts) not in (2, 3):
         raise UsageError(f"{flag} must look like 't,x' or 't,x,y'")
@@ -351,10 +353,12 @@ def _parse_event(text: str, flag: str) -> Event:
         numbers = [float(part) for part in parts]
     except ValueError:
         raise UsageError(f"{flag} must contain numbers") from None
-    return Event(numbers[0], numbers[1], numbers[2] if len(numbers) == 3 else 0.0)
+    return numbers
 
 
 def cmd_point_d(args) -> int:
+    from .spacetime import SPEED_OF_LIGHT, Event, find_point_d, in_future_lightcone
+
     if args.scenario or args.preset:
         if args.c_units or any(e is not None for e in (args.a, args.b, args.c)):
             raise UsageError(
@@ -366,9 +370,7 @@ def cmd_point_d(args) -> int:
         a, b, c_ev = sc.geometry.events
         c = sc.geometry.c
     elif args.a and args.b and args.c:
-        a = _parse_event(args.a, "--a")
-        b = _parse_event(args.b, "--b")
-        c_ev = _parse_event(args.c, "--c")
+        a, b, c_ev = (Event(*_parse_event(getattr(args, k), f"--{k}")) for k in "abc")
         c = 1.0 if args.c_units else SPEED_OF_LIGHT
     else:
         raise UsageError("give --scenario/--preset or all of --a, --b, --c")
@@ -393,6 +395,8 @@ def cmd_point_d(args) -> int:
 
 
 def cmd_preset(args) -> int:
+    from .presets import PRESETS, get_preset
+
     # The preset parser defaults every sampling flag to None, so these were given.
     given = [
         f"--{key}"
@@ -429,6 +433,8 @@ def cmd_preset(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .scenario import ScenarioError, load_scenario
+
     try:
         load_scenario(args.file)
     except ScenarioError as exc:
@@ -527,6 +533,8 @@ def _failure(exc: Exception) -> tuple[int, dict]:
     ScenarioError is checked before ValueError, its base class; any
     exception not named here is still a JSON error, never a traceback.
     """
+    from .scenario import ScenarioError
+
     if isinstance(exc, ScenarioError):
         errors = [e.as_dict() for e in exc.errors]
         message = "scenario failed validation"

@@ -12,13 +12,14 @@ bit.  Mixture analysis covers models that are local with weight p and
 quantum with weight 1-p, under the worst-case assumption that the local
 part saturates the enumerated local bound.  Only chain_value, which
 reads a Behavior, imports bellsim.quantum (and with it numpy), in its
-body; everything else here is pure Python.
+body; everything else here is pure Python, and its records, ChainSpec
+and ChainOptimum, are namedtuples.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -31,35 +32,37 @@ Term = tuple[tuple[int, int], int]
 MAX_CHAIN_N = 12
 
 
-@dataclass(frozen=True)
-class ChainSpec:
-    """The 2N signed correlator terms of an N-chain.
+class ChainSpec(namedtuple("ChainSpec", "n terms")):
+    """The 2N signed correlator terms of an N-chain, the tuple (n, terms).
 
     Each term is ((alice_setting, bob_setting), sign).  Exactly one sign
     is negative and every setting of either party appears in exactly two
     terms.
     """
 
-    n: int
-    terms: tuple[Term, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"chain needs N >= 2, got {self.n}")
-        if len(self.terms) != 2 * self.n:
-            raise ValueError(f"chain N={self.n} needs {2 * self.n} terms")
-        if sum(1 for _, sign in self.terms if sign == -1) != 1:
+    def __new__(cls, n: int, terms: tuple[Term, ...]) -> ChainSpec:
+        if n < 2:
+            raise ValueError(f"chain needs N >= 2, got {n}")
+        if len(terms) != 2 * n:
+            raise ValueError(f"chain N={n} needs {2 * n} terms")
+        if sum(1 for _, sign in terms if sign == -1) != 1:
             raise ValueError("chain needs exactly one negative term")
-        if any(sign not in (-1, 1) for _, sign in self.terms):
+        if any(sign not in (-1, 1) for _, sign in terms):
             raise ValueError("term signs must be +1 or -1")
         for party in (0, 1):
-            counts = [0] * self.n
-            for pair, _ in self.terms:
-                if not 0 <= pair[party] < self.n:
+            counts = [0] * n
+            for pair, _ in terms:
+                if not 0 <= pair[party] < n:
                     raise ValueError(f"setting {pair[party]} out of range")
                 counts[pair[party]] += 1
             if any(c != 2 for c in counts):
                 raise ValueError("every setting must appear in exactly two terms")
+        return super().__new__(cls, n, terms)
+
+    # namedtuple's _make, which _replace calls, would skip __new__'s checks.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def chain_spec(n: int) -> ChainSpec:
@@ -136,13 +139,8 @@ def local_bound(spec: ChainSpec) -> float:
     return float(2 * best)
 
 
-@dataclass(frozen=True)
-class ChainOptimum:
-    """The quantum optimum of one chain size and the angles reaching it."""
-
-    value: float
-    angles_a: tuple[float, ...]
-    angles_b: tuple[float, ...]
+#: The quantum optimum of one chain size and the angles reaching it.
+ChainOptimum = namedtuple("ChainOptimum", "value angles_a angles_b")
 
 
 #: N -> (value, Alice's angles, Bob's angles) for the singlet.  The angles

@@ -14,17 +14,12 @@ apart from its siblings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .scenario import SCHEMA_VERSION
 
-
-@dataclass(frozen=True)
-class Preset:
-    name: str
-    description: str
-    pipeline: str  # "simulate" or "signal"
-    doc: dict
+#: A shipped scenario document and the pipeline ("simulate" or "signal") that runs it.
+Preset = namedtuple("Preset", "name description pipeline doc")
 
 
 def chsh_optimal_angles() -> tuple[list[float], list[float]]:

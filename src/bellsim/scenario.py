@@ -8,7 +8,8 @@ a JSON-pointer path so batch tooling can point at the offending field.
 
 Speeds are accepted either as numbers in m/s or as strings with a ``c``
 suffix ("100000c" means 1e5 times the speed of light, using the
-scenario's own c so c=1 geometries stay consistent).  Angles are always
+scenario's own c so c=1 geometries stay consistent; spacetime.parse_speed
+reads them).  Angles are always
 radians.  Custom state amplitudes are normalized on load; entries may be
 real numbers or [re, im] pairs.
 
@@ -16,7 +17,8 @@ Validation and construction are pure Python: only a custom state's norm
 is computed with numpy, and the StateVector is built from the document
 when a command first reads Scenario.state, so validating a file with a
 shipped state never loads numpy.  ``create_output`` opens every file the
-command line writes, also without numpy.
+command line writes, also without numpy, so a command given --out loads
+this module.  SchemaError and Scenario are namedtuples.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ import math
 import os
 import stat
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING, BinaryIO
 
 from .spacetime import MODEL_KINDS, SPEED_OF_LIGHT, Boost, Event, Geometry, ModelConfig
+from .spacetime import _finite_number, _is_number, parse_speed
 
 if TYPE_CHECKING:
     import numpy as np
@@ -64,12 +67,10 @@ DEFAULT_OUTPUTS = {
 STATE_KINDS = ("singlet", "ghz3", "custom")
 
 
-@dataclass(frozen=True)
-class SchemaError:
-    """One validation failure, addressed by a JSON pointer."""
+class SchemaError(namedtuple("SchemaError", "path message")):
+    """One validation failure, addressed by a JSON pointer: (path, message)."""
 
-    path: str
-    message: str
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {"path": self.path, "message": self.message}
@@ -93,59 +94,13 @@ def _pointer(*parts) -> str:
     return out or "/"
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+class Scenario(namedtuple("Scenario", "name geometry model settings trials seed outputs doc")):
+    """A validated experiment description; its state is built on first use
+    and kept in the __dict__ that a namedtuple without __slots__ has.
+    outputs names a file for every key of DEFAULT_OUTPUTS."""
 
-
-def _finite_number(value) -> bool:
-    """A JSON number that converts to a finite float (an int too large
-    for a float does not)."""
-    if not _is_number(value):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def parse_speed(value, c: float = SPEED_OF_LIGHT) -> float:
-    """Speed in m/s from a number or a "<multiple>c" string.
-
-    Raises ValueError for anything else, including a number too large
-    for a float and a text that parses to a non-finite speed; range
-    checks belong to the consuming type (model or timing scenario).
-    """
-    if _is_number(value):
-        if not _finite_number(value):
-            raise ValueError("speed must be a finite number")
-        return float(value)
-    if not isinstance(value, str):
-        raise ValueError(f"speed must be a number or a 'c'-suffixed string, got {value!r}")
-    text = value.strip()
-    scale = 1.0
-    if text.endswith("c"):
-        text, scale = text[:-1], c
-    try:
-        speed = float(text) * scale
-    except ValueError:
-        raise ValueError(f"cannot parse speed {value!r}") from None
-    if not math.isfinite(speed):
-        raise ValueError(f"speed {value!r} is not finite")
-    return speed
-
-
-@dataclass(frozen=True, eq=False)
-class Scenario:
-    """A validated experiment description; its state is built on first use."""
-
-    name: str
-    geometry: Geometry
-    model: ModelConfig
-    settings: tuple[tuple[float, ...], ...]
-    trials: int
-    seed: int
-    outputs: dict[str, str]  # every key of DEFAULT_OUTPUTS
-    doc: dict
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def parties(self) -> int:

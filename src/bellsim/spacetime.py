@@ -19,15 +19,16 @@ that c=1 unit systems work alongside SI.
 The per-pair layer on top of them lives here too: a Geometry of device
 events and boosts, the ModelConfig that names a model, pair_timing (the
 one evaluation of the timing rules on a geometry) and the ON/OFF
-coordination_map read from it.  The module is pure Python, so commands
-that only need timing (timing, point-d, validate) start without numpy.
+coordination_map read from it.  So does parse_speed, which reads a speed
+in m/s or as a multiple of c.  The module is pure Python and its records
+are namedtuples, so timing and point-d load it without numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -36,35 +37,80 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 #: to the larger of the two squares being subtracted.
 LIGHTLIKE_ATOL = 1e-9
 
+#: The records' _make: namedtuple's own, which _replace calls, skips __new__'s checks.
+_make_checked = classmethod(lambda cls, fields: cls(*fields))
 
-@dataclass(frozen=True)
-class Event:
-    """A point in 2+1-dimensional flat spacetime.
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite_number(value) -> bool:
+    """A JSON number that converts to a finite float (an int too large
+    for a float does not)."""
+    if not _is_number(value):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def parse_speed(value, c: float = SPEED_OF_LIGHT) -> float:
+    """Speed in m/s from a number or a "<multiple>c" string.
+
+    Raises ValueError for anything else, including a number too large
+    for a float and a text that parses to a non-finite speed; range
+    checks belong to the consuming type (model or timing scenario).
+    """
+    if _is_number(value):
+        if not _finite_number(value):
+            raise ValueError("speed must be a finite number")
+        return float(value)
+    if not isinstance(value, str):
+        raise ValueError(f"speed must be a number or a 'c'-suffixed string, got {value!r}")
+    text = value.strip()
+    scale = 1.0
+    if text.endswith("c"):
+        text, scale = text[:-1], c
+    try:
+        speed = float(text) * scale
+    except ValueError:
+        raise ValueError(f"cannot parse speed {value!r}") from None
+    if not math.isfinite(speed):
+        raise ValueError(f"speed {value!r} is not finite")
+    return speed
+
+
+class Event(namedtuple("Event", "t x y")):
+    """A point in 2+1-dimensional flat spacetime, the tuple (t, x, y).
 
     t is in seconds, x and y in meters (or any consistent unit system
     when a non-SI ``c`` is passed to the operations below).
     """
 
-    t: float
-    x: float
-    y: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("t", "x", "y"):
-            v = getattr(self, name)
+    def __new__(cls, t: float, x: float, y: float = 0.0) -> Event:
+        for name, v in zip(cls._fields, (t, x, y)):
             if not math.isfinite(v):
                 raise ValueError(f"Event.{name} must be finite, got {v!r}")
+        return super().__new__(cls, t, x, y)
+
+    _make = _make_checked
 
 
-@dataclass(frozen=True)
-class Boost:
+class Boost(namedtuple("Boost", "beta")):
     """A velocity boost along the x axis, beta = v/c with |beta| < 1."""
 
-    beta: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.beta) or abs(self.beta) >= 1.0:
-            raise ValueError(f"|beta| must be < 1, got {self.beta!r}")
+    def __new__(cls, beta: float) -> Boost:
+        if not math.isfinite(beta) or abs(beta) >= 1.0:
+            raise ValueError(f"|beta| must be < 1, got {beta!r}")
+        return super().__new__(cls, beta)
+
+    _make = _make_checked
 
 
 def _interval_squares(e1: Event, e2: Event, c: float) -> tuple[float, float, float]:
@@ -142,17 +188,6 @@ def equivalent_vbb(v: float, c: float = SPEED_OF_LIGHT) -> float:
     return c * c / v
 
 
-def _bisector_gap(
-    a: Event, b: Event, c_ev: Event, px: float, py: float, c: float
-) -> float:
-    """Advantage window at plane point (px, py): light-from-A arrival minus
-    the earliest time inside both B and C future cones."""
-    t_a = a.t + math.hypot(px - a.x, py - a.y) / c
-    t_b = b.t + math.hypot(px - b.x, py - b.y) / c
-    t_c = c_ev.t + math.hypot(px - c_ev.x, py - c_ev.y) / c
-    return t_a - max(t_b, t_c)
-
-
 def find_point_d(
     a: Event,
     b: Event,
@@ -197,10 +232,16 @@ def find_point_d(
     ux = -bc_dy / bc_len
     uy = bc_dx / bc_len
 
+    (ta, xa, ya), (tb, xb, yb), (tc, xc, yc) = a, b, c_ev
+
     def candidate(s: float) -> tuple[float, float, float]:
+        """Point s along the bisector and its advantage window: light-from-A
+        arrival minus the earliest time inside both B and C future cones."""
         px = mx + s * ux
         py = my + s * uy
-        return px, py, _bisector_gap(a, b, c_ev, px, py, c)
+        t_b = tb + math.hypot(px - xb, py - yb) / c
+        t_c = tc + math.hypot(px - xc, py - yc) / c
+        return px, py, ta + math.hypot(px - xa, py - ya) / c - max(t_b, t_c)
 
     px, py, gap = candidate(0.0)
     if gap <= 0.0:
@@ -233,25 +274,22 @@ ON = "ON"
 OFF = "OFF"
 
 
-@dataclass(frozen=True)
-class Geometry:
-    """Device arrival events and rest-frame boosts, one per party."""
+class Geometry(namedtuple("Geometry", "events boosts c")):
+    """Device arrival events and rest-frame boosts, one per party, and the
+    speed of light: the tuple (events, boosts, c)."""
 
-    events: tuple[Event, ...]
-    boosts: tuple[Boost, ...]
-    c: float = SPEED_OF_LIGHT
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        events = tuple(self.events)
-        boosts = tuple(self.boosts)
+    def __new__(cls, events, boosts, c: float = SPEED_OF_LIGHT) -> Geometry:
+        events, boosts = tuple(events), tuple(boosts)
         if len(events) < 2:
             raise ValueError("geometry needs at least two devices")
         if len(events) != len(boosts):
-            raise ValueError(
-                f"{len(events)} events but {len(boosts)} boosts; counts must match"
-            )
-        object.__setattr__(self, "events", events)
-        object.__setattr__(self, "boosts", boosts)
+            message = f"{len(events)} events but {len(boosts)} boosts; counts must match"
+            raise ValueError(message)
+        return super().__new__(cls, events, boosts, c)
+
+    _make = _make_checked
 
     @property
     def parties(self) -> int:
@@ -286,32 +324,32 @@ class Geometry:
         return min(max(0.0, w_i), max(0.0, w_j))
 
 
-@dataclass(frozen=True)
-class ModelConfig:
-    """Tagged hidden-influence model description.
+class ModelConfig(namedtuple("ModelConfig", "kind v p")):
+    """Tagged hidden-influence model description, the tuple (kind, v, p).
 
     kind "finite_speed" needs v (influence speed in the preferred frame,
     taken to be the lab frame); "mixture" needs p, the probability that
     a trial is local.  Other kinds take no parameters.
     """
 
-    kind: str
-    v: float | None = None
-    p: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}")
-        if self.kind == "finite_speed":
-            if self.v is None or not self.v > 0:
-                raise ValueError(f"finite_speed needs v > 0, got {self.v!r}")
-        elif self.v is not None:
-            raise ValueError(f"model kind {self.kind!r} takes no v")
-        if self.kind == "mixture":
-            if self.p is None or not 0.0 <= self.p <= 1.0:
-                raise ValueError(f"mixture needs p in [0, 1], got {self.p!r}")
-        elif self.p is not None:
-            raise ValueError(f"model kind {self.kind!r} takes no p")
+    def __new__(cls, kind: str, v: float | None = None, p: float | None = None) -> ModelConfig:
+        if kind not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind {kind!r}; choose from {MODEL_KINDS}")
+        if kind == "finite_speed":
+            if v is None or not v > 0:
+                raise ValueError(f"finite_speed needs v > 0, got {v!r}")
+        elif v is not None:
+            raise ValueError(f"model kind {kind!r} takes no v")
+        if kind == "mixture":
+            if p is None or not 0.0 <= p <= 1.0:
+                raise ValueError(f"mixture needs p in [0, 1], got {p!r}")
+        elif p is not None:
+            raise ValueError(f"model kind {kind!r} takes no p")
+        return super().__new__(cls, kind, v, p)
+
+    _make = _make_checked
 
 
 #: Timed model kinds and the name of the verdict their timing rule gives.

@@ -1068,7 +1068,9 @@ import contextlib, io, sys
 from bellsim.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, *(name in sys.modules for name in ("scipy.optimize", "scipy.sparse", "numpy")))
+probed = ("scipy.optimize", "scipy.sparse", "numpy", "dataclasses", "inspect",
+          "bellsim.scenario", "bellsim.presets")
+print(code, *(name in sys.modules for name in probed))
 """
 
 
@@ -1158,3 +1160,34 @@ def test_only_numeric_commands_load_numpy(argv, code, loaded, tmp_path, lp_needi
     numpy), and not for writing a --out file."""
     out = probe_imports(argv, tmp_path, lp_needing_target)
     assert [out[0], out[3]] == [str(code), str(loaded)]
+
+
+@pytest.mark.parametrize(
+    "argv, code, scenario, presets",
+    [
+        (["timing", "--v", "100000c", "--L", "30000"], 0, False, False),
+        (["point-d", "--a", "0,0", "--b", "0,10", "--c", "0,20", "--c-units"], 0, False, False),
+        (["point-d", "--c-units", "--a=0,5e307", "--b=0,-1e308", "--c=0,-9e307"], 0, False, False),
+        (["chsh"], 0, False, False),
+        (["chain", "--n", "4"], 0, False, False),
+        (["chain", "--n", "12"], 0, False, False),
+        (["chain", "--n", "3", "--local-bound"], 0, False, False),
+        (["chain", "--n", "5", "--quantum"], 0, False, False),
+        (["validate", "<valid>"], 0, True, False),
+        (["validate", "<invalid>"], 2, True, False),
+        (["preset", "list"], 0, True, True),
+        (["point-d", "--preset", "fig2b", "--out", "<out>"], 0, True, True),
+        (["timing", "--v", "100000c", "--L", "30000", "--out", "<out>"], 0, True, False),
+        (["bogus"], 2, True, False),
+    ],
+)
+def test_numpy_free_commands_load_only_what_they_run(
+    argv, code, scenario, presets, tmp_path, lp_needing_target
+):
+    """No numpy-free command loads dataclasses, or inspect with it: the
+    package's records are namedtuples.  bellsim.scenario comes only with
+    a scenario file, a preset or --out (create_output lives there), and
+    with the failure report, which checks for a ScenarioError;
+    bellsim.presets only with a preset."""
+    out = probe_imports(argv, tmp_path, lp_needing_target)
+    assert out == [str(code), "False", "False", "False", "False", "False", str(scenario), str(presets)]
